@@ -20,11 +20,9 @@ from .errors import (
 from .lyapunov import (
     StabilityResult,
     integrate_lyapunov,
-    is_physical,
     solve_lyapunov,
     solve_lyapunov_oracle,
     stability_check,
-    symplectic_eigenvalues,
 )
 from .measures import (
     ALL_PAIRS,
@@ -35,9 +33,11 @@ from .measures import (
     effective_phonon_number,
     evaluate_measures,
     gaussian_steering,
+    is_physical,
     log_negativity,
     reduce_modes,
     residual_contangle,
+    symplectic_eigenvalues,
     tmsv_covariance,
 )
 from .meanfield import (
@@ -49,10 +49,8 @@ from .meanfield import (
 from .model import (
     MODE_INDEX,
     MODE_ORDER,
-    LinearModel,
     build_diffusion,
     build_drift,
-    build_model,
     drive_conversions,
     feedback_rates,
     thermal_occupancy,
@@ -90,7 +88,6 @@ __all__ = [
     "DomainError",
     "DriveParams",
     "INDIRECT_PAIRS",
-    "LinearModel",
     "MODE_INDEX",
     "MODE_ORDER",
     "MagnomechError",
@@ -110,7 +107,6 @@ __all__ = [
     "approx_amplitudes",
     "build_diffusion",
     "build_drift",
-    "build_model",
     "contrast_ratio",
     "drive_conversions",
     "effective_phonon_number",

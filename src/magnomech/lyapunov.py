@@ -1,12 +1,12 @@
 """Stability gate and steady-state covariance via the Lyapunov equation.
 
 The steady-state covariance matrix V of the linearized dynamics solves
-``A V + V A^T + D = 0``.  The primary solver delegates to the dense
-Bartels-Stewart algorithm (real Schur decomposition of A followed by
-back-substitution, as provided by LAPACK through SciPy); an independent
-Kronecker-vectorized solve and a direct time-integration serve as
-cross-check oracles.  Every solve is symmetrized and verified against a
-residual bound before being returned.
+``A V + V A^T + D = 0``.  The primary solver is the dense Bartels-Stewart
+algorithm on one real Schur form of A (LAPACK ``dtrsyl`` for the solve
+and its refinement pass); an independent Kronecker-vectorized solve and
+a direct time-integration serve as cross-check oracles.  Every algebraic
+solve is refined once, symmetrized and verified against a residual bound
+before being returned.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.integrate import solve_ivp
 
 from .errors import SolverError, StabilityError
 
@@ -36,6 +35,10 @@ class StabilityResult:
     margin: float  # max real part of the drift spectrum (rad/s)
 
 
+def _threshold(drift: np.ndarray) -> float:
+    return -STABILITY_EPS * float(np.abs(drift).max() or 1.0)
+
+
 def stability_check(drift: np.ndarray) -> StabilityResult:
     """Decide dynamical stability of a real square drift matrix.
 
@@ -51,46 +54,57 @@ def stability_check(drift: np.ndarray) -> StabilityResult:
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigenvalue iteration failed: {exc}") from exc
     margin = float(eigenvalues.real.max())
-    threshold = -STABILITY_EPS * float(np.abs(drift).max() or 1.0)
-    return StabilityResult(stable=margin < threshold, margin=margin)
+    return StabilityResult(stable=margin < _threshold(drift), margin=margin)
 
 
-def _verify(drift, diffusion, cov) -> np.ndarray:
+def _require_stable(drift: np.ndarray, margin: float, caller: str) -> None:
+    if not margin < _threshold(drift):
+        raise StabilityError(f"{caller} called on unstable drift (margin {margin:.3e})")
+
+
+def _refined(drift, diffusion, solve) -> np.ndarray:
+    """Solve, refine once, symmetrize and verify ``A V + V A^T + D = 0``.
+
+    ``solve(rhs)`` returns X with ``A X + X A^T = rhs``.  The second call
+    corrects the first one's residual; explicit symmetrization keeps
+    residual asymmetry out of determinant-based measures.
+    """
+    cov = solve(-diffusion)
+    cov = cov + solve(-(drift @ cov + cov @ drift.T + diffusion))
+    cov = (cov + cov.T) / 2.0
     residual = drift @ cov + cov @ drift.T + diffusion
-    denom = np.linalg.norm(diffusion) or 1.0
-    rel = float(np.linalg.norm(residual) / denom)
-    if rel > RESIDUAL_TOL:
-        raise SolverError(
-            f"Lyapunov residual {rel:.3e} above tolerance {RESIDUAL_TOL:.0e}",
-            residual=rel,
-        )
+    rel = float(np.linalg.norm(residual) / (np.linalg.norm(diffusion) or 1.0))
+    if not rel <= RESIDUAL_TOL:  # also rejects a NaN residual
+        raise SolverError(f"Lyapunov residual {rel:.3e} above tolerance {RESIDUAL_TOL:.0e}",
+                          residual=rel)
     return cov
 
 
 def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     """Steady-state covariance by the Bartels-Stewart algorithm.
 
-    Requires a stable drift matrix (checked).  One pass of iterative
-    refinement follows the raw Schur solve: the model's rates span five
-    orders of magnitude, and without refinement the backward error of
+    One real Schur form ``A = U T U^T`` serves the stability guard (the
+    real parts of all eigenvalues sit on ``diag(T)``) and both triangular
+    Sylvester solves.  The refinement pass matters because the model's
+    rates span five orders of magnitude: without it the backward error of
     the weakly damped subspace shows up as spurious 1e-9-level
-    correlations between uncoupled modes.  The result is explicitly
-    symmetrized (residual asymmetry would otherwise leak into
-    determinant-based measures) and verified against
-    :data:`RESIDUAL_TOL`.
+    correlations between uncoupled modes.
     """
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
-    gate = stability_check(drift)
-    if not gate.stable:
-        raise StabilityError(
-            f"solve_lyapunov called on unstable drift (margin {gate.margin:.3e})"
-        )
-    cov = sla.solve_continuous_lyapunov(drift, -diffusion)
-    residual = drift @ cov + cov @ drift.T + diffusion
-    cov = cov + sla.solve_continuous_lyapunov(drift, -residual)
-    cov = (cov + cov.T) / 2.0
-    return _verify(drift, diffusion, cov)
+    try:
+        schur, basis = sla.schur(drift, output="real")
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Schur decomposition failed: {exc}") from exc
+    _require_stable(drift, float(np.diag(schur).max()), "solve_lyapunov")
+
+    def solve(rhs):
+        # T Y + Y T^T = U^T rhs U, then X = U Y U^T
+        y, scale, _ = sla.lapack.dtrsyl(schur, schur, basis.T.dot(rhs.dot(basis)), tranb="T")
+        y *= scale
+        return basis.dot(y).dot(basis.T)
+
+    return _refined(drift, diffusion, solve)
 
 
 def solve_lyapunov_oracle(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
@@ -105,81 +119,41 @@ def solve_lyapunov_oracle(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarra
     n = drift.shape[0]
     if n > 24:
         raise ValueError("oracle path is restricted to at most 12 modes")
-    gate = stability_check(drift)
-    if not gate.stable:
-        raise StabilityError(
-            f"oracle called on unstable drift (margin {gate.margin:.3e})"
-        )
+    _require_stable(drift, stability_check(drift).margin, "oracle")
     eye = np.eye(n)
-    system = np.kron(eye, drift) + np.kron(drift, eye)
     try:
-        lu, piv = sla.lu_factor(system)
+        lu_piv = sla.lu_factor(np.kron(eye, drift) + np.kron(drift, eye))
     except np.linalg.LinAlgError as exc:
         raise SolverError(
-            "Kronecker system is singular (marginal stability missed by the gate)"
-        ) from exc
-    cov = sla.lu_solve((lu, piv), -diffusion.reshape(-1)).reshape(n, n)
-    residual = drift @ cov + cov @ drift.T + diffusion
-    cov = cov + sla.lu_solve((lu, piv), -residual.reshape(-1)).reshape(n, n)
-    cov = (cov + cov.T) / 2.0
-    return _verify(drift, diffusion, cov)
+            "Kronecker system is singular (marginal stability missed by the gate)") from exc
+    return _refined(drift, diffusion,
+                    lambda rhs: sla.lu_solve(lu_piv, rhs.reshape(-1)).reshape(n, n))
 
 
-def integrate_lyapunov(
-    drift: np.ndarray,
-    diffusion: np.ndarray,
-    horizon_factor: float = 50.0,
-    rtol: float = 1e-10,
-) -> np.ndarray:
+def integrate_lyapunov(drift: np.ndarray, diffusion: np.ndarray,
+                       horizon_factor: float = 50.0, rtol: float = 1e-10) -> np.ndarray:
     """Covariance by direct integration of ``dV/dt = A V + V A^T + D``.
 
     Integrates from V = 0 to ``t = horizon_factor / |max Re eig(A)|``, by
     which time the transient has decayed to numerical noise.  Slow, and
     used only as an independent cross-check of the algebraic solvers.
     """
+    from scipy.integrate import solve_ivp  # slow to import; only this oracle needs it
+
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
-    gate = stability_check(drift)
-    if not gate.stable:
-        raise StabilityError("integration oracle needs a stable drift matrix")
+    margin = stability_check(drift).margin
+    _require_stable(drift, margin, "integration oracle")
     n = drift.shape[0]
-    t_final = horizon_factor / abs(gate.margin)
 
     def rhs(_t, y):
         v = y.reshape(n, n)
-        dv = drift @ v + v @ drift.T + diffusion
-        return dv.reshape(-1)
+        return (drift @ v + v @ drift.T + diffusion).reshape(-1)
 
-    scale = float(np.abs(diffusion).max() / (2.0 * abs(gate.margin)) or 1.0)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_final),
-        np.zeros(n * n),
-        method="RK45",
-        rtol=rtol,
-        atol=rtol * scale,
-        dense_output=False,
-    )
+    scale = float(np.abs(diffusion).max() / (2.0 * abs(margin)) or 1.0)
+    sol = solve_ivp(rhs, (0.0, horizon_factor / abs(margin)), np.zeros(n * n),
+                    method="RK45", rtol=rtol, atol=rtol * scale)
     if not sol.success:
         raise SolverError(f"time integration failed: {sol.message}")
     cov = sol.y[:, -1].reshape(n, n)
     return (cov + cov.T) / 2.0
-
-
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix, sorted ascending.
-
-    The eigenvalues of ``i * Omega * V`` come in pairs +/-nu; the returned
-    array holds each nu once.  With vacuum variance 1/2, physical states
-    have every nu >= 1/2.
-    """
-    cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    spectrum = np.sort(np.abs(np.linalg.eigvals(omega @ cov)))
-    return spectrum[::2]
-
-
-def is_physical(cov: np.ndarray, tol: float = 1e-8) -> bool:
-    """True when every symplectic eigenvalue is >= 1/2 - tol."""
-    return bool(symplectic_eigenvalues(cov)[0] >= 0.5 - tol)

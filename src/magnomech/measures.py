@@ -5,18 +5,25 @@ with vacuum variance 1/2.  Bipartite entanglement is the logarithmic
 negativity from the partially transposed two-mode covariance, steering
 is the Renyi-2 measure, and tripartite entanglement the minimum residual
 contangle built from squared one-versus-rest logarithmic negativities.
+One batched kernel serves :func:`evaluate_measures` and the scalar
+functions alike: index tables gather the blocks, and each family costs
+one or two stacked LAPACK calls.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PhysicalityError
-from .model import MODE_INDEX, MODE_ORDER
+from .errors import DomainError, PhysicalityError, SolverError
+from .model import MODE_INDEX, MODE_ORDER, OMEGA
 from .params import SystemParams
+
+#: The measure families :func:`evaluate_measures` can evaluate.
+MEASURE_FAMILIES = ("entanglement", "steering", "contangle", "occupation")
 
 #: Rounding noise below this magnitude is reported as an exact zero.
 ZERO_CLIP = 1e-10
@@ -24,29 +31,13 @@ ZERO_CLIP = 1e-10
 #: The six mode pairs with no direct coupling in the model, in canonical
 #: mode order; these are the pairs whose correlations the device is
 #: designed to create.
-INDIRECT_PAIRS = (
-    ("b1", "c"),
-    ("b1", "a"),
-    ("b2", "m"),
-    ("b2", "a"),
-    ("m", "c"),
-    ("c", "a"),
-)
+INDIRECT_PAIRS = (("b1", "c"), ("b1", "a"), ("b2", "m"), ("b2", "a"), ("m", "c"), ("c", "a"))
 
-ALL_PAIRS = tuple(
-    (MODE_ORDER[i], MODE_ORDER[j])
-    for i in range(len(MODE_ORDER))
-    for j in range(i + 1, len(MODE_ORDER))
-)
+ALL_PAIRS = tuple(itertools.combinations(MODE_ORDER, 2))
 
 #: Mode triples reported by default: the optical mode with the microwave
 #: or magnon mode plus one mechanical mode.
-DEFAULT_TRIPLES = (
-    ("b1", "m", "c"),
-    ("b2", "c", "a"),
-    ("b2", "m", "c"),
-    ("b1", "c", "a"),
-)
+DEFAULT_TRIPLES = (("b1", "m", "c"), ("b2", "c", "a"), ("b2", "m", "c"), ("b1", "c", "a"))
 
 
 def _mode_indices(modes) -> list[int]:
@@ -67,18 +58,148 @@ def reduce_modes(cov: np.ndarray, modes) -> np.ndarray:
     ``modes`` is a sequence of mode names or indices; the result is the
     2k x 2k submatrix of their (X, Y) rows and columns.
     """
-    indices = _mode_indices(modes)
-    rows = [q for i in indices for q in (2 * i, 2 * i + 1)]
+    rows = _quadratures(_mode_indices(modes))
     return cov[np.ix_(rows, rows)]
 
 
-def _snap_zero(value: float) -> float:
-    # magnitudes at the solver noise floor are indistinguishable from an
-    # exact zero; snapping them keeps "> 0" meaningful downstream (a
-    # marginal product state must not read as steerable or entangled)
-    if -ZERO_CLIP < value < ZERO_CLIP:
-        return 0.0
-    return value
+def _canonical(modes) -> tuple:
+    return tuple(sorted(modes, key=MODE_INDEX.__getitem__))
+
+
+def _quadratures(modes) -> list[int]:
+    return [q for i in modes for q in (2 * i, 2 * i + 1)]
+
+
+def _block(cov, dim: int, name: str) -> np.ndarray:
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (dim, dim):
+        raise DomainError(f"{name} needs a {dim}x{dim} covariance matrix")
+    return cov
+
+
+def _gather(cov: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Stack of the submatrices of ``cov`` on each row of quadrature indices."""
+    return cov[rows[:, :, None], rows[:, None, :]]
+
+
+def _lapack(function, stack: np.ndarray) -> np.ndarray:
+    try:
+        return function(stack)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{function.__name__} failed on a covariance block: {exc}") from exc
+
+
+def _snap_zero(values: np.ndarray) -> np.ndarray:
+    # solver-noise magnitudes are indistinguishable from an exact zero; snapping
+    # keeps "> 0" meaningful (a marginal product state must not read as entangled)
+    return np.where(np.abs(values) < ZERO_CLIP, 0.0, values)
+
+
+def _pair_dets(stack: np.ndarray):
+    """Determinants of the 2x2 blocks, shape (k, 2, 2), and of each 4x4 matrix."""
+    blocks = stack.reshape(len(stack), 2, 2, 2, 2).swapaxes(2, 3)
+    return _lapack(np.linalg.det, blocks), _lapack(np.linalg.det, stack)
+
+
+def _log_negativities(stack: np.ndarray) -> np.ndarray:
+    blocks, det_all = _pair_dets(stack)
+    sigma = blocks[:, 0, 0] + blocks[:, 1, 1] - 2.0 * blocks[:, 0, 1]
+    disc = sigma * sigma - 4.0 * det_all
+    # the discriminant vanishes identically for balanced states; only
+    # violations beyond rounding scale are physicality errors
+    bad = disc < -ZERO_CLIP * (sigma * sigma + 4.0 * np.abs(det_all))
+    if bad.any():
+        raise PhysicalityError("partially transposed symplectic spectrum is complex "
+                               f"(sigma^2 - 4 det V = {disc[bad][0]:.3e} < 0)")
+    inner = (sigma - np.sqrt(np.maximum(disc, 0.0))) / 2.0
+    if (inner <= 0.0).any():
+        raise PhysicalityError(f"squared symplectic eigenvalue is nonpositive ({inner.min():.3e})")
+    return _snap_zero(np.maximum(0.0, -np.log(2.0 * np.sqrt(inner))))
+
+
+def _steerings(det_s: np.ndarray, det_all: np.ndarray) -> np.ndarray:
+    if (det_s <= 0.0).any() or (det_all <= 0.0).any():
+        raise PhysicalityError("covariance determinant is nonpositive")
+    return _snap_zero(np.maximum(0.0, 0.5 * np.log(det_s / (4.0 * det_all))))
+
+
+def _symplectic_moduli(stack: np.ndarray) -> np.ndarray:
+    """|eigenvalues| of Omega V for each V; each symplectic eigenvalue twice."""
+    dim = stack.shape[-1]
+    return np.abs(_lapack(np.linalg.eigvals, OMEGA[:dim, :dim] @ stack))
+
+
+def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of a covariance matrix, sorted ascending.
+
+    The eigenvalues of ``i * Omega * V`` come in pairs +/-nu; the returned
+    array holds each nu once.  With vacuum variance 1/2, physical states
+    have every nu >= 1/2.  Covers up to the model's five modes.
+    """
+    return np.sort(_symplectic_moduli(np.asarray(cov, dtype=float)))[::2]
+
+
+def is_physical(cov: np.ndarray, tol: float = 1e-8) -> bool:
+    """True when every symplectic eigenvalue is >= 1/2 - tol."""
+    return bool(symplectic_eigenvalues(cov)[0] >= 0.5 - tol)
+
+
+def _min_symplectic(cov: np.ndarray) -> float:
+    return float(_symplectic_moduli(cov).min())
+
+
+def _partial_transpose(cov: np.ndarray, mode: int) -> np.ndarray:
+    flip = np.ones(cov.shape[0])
+    flip[2 * mode + 1] = -1.0
+    return cov * np.outer(flip, flip)
+
+
+#: Momentum sign flip of the first mode (phase-space partial transpose);
+#: its leading 2k x 2k block applies to a k-mode covariance.
+_FLIP_FIRST = _partial_transpose(np.ones(OMEGA.shape), 0)
+
+
+def _contangle_plan(triples):
+    """Gather tables for the residual contangles of ascending mode-index triples.
+
+    Returns the quadrature rows of each one-versus-rest bipartition
+    (singled-out mode first, three per triple), those of each distinct
+    one-versus-one pair, and ``pair_of[t, i]``: the two pairs of triple
+    ``t`` that hold its ``i``-th mode.
+    """
+    pairs = sorted({pair for triple in triples for pair in itertools.combinations(triple, 2)})
+    rest = [[mode, *(m for m in triple if m != mode)] for triple in triples for mode in triple]
+    pair_of = [[pairs.index(tuple(sorted((first, other)))) for other in others]
+               for first, *others in rest]
+    return (np.array([_quadratures(modes) for modes in rest]),
+            np.array([_quadratures(pair) for pair in pairs]),
+            np.array(pair_of).reshape(len(triples), 3, 2))
+
+
+# Gather tables of the measure kernel, fixed by the mode order.
+_ALL_PAIR_ROWS = np.array([_quadratures(_mode_indices(pair)) for pair in ALL_PAIRS])
+_INDIRECT_ROWS = np.array([_quadratures(_mode_indices(pair)) for pair in INDIRECT_PAIRS])
+_TRIPLE_KEYS = tuple(_canonical(triple) for triple in DEFAULT_TRIPLES)
+_TRIPLE_PLAN = _contangle_plan([_mode_indices(key) for key in _TRIPLE_KEYS])
+_ONE_TRIPLE = _contangle_plan([(0, 1, 2)])
+
+
+def _contangles(stack: np.ndarray) -> np.ndarray:
+    """Squared ``max(0, -ln(2 nu))`` per matrix, ``nu`` the smallest symplectic
+    eigenvalue after flipping the first mode's momentum (partial transpose)."""
+    dim = stack.shape[-1]
+    nu = _symplectic_moduli(stack * _FLIP_FIRST[:dim, :dim]).min(axis=-1)
+    if (nu <= 0.0).any():
+        raise PhysicalityError("partially transposed covariance is singular")
+    e = np.maximum(0.0, -np.log(2.0 * nu))
+    return e * e
+
+
+def _residual_contangles(cov: np.ndarray, plan) -> np.ndarray:
+    rest_rows, pair_rows, pair_of = plan
+    rest = _contangles(_gather(cov, rest_rows)).reshape(pair_of.shape[:2])
+    pairs = _contangles(_gather(cov, pair_rows))[pair_of]
+    return (rest - (pairs[..., 0] + pairs[..., 1])).min(axis=1)
 
 
 def log_negativity(cov4: np.ndarray) -> float:
@@ -90,31 +211,8 @@ def log_negativity(cov4: np.ndarray) -> float:
     ``sigma = det V_1 + det V_2 - 2 det V_12``, and returns
     ``max(0, -ln(2 eta))``.
     """
-    cov4 = np.asarray(cov4, dtype=float)
-    if cov4.shape != (4, 4):
-        raise DomainError("log_negativity needs a 4x4 covariance matrix")
-    det_1 = float(np.linalg.det(cov4[:2, :2]))
-    det_2 = float(np.linalg.det(cov4[2:, 2:]))
-    det_12 = float(np.linalg.det(cov4[:2, 2:]))
-    det_all = float(np.linalg.det(cov4))
-    sigma = det_1 + det_2 - 2.0 * det_12
-    disc = sigma * sigma - 4.0 * det_all
-    if disc < 0.0:
-        # the discriminant vanishes identically for balanced states;
-        # only violations beyond rounding scale are physicality errors
-        scale = sigma * sigma + 4.0 * abs(det_all)
-        if disc < -ZERO_CLIP * scale:
-            raise PhysicalityError(
-                "partially transposed symplectic spectrum is complex "
-                f"(sigma^2 - 4 det V = {disc:.3e} < 0)"
-            )
-        disc = 0.0
-    inner = (sigma - math.sqrt(disc)) / 2.0
-    if inner <= 0.0:
-        raise PhysicalityError(
-            f"squared symplectic eigenvalue is nonpositive ({inner:.3e})"
-        )
-    return _snap_zero(max(0.0, -math.log(2.0 * math.sqrt(inner))))
+    cov4 = _block(cov4, 4, "log_negativity")
+    return float(_log_negativities(cov4[None])[0])
 
 
 def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
@@ -125,44 +223,11 @@ def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
     ``max(0, ln det(2 V_s)/2 - ln det(2 V)/2)`` and is directional by
     construction.
     """
-    cov4 = np.asarray(cov4, dtype=float)
-    if cov4.shape != (4, 4):
-        raise DomainError("gaussian_steering needs a 4x4 covariance matrix")
+    cov4 = _block(cov4, 4, "gaussian_steering")
     if steering_mode not in (0, 1):
         raise DomainError("steering_mode must be 0 or 1")
-    block = cov4[:2, :2] if steering_mode == 0 else cov4[2:, 2:]
-    det_s = float(np.linalg.det(block))
-    det_all = float(np.linalg.det(cov4))
-    if det_s <= 0.0 or det_all <= 0.0:
-        raise PhysicalityError("covariance determinant is nonpositive")
-    return _snap_zero(max(0.0, 0.5 * math.log(det_s / (4.0 * det_all))))
-
-
-def _min_symplectic(cov: np.ndarray) -> float:
-    n = cov.shape[0] // 2
-    omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    return float(np.abs(np.linalg.eigvals(omega @ cov)).min())
-
-
-def _partial_transpose(cov: np.ndarray, mode: int) -> np.ndarray:
-    flip = np.ones(cov.shape[0])
-    flip[2 * mode + 1] = -1.0
-    return cov * np.outer(flip, flip)
-
-
-def _one_vs_rest_contangle(cov: np.ndarray, mode: int) -> float:
-    """Squared logarithmic negativity of one mode against the rest.
-
-    Applies the momentum sign flip of the singled-out mode (the phase
-    space partial transpose), takes the minimum-modulus eigenvalue of
-    Omega times the reflected covariance as the symplectic eigenvalue,
-    and squares ``max(0, -ln(2 nu))``.
-    """
-    nu = _min_symplectic(_partial_transpose(cov, mode))
-    if nu <= 0.0:
-        raise PhysicalityError("partially transposed covariance is singular")
-    e = max(0.0, -math.log(2.0 * nu))
-    return e * e
+    blocks, det_all = _pair_dets(cov4[None])
+    return float(_steerings(blocks[:, steering_mode, steering_mode], det_all)[0])
 
 
 def residual_contangle(cov6: np.ndarray) -> float:
@@ -174,20 +239,8 @@ def residual_contangle(cov6: np.ndarray) -> float:
     same partial-transpose recipe); the minimum over bipartitions is
     returned.  Positive values witness genuine tripartite entanglement.
     """
-    cov6 = np.asarray(cov6, dtype=float)
-    if cov6.shape != (6, 6):
-        raise DomainError("residual_contangle needs a 6x6 covariance matrix")
-    residuals = []
-    for i in range(3):
-        others = [j for j in range(3) if j != i]
-        c_one_rest = _one_vs_rest_contangle(cov6, i)
-        c_pairs = 0.0
-        for j in others:
-            pair = cov6[np.ix_([2 * i, 2 * i + 1, 2 * j, 2 * j + 1],
-                               [2 * i, 2 * i + 1, 2 * j, 2 * j + 1])]
-            c_pairs += _one_vs_rest_contangle(pair, 0)
-        residuals.append(c_one_rest - c_pairs)
-    return min(residuals)
+    cov6 = _block(cov6, 6, "residual_contangle")
+    return float(_residual_contangles(cov6, _ONE_TRIPLE)[0])
 
 
 def contrast_ratio(value_plus: float, value_minus: float) -> float:
@@ -200,9 +253,7 @@ def contrast_ratio(value_plus: float, value_minus: float) -> float:
     if value_plus < 0.0 or value_minus < 0.0:
         raise DomainError("contrast_ratio requires nonnegative inputs")
     total = value_plus + value_minus
-    if total == 0.0:
-        return 0.0
-    return abs(value_plus - value_minus) / total
+    return abs(value_plus - value_minus) / total if total else 0.0
 
 
 def effective_phonon_number(cov: np.ndarray, mode) -> float:
@@ -215,9 +266,7 @@ def effective_phonon_number(cov: np.ndarray, mode) -> float:
     (idx,) = _mode_indices([mode])
     value = (cov[2 * idx, 2 * idx] + cov[2 * idx + 1, 2 * idx + 1] - 1.0) / 2.0
     if value < -1e-8:
-        raise PhysicalityError(
-            f"effective occupation of mode {MODE_ORDER[idx]} is {value:.3e} < 0"
-        )
+        raise PhysicalityError(f"effective occupation of mode {MODE_ORDER[idx]} is {value:.3e} < 0")
     return max(0.0, value)
 
 
@@ -229,17 +278,8 @@ def tmsv_covariance(r: float) -> np.ndarray:
     ``ln cosh(2 r)`` in both directions.
     """
     ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    z = np.diag([1.0, -1.0])
-    eye = np.eye(2)
+    eye, z = np.eye(2), np.diag([1.0, -1.0])
     return 0.5 * np.block([[ch * eye, sh * z], [sh * z, ch * eye]])
-
-
-def _pair_key(a: str, b: str) -> tuple[str, str]:
-    return tuple(sorted((a, b), key=MODE_INDEX.__getitem__))
-
-
-def _triple_key(modes) -> tuple[str, str, str]:
-    return tuple(sorted(modes, key=MODE_INDEX.__getitem__))
 
 
 @dataclass
@@ -268,39 +308,32 @@ class MeasureReport:
     min_symplectic: float | None = None
 
     def entanglement(self, mode_a: str, mode_b: str) -> float:
-        return self.pairwise_E[_pair_key(mode_a, mode_b)]
+        return self.pairwise_E[_canonical((mode_a, mode_b))]
 
     def steering_value(self, steering_party: str, steered: str) -> float:
         return self.steering[(steering_party, steered)]
 
     def contangle(self, modes) -> float:
-        return self.tripartite_R[_triple_key(modes)]
+        return self.tripartite_R[_canonical(modes)]
 
     def to_record(self) -> dict:
         """Flatten to one record with stable, order-independent field names."""
-        record: dict = {"stable": self.stable, "reason": self.reason or ""}
-        record["stability_margin"] = self.margin
-        record["physical"] = self.physical
-        record["min_symplectic"] = self.min_symplectic
+        record = {"stable": self.stable, "reason": self.reason or "", "stability_margin": self.margin,
+                  "physical": self.physical, "min_symplectic": self.min_symplectic}
         for pair in ALL_PAIRS:
             record[f"E_{pair[0]}{pair[1]}"] = self.pairwise_E.get(pair)
         for a, b in INDIRECT_PAIRS:
             record[f"S_{a}_to_{b}"] = self.steering.get((a, b))
             record[f"S_{b}_to_{a}"] = self.steering.get((b, a))
-        for triple in DEFAULT_TRIPLES:
-            key = _triple_key(triple)
-            record[f"R_{key[0]}{key[1]}{key[2]}"] = self.tripartite_R.get(key)
+        for key in _TRIPLE_KEYS:
+            record[f"R_{''.join(key)}"] = self.tripartite_R.get(key)
         for mode in ("b1", "b2"):
             record[f"n_eff_{mode}"] = self.phonon_occ.get(mode)
         return record
 
 
-def evaluate_measures(
-    cov: np.ndarray,
-    params: SystemParams,
-    margin: float,
-    measures: tuple[str, ...] = ("entanglement", "steering", "contangle", "occupation"),
-) -> MeasureReport:
+def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
+                      measures: tuple[str, ...] = MEASURE_FAMILIES) -> MeasureReport:
     """Build a full :class:`MeasureReport` from a steady-state covariance.
 
     ``measures`` selects which families to evaluate.  Entanglement covers
@@ -309,35 +342,28 @@ def evaluate_measures(
     occupations cover the two mechanical modes, with a below-vacuum
     reduced state recorded as None rather than aborting the report.
 
-    The report carries a ``physical`` flag (smallest symplectic
-    eigenvalue >= 1/2 within rounding).  The feedback-modified input
-    noise is an approximation that drops below the vacuum floor for
-    nonzero loop phase at finite reflectivity, so stable points in that
-    regime can produce covariances that are not quantum states; their
-    measures are still reported, flagged, and quantum-state theorems
-    (such as steering implying entanglement) are only guaranteed where
-    the flag is set.
+    The report carries a ``physical`` flag (smallest symplectic eigenvalue
+    >= 1/2 within rounding).  The feedback-modified input noise is an
+    approximation that drops below the vacuum floor for nonzero loop phase
+    at finite reflectivity, so stable points in that regime can produce
+    covariances that are not quantum states; their measures are still
+    reported, flagged, and quantum-state theorems (such as steering implying
+    entanglement) are only guaranteed where the flag is set.
     """
     nu_min = _min_symplectic(cov)
-    report = MeasureReport(
-        stable=True,
-        margin=margin,
-        params=params,
-        physical=bool(nu_min >= 0.5 - 1e-8),
-        min_symplectic=nu_min,
-    )
+    report = MeasureReport(stable=True, margin=margin, params=params,
+                           physical=bool(nu_min >= 0.5 - 1e-8), min_symplectic=nu_min)
     if "entanglement" in measures:
-        for pair in ALL_PAIRS:
-            report.pairwise_E[pair] = log_negativity(reduce_modes(cov, pair))
+        values = _log_negativities(_gather(cov, _ALL_PAIR_ROWS))
+        report.pairwise_E = dict(zip(ALL_PAIRS, values.tolist()))
     if "steering" in measures:
-        for a, b in INDIRECT_PAIRS:
-            cov4 = reduce_modes(cov, (a, b))
-            report.steering[(a, b)] = gaussian_steering(cov4, 0)
-            report.steering[(b, a)] = gaussian_steering(cov4, 1)
+        blocks, det_all = _pair_dets(_gather(cov, _INDIRECT_ROWS))
+        values = _steerings(np.diagonal(blocks, axis1=1, axis2=2), det_all[:, None])
+        for (a, b), (a_to_b, b_to_a) in zip(INDIRECT_PAIRS, values.tolist()):
+            report.steering.update({(a, b): a_to_b, (b, a): b_to_a})
     if "contangle" in measures:
-        for triple in DEFAULT_TRIPLES:
-            key = _triple_key(triple)
-            report.tripartite_R[key] = residual_contangle(reduce_modes(cov, key))
+        values = _residual_contangles(cov, _TRIPLE_PLAN)
+        report.tripartite_R = dict(zip(_TRIPLE_KEYS, values.tolist()))
     if "occupation" in measures:
         for mode in ("b1", "b2"):
             try:

@@ -22,16 +22,11 @@ MODE_ORDER = ("b1", "b2", "m", "c", "a")
 MODE_INDEX = {name: i for i, name in enumerate(MODE_ORDER)}
 N_MODES = len(MODE_ORDER)
 
+#: Symplectic form of the five-mode phase space in (X, Y)-per-mode
+#: ordering; its leading 2k x 2k block is the form of the first k modes.
+OMEGA = np.kron(np.eye(N_MODES), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
 _SQRT2 = math.sqrt(2.0)
-
-
-class LinearModel:
-    """Assembled drift and diffusion matrices with mode bookkeeping."""
-
-    def __init__(self, drift: np.ndarray, diffusion: np.ndarray):
-        self.drift = drift
-        self.diffusion = diffusion
-        self.mode_order = MODE_ORDER
 
 
 def thermal_occupancy(omega: float, temperature: float) -> float:
@@ -150,11 +145,6 @@ def build_diffusion(params: SystemParams) -> np.ndarray:
     for i, (gamma, nbar) in enumerate(zip(rates, occupations)):
         diag[2 * i] = diag[2 * i + 1] = gamma * (2.0 * nbar + 1.0)
     return np.diag(diag)
-
-
-def build_model(params: SystemParams) -> LinearModel:
-    """Convenience wrapper returning drift and diffusion together."""
-    return LinearModel(build_drift(params), build_diffusion(params))
 
 
 def drive_conversions(drives: DriveParams, gamma_c: float):

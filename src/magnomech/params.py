@@ -206,6 +206,8 @@ def resolve_system_params(config: dict[str, float]) -> SystemParams:
             raise ConfigError(f"unknown parameter {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"parameter {key!r} needs a numeric value, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"parameter {key!r} must be finite, got {value!r}")
         merged[key] = value
     if "delta_a" not in merged:
         merged["delta_a"] = merged["delta_m_tilde"]
@@ -221,6 +223,8 @@ def resolve_drive_params(config: dict[str, float]) -> DriveParams:
             raise ConfigError(f"unknown drive parameter {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"drive parameter {key!r} needs a numeric value, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"drive parameter {key!r} must be finite, got {value!r}")
         kwargs[key] = _convert(key, value, DRIVE_KEYS[key])
     return DriveParams(**kwargs)
 

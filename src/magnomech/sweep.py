@@ -27,7 +27,7 @@ from .errors import (
     StabilityError,
 )
 from .lyapunov import solve_lyapunov, stability_check
-from .measures import MeasureReport, contrast_ratio, evaluate_measures
+from .measures import MEASURE_FAMILIES, MeasureReport, contrast_ratio, evaluate_measures
 from .meanfield import solve_self_consistent
 from .model import (
     build_diffusion,
@@ -36,24 +36,17 @@ from .model import (
     feedback_rates,
 )
 from .params import (
+    DRIVE_KEYS,
     SYSTEM_KEYS,
     SystemParams,
     resolve_drive_params,
     resolve_system_params,
 )
 
-DEFAULT_MEASURES = ("entanglement", "steering", "contangle", "occupation")
-
 _SWEEP_ONLY_KEYS = {
     "axis1", "axis1_start", "axis1_stop", "axis1_count",
     "axis2", "axis2_start", "axis2_stop", "axis2_count",
     "nonreciprocity", "measures", "coupling_mode",
-}
-
-_DRIVE_ONLY_KEYS = {
-    "rabi", "laser_coupling", "bare_D_mb1", "bare_D_cb2", "spin_count",
-    "gyromagnetic_ratio", "drive_field", "drive_power", "laser_power",
-    "sphere_radius", "drive_freq_1", "drive_freq_2",
 }
 
 _UNIT_SUFFIX = {"hz": "hz", "k": "K", "rad": "rad", "1": "", "m": "m"}
@@ -83,7 +76,7 @@ class SweepSpec:
     axis1: SweepAxis
     axis2: SweepAxis | None = None
     fixed: dict = dataclasses.field(default_factory=dict)
-    measures: tuple = DEFAULT_MEASURES
+    measures: tuple = MEASURE_FAMILIES
     nonreciprocity: bool = False
     coupling_mode: str = "direct"
 
@@ -95,9 +88,7 @@ class SweepSpec:
                 raise ConfigError(f"axis {axis.name!r} needs count >= 2")
         if self.axis2 is not None and self.axis2.name == self.axis1.name:
             raise ConfigError("the two sweep axes must address distinct parameters")
-        for m in self.measures:
-            if m not in DEFAULT_MEASURES:
-                raise ConfigError(f"unknown measure family {m!r}")
+        _check_measures(self.measures)
         if self.coupling_mode not in ("direct", "meanfield"):
             raise ConfigError("coupling_mode must be 'direct' or 'meanfield'")
 
@@ -116,7 +107,7 @@ def split_config(config: dict):
     for key, value in config.items():
         if key in SYSTEM_KEYS:
             system[key] = value
-        elif key in _DRIVE_ONLY_KEYS:
+        elif key in DRIVE_KEYS:
             drive[key] = value
         elif key in _SWEEP_ONLY_KEYS:
             control[key] = value
@@ -125,14 +116,17 @@ def split_config(config: dict):
     return system, drive, control
 
 
+def _check_measures(names) -> None:
+    for name in names:
+        if name not in MEASURE_FAMILIES:
+            raise ConfigError(f"unknown measure family {name!r}")
+
+
 def _parse_measures(raw) -> tuple:
     if raw is None:
-        return DEFAULT_MEASURES
+        return MEASURE_FAMILIES
     names = tuple(part.strip() for part in str(raw).split(",") if part.strip())
-    for name in names:
-        if name not in DEFAULT_MEASURES:
-            raise ConfigError(f"unknown measure family {name!r}")
-    return names or DEFAULT_MEASURES
+    return names or MEASURE_FAMILIES
 
 
 def _parse_axis(control: dict, which: str) -> SweepAxis | None:
@@ -206,7 +200,7 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     )
 
 
-def evaluate_point(params: SystemParams, measures=DEFAULT_MEASURES) -> MeasureReport:
+def evaluate_point(params: SystemParams, measures=MEASURE_FAMILIES) -> MeasureReport:
     """Gate on stability, solve for the covariance, evaluate measures."""
     drift = build_drift(params)
     gate = stability_check(drift)
@@ -222,6 +216,7 @@ def run_point(config: dict, measures=None) -> MeasureReport:
     """Full pipeline for one configuration mapping."""
     _, _, control = split_config(config)
     selected = _parse_measures(control.get("measures")) if measures is None else measures
+    _check_measures(selected)
     params = resolve_point(config, str(control.get("coupling_mode", "direct")))
     return evaluate_point(params, selected)
 

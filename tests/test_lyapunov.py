@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
+import magnomech
 from magnomech import (
     SolverError,
     StabilityError,
@@ -13,6 +20,7 @@ from magnomech import (
     stability_check,
     symplectic_eigenvalues,
 )
+from magnomech import lyapunov
 from magnomech.lyapunov import RESIDUAL_TOL
 from magnomech.validate import random_stable_system
 
@@ -124,3 +132,60 @@ class TestPhysicality:
                 continue
             cov = solve_lyapunov(drift, build_diffusion(params))
             assert symplectic_eigenvalues(cov)[0] >= 0.5 - 1e-8
+
+
+def _two_pass_reference(drift, diffusion):
+    """The solve as two independent SciPy Bartels-Stewart calls."""
+    cov = sla.solve_continuous_lyapunov(drift, -diffusion)
+    residual = drift @ cov + cov @ drift.T + diffusion
+    cov = cov + sla.solve_continuous_lyapunov(drift, -residual)
+    return (cov + cov.T) / 2.0
+
+
+class TestOneFactorization:
+    def test_one_schur_per_solve(self, baseline, monkeypatch):
+        calls = []
+        schur = lyapunov.sla.schur
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(lyapunov.sla, "schur", counting)
+        solve_lyapunov(build_drift(baseline), build_diffusion(baseline))
+        assert len(calls) == 1
+
+    def test_matches_two_pass_scipy_solve_and_oracle(self, baseline, rng):
+        systems = [(build_drift(baseline), build_diffusion(baseline))]
+        systems += [random_stable_system(rng, 2 + k % 4) for k in range(8)]
+        for drift, diffusion in systems:
+            cov = solve_lyapunov(drift, diffusion)
+            ref = _two_pass_reference(drift, diffusion)
+            assert np.linalg.norm(cov - ref) <= 1e-14 * np.linalg.norm(ref)
+            oracle = solve_lyapunov_oracle(drift, diffusion)
+            assert np.linalg.norm(cov - oracle) < 1e-8 * np.linalg.norm(oracle)
+
+    def test_guard_agrees_with_the_stability_gate(self):
+        # a damped rotation (a 2x2 Schur block) plus one growing mode, and
+        # a rotation whose decay sits inside the marginal tolerance band
+        unstable = (
+            np.array([[-1.0, 5.0, 0.0], [-5.0, -1.0, 1.0], [0.0, 0.0, 0.5]]),
+            np.array([[-1.0, 1e6], [-1e6, -1.0]]),
+        )
+        for drift in unstable:
+            assert not stability_check(drift).stable
+            with pytest.raises(StabilityError):
+                solve_lyapunov(drift, np.eye(len(drift)))
+        stable = np.array([[-1e3, 1e6], [-1e6, -1e3]])
+        assert stability_check(stable).stable
+        solve_lyapunov(stable, np.eye(2))
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the time-integration oracle imports scipy.integrate on first use only
+    src = str(Path(magnomech.__file__).resolve().parent.parent)
+    code = "import sys, magnomech; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

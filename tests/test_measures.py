@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from magnomech import (
+    ALL_PAIRS,
+    DEFAULT_TRIPLES,
+    INDIRECT_PAIRS,
     DomainError,
     PhysicalityError,
+    SolverError,
     build_diffusion,
     build_drift,
     contrast_ratio,
@@ -17,6 +21,8 @@ from magnomech import (
     residual_contangle,
     resolve_system_params,
     solve_lyapunov,
+    stability_check,
+    symplectic_eigenvalues,
     tmsv_covariance,
 )
 from magnomech.measures import _min_symplectic, _partial_transpose
@@ -246,3 +252,72 @@ class TestReport:
         assert report.phonon_occ["b1"] is None
         # entanglement values are still reported at the flagged point
         assert report.entanglement("c", "a") > 1.0
+
+
+def _model_cov(config):
+    params = resolve_system_params(config)
+    return params, solve_lyapunov(build_drift(params), build_diffusion(params))
+
+
+def _kernel_points():
+    """Baseline, the nonphysical feedback point and seeded random stable points."""
+    yield _model_cov({})
+    yield _model_cov({"reflectivity": 0.1, "theta": math.pi})
+    rng = np.random.default_rng(2718)
+    found = 0
+    while found < 20:
+        config = {
+            "temperature": float(rng.uniform(0.0, 1.0)),
+            "delta_m_tilde": float(rng.uniform(-40e6, -5e6)),
+            "delta_c_tilde": float(rng.uniform(5e6, 40e6)),
+            "barnett_shift": float(rng.uniform(-4e6, 4e6)),
+            "reflectivity": float(rng.uniform(0.0, 0.5)),
+            "theta": float(rng.uniform(0.0, 2 * math.pi)),
+        }
+        params = resolve_system_params(config)
+        if stability_check(build_drift(params)).stable:
+            found += 1
+            yield _model_cov(config)
+
+
+class TestMeasureKernel:
+    def test_batched_report_matches_scalar_functions(self):
+        points = list(_kernel_points())
+        assert any(not evaluate_measures(cov, p, -1.0, ()).physical for p, cov in points)
+        for params, cov in points:
+            report = evaluate_measures(cov, params, margin=-1.0)
+            for pair in ALL_PAIRS:
+                expected = log_negativity(reduce_modes(cov, pair))
+                assert abs(report.pairwise_E[pair] - expected) <= 1e-12
+            for a, b in INDIRECT_PAIRS:
+                cov4 = reduce_modes(cov, (a, b))
+                assert abs(report.steering[(a, b)] - gaussian_steering(cov4, 0)) <= 1e-12
+                assert abs(report.steering[(b, a)] - gaussian_steering(cov4, 1)) <= 1e-12
+            for triple in DEFAULT_TRIPLES:
+                expected = residual_contangle(reduce_modes(cov, triple))
+                assert abs(report.contangle(triple) - expected) <= 1e-12
+            assert report.min_symplectic == symplectic_eigenvalues(cov)[0]
+
+    def test_families_are_evaluated_independently(self):
+        fields = {"entanglement": "pairwise_E", "steering": "steering",
+                  "contangle": "tripartite_R", "occupation": "phonon_occ"}
+        for params, cov in list(_kernel_points())[:5]:
+            full = evaluate_measures(cov, params, margin=-1.0)
+            for family, name in fields.items():
+                alone = evaluate_measures(cov, params, -1.0, (family,))
+                assert getattr(alone, name) == getattr(full, name)
+                for other in set(fields.values()) - {name}:
+                    assert getattr(alone, other) == {}
+
+    def test_nonphysical_block_raises_physicality_error(self):
+        cov = 0.5 * np.eye(10)
+        cov[2:4, 2:4] = 0.3 * np.eye(2)
+        cov[:2, 2:4] = cov[2:4, :2] = 0.45 * np.eye(2)
+        with pytest.raises(PhysicalityError):
+            evaluate_measures(cov, None, -1.0, ("entanglement",))
+
+    def test_lapack_failure_raises_solver_error(self):
+        cov = 0.5 * np.eye(10)
+        cov[4, 4] = np.nan
+        with pytest.raises(SolverError):
+            evaluate_measures(cov, None, -1.0, ())

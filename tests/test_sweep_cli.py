@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magnomech
 from magnomech import (
     ConfigError,
+    MagnomechError,
     SweepAxis,
     SweepSpec,
     emit,
@@ -375,3 +381,40 @@ class TestCli:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 42  # header + 41 grid points
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_run_point_raises_typed_error(self, value):
+        with pytest.raises(MagnomechError):
+            run_point({"temperature": value})
+
+    def test_drive_parameter_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            run_point({"coupling_mode": "meanfield", "laser_power": math.nan})
+
+    def test_cli_point_reports_one_line(self, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("temperature = nan\n")
+        src = str(Path(magnomech.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-m", "magnomech.cli", "point", "--config", str(cfg)],
+            capture_output=True, text=True, env=env,
+        )
+        assert out.returncode != 0
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.strip().splitlines()) == 1
+        assert "temperature" in out.stderr
+
+    def test_sweep_with_nan_fixed_value_yields_error_rows(self):
+        spec = SweepSpec(
+            SweepAxis("delta_m_tilde", -25e6, -15e6, 3),
+            fixed={"temperature": math.nan},
+            measures=("entanglement",),
+        )
+        table = run_sweep(spec)
+        stable = table.columns.index("stable")
+        reason = table.columns.index("reason")
+        assert len(table.rows) == 3
+        assert all(row[stable] is False and row[reason] for row in table.rows)
