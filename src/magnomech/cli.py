@@ -65,7 +65,7 @@ def _cmd_point(args) -> int:
     report = run_point(config)
     payload = {
         "params": _params_echo(report.params),
-        "report": {k: v for k, v in report.to_record().items()},
+        "report": report.to_record(),
     }
     text = json.dumps(payload, indent=1) + "\n"
     if args.out:

@@ -10,6 +10,7 @@ small fixed-point iteration over the two real displacements.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -169,17 +170,7 @@ def solve_self_consistent(
         current = amplitudes_once(p, d, detunings)
         change = _amplitude_change(current, previous)
         if change < CONVERGENCE_TOL:
-            return SteadyAmplitudes(
-                m_avg=current.m_avg,
-                c_avg=current.c_avg,
-                b1_avg=current.b1_avg,
-                b2_avg=current.b2_avg,
-                g_m_eff=current.g_m_eff,
-                g_c_eff=current.g_c_eff,
-                delta_m_eff=current.delta_m_eff,
-                delta_c_eff=current.delta_c_eff,
-                iterations=iteration,
-            )
+            return dataclasses.replace(current, iterations=iteration)
         previous = current
         x1 += DAMPING * (current.b1_avg.real - x1)
         x2 += DAMPING * (current.b2_avg.real - x2)

@@ -16,7 +16,7 @@ point (see :data:`BASELINE_CONFIG`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from scipy.constants import c as SPEED_OF_LIGHT
 
@@ -130,10 +130,8 @@ class SystemParams:
     lambda_c: float = 1550e-9
 
     def __post_init__(self):
-        for name in ("omega_a", "omega_m", "omega_b1", "omega_b2"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be > 0")
-        for name in ("gamma_a", "gamma_m", "gamma_c", "gamma_b1", "gamma_b2"):
+        for name in ("omega_a", "omega_m", "omega_b1", "omega_b2",
+                     "gamma_a", "gamma_m", "gamma_c", "gamma_b1", "gamma_b2"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be > 0")
         if self.temperature < 0:
@@ -187,7 +185,7 @@ class DriveParams:
                 raise DomainError(f"{name} must be >= 0")
 
 
-def _convert(key: str, value: float, unit: str) -> float:
+def _convert(value: float, unit: str) -> float:
     if unit == "hz":
         return TWO_PI * value
     return value
@@ -211,7 +209,7 @@ def resolve_system_params(config: dict[str, float]) -> SystemParams:
         merged[key] = value
     if "delta_a" not in merged:
         merged["delta_a"] = merged["delta_m_tilde"]
-    kwargs = {k: _convert(k, v, SYSTEM_KEYS[k]) for k, v in merged.items()}
+    kwargs = {k: _convert(v, SYSTEM_KEYS[k]) for k, v in merged.items()}
     return SystemParams(**kwargs)
 
 
@@ -225,11 +223,11 @@ def resolve_drive_params(config: dict[str, float]) -> DriveParams:
             raise ConfigError(f"drive parameter {key!r} needs a numeric value, got {value!r}")
         if not math.isfinite(value):
             raise ConfigError(f"drive parameter {key!r} must be finite, got {value!r}")
-        kwargs[key] = _convert(key, value, DRIVE_KEYS[key])
+        kwargs[key] = _convert(value, DRIVE_KEYS[key])
     return DriveParams(**kwargs)
 
 
-def _parse_scalar(key: str, raw: str):
+def _parse_scalar(raw: str):
     raw = raw.strip()
     if raw.lower() in ("true", "false"):
         return raw.lower() == "true"
@@ -258,7 +256,7 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: empty key")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = _parse_scalar(key, raw)
+        out[key] = _parse_scalar(raw)
     return out
 
 

@@ -11,6 +11,7 @@ regardless of parallelism.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,9 +22,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     MagnomechError,
-    PhysicalityError,
     SingularPointError,
-    SolverError,
     StabilityError,
 )
 from .lyapunov import solve_lyapunov, stability_check
@@ -180,7 +179,7 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     if coupling_mode == "direct":
         return params
     drives = resolve_drive_params(drive)
-    needs_rabi = drives.rabi == 0.0 and drives.drive_power > 0.0
+    needs_rabi = drives.rabi == 0.0 and (drives.drive_power > 0.0 or drives.drive_field > 0.0)
     needs_laser = drives.laser_coupling == 0.0 and drives.laser_power > 0.0
     if needs_rabi or needs_laser:
         rabi, laser_coupling, _ = drive_conversions(drives, params.gamma_c)
@@ -226,56 +225,47 @@ def _reason_code(exc: MagnomechError) -> str:
         return "unstable"
     if isinstance(exc, (SingularPointError, ConvergenceError)):
         return "singular"
-    if isinstance(exc, (SolverError, PhysicalityError)):
-        return "nonphysical"
     return "nonphysical"
 
 
-def _empty_record() -> dict:
-    empty = MeasureReport(stable=False, margin=float("nan"), params=None)
-    record = empty.to_record()
-    record["stability_margin"] = None
-    return record
-
-
 def _evaluate_task(task):
-    """Worker entry point: evaluate one grid cell, never raise."""
-    overrides, measures, nonreciprocity, coupling_mode = task
+    """Worker entry point: one record per config of a grid cell, never raise.
+
+    A failure on any config turns every record of the cell into an
+    error record carrying the reason code.
+    """
+    configs, measures, coupling_mode = task
     try:
-        if not nonreciprocity:
-            params = resolve_point(dict(overrides), coupling_mode)
-            return ("single", evaluate_point(params, measures).to_record())
-        magnitude = abs(overrides.get("barnett_shift", 0.0))
-        records = []
-        for sign in (+1.0, -1.0):
-            cfg = dict(overrides)
-            cfg["barnett_shift"] = sign * magnitude
-            params = resolve_point(cfg, coupling_mode)
-            records.append(evaluate_point(params, measures).to_record())
-        return ("pair", records[0], records[1])
+        return [
+            evaluate_point(resolve_point(config, coupling_mode), measures).to_record()
+            for config in configs
+        ]
     except MagnomechError as exc:
-        return ("error", _reason_code(exc))
+        failed = MeasureReport(stable=False, margin=None, params=None, reason=_reason_code(exc))
+        return [failed.to_record() for _ in configs]
 
 
 _META_KEYS = ("stable", "reason", "stability_margin", "physical", "min_symplectic")
 
 
-def _measure_columns(record: dict) -> list:
-    return [k for k in record if k not in _META_KEYS]
-
-
-def _pair_row(rec_plus: dict, rec_minus: dict, keys: list) -> dict:
+def _row(records: list) -> dict:
+    """One output row: the record itself, or the contrast row of a +/- pair."""
+    if len(records) == 1:
+        return records[0]
+    plus, minus = records
     row = {
-        "stable_plus": rec_plus["stable"],
-        "stable_minus": rec_minus["stable"],
-        "reason": rec_plus["reason"] or rec_minus["reason"],
-        "stability_margin_plus": rec_plus["stability_margin"],
-        "stability_margin_minus": rec_minus["stability_margin"],
-        "physical_plus": rec_plus["physical"],
-        "physical_minus": rec_minus["physical"],
+        "stable_plus": plus["stable"],
+        "stable_minus": minus["stable"],
+        "reason": plus["reason"] or minus["reason"],
+        "stability_margin_plus": plus["stability_margin"],
+        "stability_margin_minus": minus["stability_margin"],
+        "physical_plus": plus["physical"],
+        "physical_minus": minus["physical"],
     }
-    for key in keys:
-        vp, vm = rec_plus.get(key), rec_minus.get(key)
+    for key in plus:
+        if key in _META_KEYS:
+            continue
+        vp, vm = plus[key], minus[key]
         row[f"{key}_plus"] = vp
         row[f"{key}_minus"] = vm
         if vp is None or vm is None:
@@ -290,27 +280,23 @@ def _pair_row(rec_plus: dict, rec_minus: dict, keys: list) -> dict:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     """Evaluate a sweep grid and collect rows in deterministic order.
 
-    Any point-level numerical failure becomes an error row carrying a
-    machine-readable reason code; it never aborts the sweep.
+    With ``nonreciprocity`` each grid cell is evaluated at both signs of
+    the Barnett shift and emitted as one contrast row.  Any point-level
+    numerical failure becomes an error row carrying a machine-readable
+    reason code; it never aborts the sweep.
     """
-    axes = [spec.axis1] + ([spec.axis2] if spec.axis2 else [])
-    grids = [axis.values() for axis in axes]
-
-    tasks = []
-    axis_values = []
-    for v1 in grids[0]:
-        if spec.axis2 is None:
-            overrides = dict(spec.fixed)
-            overrides[spec.axis1.name] = float(v1)
-            tasks.append((overrides, spec.measures, spec.nonreciprocity, spec.coupling_mode))
-            axis_values.append((float(v1),))
-        else:
-            for v2 in grids[1]:
-                overrides = dict(spec.fixed)
-                overrides[spec.axis1.name] = float(v1)
-                overrides[spec.axis2.name] = float(v2)
-                tasks.append((overrides, spec.measures, spec.nonreciprocity, spec.coupling_mode))
-                axis_values.append((float(v1), float(v2)))
+    axes = [axis for axis in (spec.axis1, spec.axis2) if axis is not None]
+    names = [axis.name for axis in axes]
+    tasks, axis_values = [], []
+    for cell in itertools.product(*(axis.values() for axis in axes)):
+        values = tuple(float(v) for v in cell)
+        config = {**spec.fixed, **dict(zip(names, values))}
+        configs = (config,)
+        if spec.nonreciprocity:
+            magnitude = abs(config.get("barnett_shift", 0.0))
+            configs = tuple({**config, "barnett_shift": sign * magnitude} for sign in (1.0, -1.0))
+        tasks.append((configs, spec.measures, spec.coupling_mode))
+        axis_values.append(values)
 
     if workers <= 1:
         outcomes = [_evaluate_task(task) for task in tasks]
@@ -319,36 +305,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
             chunk = max(1, len(tasks) // (workers * 4))
             outcomes = list(pool.map(_evaluate_task, tasks, chunksize=chunk))
 
-    template = _empty_record()
-    measure_keys = _measure_columns(template)
-    axis_columns = [axis.column() for axis in axes]
-    if spec.nonreciprocity:
-        value_columns = [
-            "stable_plus", "stable_minus", "reason",
-            "stability_margin_plus", "stability_margin_minus",
-            "physical_plus", "physical_minus",
-        ]
-        for key in measure_keys:
-            value_columns += [f"{key}_plus", f"{key}_minus", f"C_{key}"]
-    else:
-        value_columns = list(_META_KEYS) + measure_keys
-
-    rows = []
-    for values, outcome in zip(axis_values, outcomes):
-        if outcome[0] == "single":
-            record = outcome[1]
-        elif outcome[0] == "pair":
-            record = _pair_row(outcome[1], outcome[2], measure_keys)
-        else:
-            if spec.nonreciprocity:
-                record = _pair_row(_empty_record(), _empty_record(), measure_keys)
-                record["stable_plus"] = record["stable_minus"] = False
-            else:
-                record = dict(template)
-                record["stable"] = False
-            record["reason"] = outcome[1]
-        rows.append(list(values) + [record.get(col) for col in value_columns])
-    return ResultTable(columns=axis_columns + value_columns, rows=rows)
+    return ResultTable(
+        columns=[axis.column() for axis in axes] + list(_row(outcomes[0])),
+        rows=[list(values) + list(_row(records).values())
+              for values, records in zip(axis_values, outcomes)],
+    )
 
 
 def _format_cell(value) -> str:

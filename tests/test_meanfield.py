@@ -9,9 +9,10 @@ from magnomech import (
     approx_amplitudes,
     drive_conversions,
     resolve_system_params,
+    run_point,
     solve_self_consistent,
 )
-from magnomech.params import TWO_PI
+from magnomech.params import TWO_PI, resolve_drive_params
 
 
 def _baseline_detunings(params):
@@ -148,3 +149,21 @@ def test_singular_optical_denominator():
 def test_approximation_needs_detunings(params):
     with pytest.raises(SingularPointError):
         approx_amplitudes(params, DriveParams(), (params.delta_m_tilde, 0.0))
+
+
+def test_drive_field_sets_the_rabi_rate_however_the_laser_is_given(params):
+    # the magnon drive is given as a field; the optical drive once as a
+    # power (which needs converting) and once as the equivalent coupling
+    # (which does not): the Rabi rate must come from the field both times
+    config = {
+        "coupling_mode": "meanfield", "spin_count": 1.77e16, "gyromagnetic_ratio": 28e9,
+        "bare_D_mb1": 0.1, "bare_D_cb2": 100, "sphere_radius": 100e-6, "drive_field": 1e-6,
+    }
+    laser = {"laser_power": 30e-3, "drive_freq_2": 1.934e14}
+    _, laser_coupling, _ = drive_conversions(
+        resolve_drive_params({**laser, "sphere_radius": 100e-6}), params.gamma_c
+    )
+    from_power = run_point({**config, **laser}).params.G_m
+    from_coupling = run_point({**config, "laser_coupling": laser_coupling / TWO_PI}).params.G_m
+    assert from_power > 0
+    assert from_coupling == pytest.approx(from_power, rel=1e-12)

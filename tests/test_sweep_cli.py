@@ -117,6 +117,20 @@ class TestRunPoint:
         assert report.pairwise_E and not report.steering and not report.tripartite_R
 
 
+PLAIN_HEADER = [
+    "temperature_K", "stable", "reason", "stability_margin", "physical", "min_symplectic",
+    "E_b1b2", "E_b1m", "E_b1c", "E_b1a", "E_b2m", "E_b2c", "E_b2a", "E_mc", "E_ma", "E_ca",
+    "S_b1_to_c", "S_c_to_b1", "S_b1_to_a", "S_a_to_b1", "S_b2_to_m", "S_m_to_b2",
+    "S_b2_to_a", "S_a_to_b2", "S_m_to_c", "S_c_to_m", "S_c_to_a", "S_a_to_c",
+    "R_b1mc", "R_b2ca", "R_b2mc", "R_b1ca", "n_eff_b1", "n_eff_b2",
+]
+# no min_symplectic; each measure key becomes its +/- pair and contrast
+CONTRAST_HEADER = [
+    "temperature_K", "stable_plus", "stable_minus", "reason",
+    "stability_margin_plus", "stability_margin_minus", "physical_plus", "physical_minus",
+] + [col for key in PLAIN_HEADER[6:] for col in (f"{key}_plus", f"{key}_minus", f"C_{key}")]
+
+
 def _tiny_sweep(**kwargs):
     fixed = {"G_m": 0, "G_c": 0, "D_ma": 0, "D_b1b2": 0}
     fixed.update(kwargs.pop("fixed", {}))
@@ -184,14 +198,33 @@ class TestRunSweep:
             nonreciprocity=True,
         )
         table = run_sweep(spec)
-        assert "E_ca_plus" in table.columns
-        assert "E_ca_minus" in table.columns
-        assert "C_E_ca" in table.columns
+        assert table.columns == CONTRAST_HEADER
         idx = {c: i for i, c in enumerate(table.columns)}
         for row in table.rows:
             assert row[idx["stable_plus"]] and row[idx["stable_minus"]]
             # decoupled system: zero on both sides, contrast defined as 0
             assert row[idx["C_E_ca"]] == 0.0
+
+    def test_contrast_row_with_one_sign_gated_out(self, tmp_path):
+        # the + sign fails the stability gate here, the - sign passes
+        spec = SweepSpec(
+            SweepAxis("temperature", 0.0, 0.1, 2),
+            fixed={"delta_m_tilde": -34.255e6, "delta_c_tilde": 2.011e6, "barnett_shift": 4.03e6},
+            measures=("entanglement",),
+            nonreciprocity=True,
+        )
+        table = run_sweep(spec)
+        idx = {c: i for i, c in enumerate(table.columns)}
+        for row in table.rows:
+            assert row[idx["stable_plus"]] is False and row[idx["stable_minus"]]
+            assert row[idx["reason"]] == "unstable"
+            assert row[idx["E_ca_plus"]] is None and row[idx["E_ca_minus"]] == 0.0
+            assert row[idx["E_b1m_minus"]] is not None
+            assert all(row[idx[c]] is None for c in table.columns if c.startswith("C_"))
+        out = tmp_path / "gated.csv"
+        emit(table, "csv", out)
+        cells = out.read_text().splitlines()[1].split(",")
+        assert cells[idx["C_E_b1m"]] == "" and cells[idx["E_b1m_minus"]] != ""
 
     def test_worker_counts_agree(self, tmp_path):
         spec = _tiny_sweep()
@@ -251,7 +284,7 @@ class TestEmit:
         emit(table, "csv", out)
         lines = out.read_text().splitlines()
         assert len(lines) == 2
-        assert lines[0].startswith("temperature_K,stable,reason")
+        assert lines[0] == ",".join(PLAIN_HEADER)
 
     def test_repeat_emission_is_byte_identical(self, tmp_path):
         table = run_sweep(_tiny_sweep())
@@ -408,13 +441,19 @@ class TestNonFiniteInputs:
         assert "temperature" in out.stderr
 
     def test_sweep_with_nan_fixed_value_yields_error_rows(self):
-        spec = SweepSpec(
-            SweepAxis("delta_m_tilde", -25e6, -15e6, 3),
-            fixed={"temperature": math.nan},
-            measures=("entanglement",),
-        )
-        table = run_sweep(spec)
-        stable = table.columns.index("stable")
-        reason = table.columns.index("reason")
-        assert len(table.rows) == 3
-        assert all(row[stable] is False and row[reason] for row in table.rows)
+        for nonreciprocity in (False, True):
+            spec = SweepSpec(
+                SweepAxis("delta_m_tilde", -25e6, -15e6, 3),
+                fixed={"temperature": math.nan, "barnett_shift": 4.03e6},
+                measures=("entanglement",),
+                nonreciprocity=nonreciprocity,
+            )
+            table = run_sweep(spec)
+            stable = [i for i, c in enumerate(table.columns) if c.startswith("stable")]
+            reason = table.columns.index("reason")
+            assert len(stable) == (2 if nonreciprocity else 1)
+            assert len(table.rows) == 3
+            for row in table.rows:
+                assert all(row[i] is False for i in stable) and row[reason]
+                # margins, flags, measures and contrasts are all empty
+                assert all(v is None for i, v in enumerate(row[1:], 1) if i not in stable + [reason])
