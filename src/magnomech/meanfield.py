@@ -10,7 +10,6 @@ small fixed-point iteration over the two real displacements.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -49,6 +48,58 @@ class SteadyAmplitudes:
     iterations: int = 0
 
 
+def _amplitude_map(params: SystemParams, drives: DriveParams):
+    """Closed-form amplitudes as a function of the two effective detunings.
+
+    Everything that does not depend on the detunings is computed once
+    here.  The returned ``step(delta_m_eff, delta_c_eff)`` gives
+    ``(m, c, b1, b2, |m|, |c|)``: the four amplitudes plus the two
+    magnitudes that the mechanical drive terms already needed.  Only
+    exact hoists are made, so the results match the formula evaluated
+    in full bit for bit.
+    """
+    p, d = params, drives
+    gamma_c_fb, _, _ = feedback_rates(p.gamma_c, p.reflectivity, p.theta)
+    den_a = 1j * p.delta_a + p.gamma_a
+    if den_a == 0:
+        raise SingularPointError("microwave response (i*delta_a + gamma_a) vanishes")
+    microwave_load = p.D_ma**2 / den_a
+    optical_drive = p.psi * d.laser_coupling
+    z1 = 1j * p.gamma_b1 - p.omega_b1
+    z2 = 1j * p.gamma_b2 - p.omega_b2
+    den_b = p.D_b1b2**2 - z1 * z2
+    rabi, gamma_m, d_b1b2, d_mb1, d_cb2 = d.rabi, p.gamma_m, p.D_b1b2, d.bare_D_mb1, d.bare_D_cb2
+
+    def step(delta_m_eff: float, delta_c_eff: float):
+        den_m = (1j * delta_m_eff + gamma_m) + microwave_load
+        if den_m == 0:
+            raise SingularPointError("magnon amplitude denominator vanishes")
+        den_c = 1j * delta_c_eff + gamma_c_fb
+        if den_c == 0:
+            raise SingularPointError("optical amplitude denominator vanishes")
+        m_avg = rabi / den_m
+        c_avg = optical_drive / den_c
+        if den_b == 0:
+            raise SingularPointError("mechanical amplitude denominator vanishes")
+        c_abs = abs(c_avg)
+        c2 = c_abs**2
+        m_abs = abs(m_avg)
+        m2 = m_abs**2
+        b1_avg = (c2 * d_cb2 * d_b1b2 - m2 * d_mb1 * z2) / den_b
+        b2_avg = (c2 * d_cb2 * z1 - m2 * d_mb1 * d_b1b2) / den_b
+        return m_avg, c_avg, b1_avg, b2_avg, m_abs, c_abs
+
+    return step
+
+
+def _record(drives, amplitudes, delta_m_eff, delta_c_eff, iterations=0):
+    m_avg, c_avg, b1_avg, b2_avg, _, _ = amplitudes
+    g_m_eff = -1j * _SQRT2 * drives.bare_D_mb1 * m_avg
+    g_c_eff = 1j * _SQRT2 * drives.bare_D_cb2 * c_avg
+    return SteadyAmplitudes(m_avg, c_avg, b1_avg, b2_avg, g_m_eff, g_c_eff,
+                            delta_m_eff, delta_c_eff, iterations)
+
+
 def amplitudes_once(
     params: SystemParams,
     drives: DriveParams,
@@ -60,43 +111,7 @@ def amplitudes_once(
     magnon and optical detunings at which to evaluate; they are stored
     unchanged on the returned record.
     """
-    p, d = params, drives
-    delta_m_eff, delta_c_eff = detunings
-    gamma_c_fb, _, _ = feedback_rates(p.gamma_c, p.reflectivity, p.theta)
-
-    den_a = 1j * p.delta_a + p.gamma_a
-    if den_a == 0:
-        raise SingularPointError("microwave response (i*delta_a + gamma_a) vanishes")
-    den_m = (1j * delta_m_eff + p.gamma_m) + p.D_ma**2 / den_a
-    if den_m == 0:
-        raise SingularPointError("magnon amplitude denominator vanishes")
-    den_c = 1j * delta_c_eff + gamma_c_fb
-    if den_c == 0:
-        raise SingularPointError("optical amplitude denominator vanishes")
-
-    m_avg = d.rabi / den_m
-    c_avg = p.psi * d.laser_coupling / den_c
-
-    z1 = 1j * p.gamma_b1 - p.omega_b1
-    z2 = 1j * p.gamma_b2 - p.omega_b2
-    den_b = p.D_b1b2**2 - z1 * z2
-    if den_b == 0:
-        raise SingularPointError("mechanical amplitude denominator vanishes")
-    c2 = abs(c_avg) ** 2
-    m2 = abs(m_avg) ** 2
-    b1_avg = (c2 * d.bare_D_cb2 * p.D_b1b2 - m2 * d.bare_D_mb1 * z2) / den_b
-    b2_avg = (c2 * d.bare_D_cb2 * z1 - m2 * d.bare_D_mb1 * p.D_b1b2) / den_b
-
-    return SteadyAmplitudes(
-        m_avg=m_avg,
-        c_avg=c_avg,
-        b1_avg=b1_avg,
-        b2_avg=b2_avg,
-        g_m_eff=-1j * _SQRT2 * d.bare_D_mb1 * m_avg,
-        g_c_eff=1j * _SQRT2 * d.bare_D_cb2 * c_avg,
-        delta_m_eff=delta_m_eff,
-        delta_c_eff=delta_c_eff,
-    )
+    return _record(drives, _amplitude_map(params, drives)(*detunings), *detunings)
 
 
 def approx_amplitudes(
@@ -123,25 +138,6 @@ def approx_amplitudes(
     return m_avg, c_avg
 
 
-def _base_detunings(params: SystemParams) -> tuple[float, float]:
-    _, shift, _ = feedback_rates(params.gamma_c, params.reflectivity, params.theta)
-    return (
-        params.delta_m_tilde + params.barnett_shift,
-        params.delta_c_tilde + shift,
-    )
-
-
-def _amplitude_change(new: SteadyAmplitudes, old: SteadyAmplitudes) -> float:
-    eps = 1e-30
-    pairs = (
-        (new.m_avg, old.m_avg),
-        (new.c_avg, old.c_avg),
-        (new.b1_avg, old.b1_avg),
-        (new.b2_avg, old.b2_avg),
-    )
-    return max(abs(a - b) / (abs(b) + eps) for a, b in pairs)
-
-
 def solve_self_consistent(
     params: SystemParams, drives: DriveParams
 ) -> SteadyAmplitudes:
@@ -154,26 +150,29 @@ def solve_self_consistent(
     the returned record carries the converged detunings and the number
     of refinement evaluations in ``iterations``.
     """
-    p, d = params, drives
-    delta_m0, delta_c0 = _base_detunings(p)
-    x1 = 0.0
-    x2 = 0.0
-    previous = amplitudes_once(p, d, (delta_m0, delta_c0))
-    x1 += DAMPING * (previous.b1_avg.real - x1)
-    x2 += DAMPING * (previous.b2_avg.real - x2)
+    _, fb_shift, _ = feedback_rates(params.gamma_c, params.reflectivity, params.theta)
+    delta_m0 = params.delta_m_tilde + params.barnett_shift
+    delta_c0 = params.delta_c_tilde + fb_shift
+    step = _amplitude_map(params, drives)
+    shift_m, shift_c = 2.0 * drives.bare_D_mb1, 2.0 * drives.bare_D_cb2
+    eps = 1e-30
+    m, c, b1, b2, m_abs, c_abs = step(delta_m0, delta_c0)
+    x1 = x2 = 0.0
+    x1 += DAMPING * (b1.real - x1)
+    x2 += DAMPING * (b2.real - x2)
     change = math.inf
     for iteration in range(1, MAX_ITERATIONS + 1):
-        detunings = (
-            delta_m0 + 2.0 * d.bare_D_mb1 * x1,
-            delta_c0 - 2.0 * d.bare_D_cb2 * x2,
-        )
-        current = amplitudes_once(p, d, detunings)
-        change = _amplitude_change(current, previous)
+        delta_m = delta_m0 + shift_m * x1
+        delta_c = delta_c0 - shift_c * x2
+        m1, c1, b11, b21, _, _ = new = step(delta_m, delta_c)
+        # m_abs, c_abs are the previous step's |m|, |c|: no second abs() call
+        change = max(abs(m1 - m) / (m_abs + eps), abs(c1 - c) / (c_abs + eps),
+                     abs(b11 - b1) / (abs(b1) + eps), abs(b21 - b2) / (abs(b2) + eps))
         if change < CONVERGENCE_TOL:
-            return dataclasses.replace(current, iterations=iteration)
-        previous = current
-        x1 += DAMPING * (current.b1_avg.real - x1)
-        x2 += DAMPING * (current.b2_avg.real - x2)
+            return _record(drives, new, delta_m, delta_c, iteration)
+        m, c, b1, b2, m_abs, c_abs = new
+        x1 += DAMPING * (b1.real - x1)
+        x2 += DAMPING * (b2.real - x2)
     raise ConvergenceError(
         f"mean-field iteration did not converge in {MAX_ITERATIONS} steps "
         f"(last relative change {change:.3e})",

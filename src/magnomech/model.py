@@ -156,13 +156,19 @@ def drive_conversions(drives: DriveParams, gamma_c: float):
     sqrt(2*gamma_c*P_L/(hbar*omega_laser)).  ``gamma_c`` is the optical
     damping from :class:`SystemParams` (the optical amplitude depends on
     the cavity linewidth, not on any drive-side quantity).
+
+    ``sphere_radius`` is needed only when the Rabi rate has to come from
+    ``drive_power`` (no ``rabi`` and no ``drive_field`` given); without
+    it the returned ``drive_field`` is 0.
     """
     d = drives
-    if d.sphere_radius <= 0:
+    if d.rabi == 0 and d.drive_field <= 0 and d.sphere_radius <= 0:
         raise DomainError("sphere_radius must be > 0")
     if d.drive_power < 0 or d.laser_power < 0:
         raise DomainError("powers must be >= 0")
-    drive_field = math.sqrt(2.0 * d.drive_power * mu_0 / (math.pi * c_light)) / d.sphere_radius
+    drive_field = 0.0
+    if d.sphere_radius > 0:
+        drive_field = math.sqrt(2.0 * d.drive_power * mu_0 / (math.pi * c_light)) / d.sphere_radius
     field = d.drive_field if d.drive_field > 0 else drive_field
     rabi = (math.sqrt(5.0) / 4.0) * d.gyromagnetic_ratio * math.sqrt(d.spin_count) * field
     if d.laser_power > 0:

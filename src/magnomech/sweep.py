@@ -170,9 +170,12 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
 
     In ``meanfield`` mode the effective couplings and the displacement-
     shifted detunings are produced by the self-consistent amplitude
-    solve; the real parts of the complex effective couplings enter the
-    drift matrix (their imaginary parts are negligible in the supported
-    detuning regime).
+    solve.  Only the real parts ``Re G`` of the complex effective
+    couplings enter the drift matrix.  The dropped imaginary parts are
+    not negligible: on ``configs/meanfield_point.cfg``
+    ``|Im G_m / Re G_m|`` is 5.0% and ``|Im G_c / Re G_c|`` is 5.4%.
+    Using ``|G|`` instead (ROADMAP.md, hardening item (c)) would change
+    existing sweep outputs.
     """
     system, drive, _ = split_config(config)
     params = resolve_system_params(system)
@@ -293,8 +296,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
         config = {**spec.fixed, **dict(zip(names, values))}
         configs = (config,)
         if spec.nonreciprocity:
-            magnitude = abs(config.get("barnett_shift", 0.0))
-            configs = tuple({**config, "barnett_shift": sign * magnitude} for sign in (1.0, -1.0))
+            shift = config.get("barnett_shift", 0.0)
+            # a non-numeric shift stays unsigned, so resolve_system_params
+            # rejects it and the cell becomes an error row
+            numeric = isinstance(shift, (int, float)) and not isinstance(shift, bool)
+            configs = tuple({**config, "barnett_shift": sign * abs(shift) if numeric else shift}
+                            for sign in (1.0, -1.0))
         tasks.append((configs, spec.measures, spec.coupling_mode))
         axis_values.append(values)
 

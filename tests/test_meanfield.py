@@ -1,8 +1,13 @@
+import dataclasses
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 from magnomech import (
+    ConvergenceError,
+    DomainError,
     DriveParams,
     SingularPointError,
     amplitudes_once,
@@ -12,7 +17,12 @@ from magnomech import (
     run_point,
     solve_self_consistent,
 )
-from magnomech.params import TWO_PI, resolve_drive_params
+from magnomech.meanfield import CONVERGENCE_TOL, DAMPING, MAX_ITERATIONS, SteadyAmplitudes
+from magnomech.model import feedback_rates
+from magnomech.params import TWO_PI, load_config, resolve_drive_params
+from magnomech.sweep import split_config
+
+MEANFIELD_POINT = Path(__file__).parent.parent / "configs" / "meanfield_point.cfg"
 
 
 def _baseline_detunings(params):
@@ -167,3 +177,139 @@ def test_drive_field_sets_the_rabi_rate_however_the_laser_is_given(params):
     from_coupling = run_point({**config, "laser_coupling": laser_coupling / TWO_PI}).params.G_m
     assert from_power > 0
     assert from_coupling == pytest.approx(from_power, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"drive_field": 1e-6, "laser_coupling": 1.5e10},
+        {"rabi": 5e12, "laser_power": 30e-3, "drive_freq_2": 1.934e14},
+    ],
+    ids=["drive_field+laser_coupling", "rabi+laser_power"],
+)
+def test_sphere_radius_needed_only_to_derive_the_field_from_power(config):
+    config = {
+        **config, "coupling_mode": "meanfield", "spin_count": 1.77e16,
+        "gyromagnetic_ratio": 28e9, "bare_D_mb1": 0.1, "bare_D_cb2": 100,
+    }
+    without = run_point(config).params
+    with_radius = run_point({**config, "sphere_radius": 100e-6}).params
+    assert without.G_m > 0 and without.G_c > 0
+    assert (without.G_m, without.G_c) == (with_radius.G_m, with_radius.G_c)
+    # the Rabi rate from drive_power alone still needs the radius
+    power_only = {k: v for k, v in config.items() if k not in ("rabi", "drive_field")}
+    with pytest.raises(DomainError, match="sphere_radius"):
+        run_point({**power_only, "drive_power": 4e-3})
+
+
+def _reference_amplitudes(p, d, delta_m_eff, delta_c_eff):
+    """The closed-form amplitudes written out longhand, term by term."""
+    gamma_c_fb, _, _ = feedback_rates(p.gamma_c, p.reflectivity, p.theta)
+    den_a = 1j * p.delta_a + p.gamma_a
+    if den_a == 0:
+        raise SingularPointError("microwave response (i*delta_a + gamma_a) vanishes")
+    den_m = (1j * delta_m_eff + p.gamma_m) + p.D_ma**2 / den_a
+    if den_m == 0:
+        raise SingularPointError("magnon amplitude denominator vanishes")
+    den_c = 1j * delta_c_eff + gamma_c_fb
+    if den_c == 0:
+        raise SingularPointError("optical amplitude denominator vanishes")
+    m_avg = d.rabi / den_m
+    c_avg = p.psi * d.laser_coupling / den_c
+    z1 = 1j * p.gamma_b1 - p.omega_b1
+    z2 = 1j * p.gamma_b2 - p.omega_b2
+    den_b = p.D_b1b2**2 - z1 * z2
+    if den_b == 0:
+        raise SingularPointError("mechanical amplitude denominator vanishes")
+    c2 = abs(c_avg) ** 2
+    m2 = abs(m_avg) ** 2
+    return SteadyAmplitudes(
+        m_avg=m_avg,
+        c_avg=c_avg,
+        b1_avg=(c2 * d.bare_D_cb2 * p.D_b1b2 - m2 * d.bare_D_mb1 * z2) / den_b,
+        b2_avg=(c2 * d.bare_D_cb2 * z1 - m2 * d.bare_D_mb1 * p.D_b1b2) / den_b,
+        g_m_eff=-1j * math.sqrt(2.0) * d.bare_D_mb1 * m_avg,
+        g_c_eff=1j * math.sqrt(2.0) * d.bare_D_cb2 * c_avg,
+        delta_m_eff=delta_m_eff,
+        delta_c_eff=delta_c_eff,
+    )
+
+
+def _reference_solve(p, d):
+    """The damped displacement iteration written out longhand."""
+    _, shift, _ = feedback_rates(p.gamma_c, p.reflectivity, p.theta)
+    delta_m0 = p.delta_m_tilde + p.barnett_shift
+    delta_c0 = p.delta_c_tilde + shift
+    x1 = 0.0
+    x2 = 0.0
+    previous = _reference_amplitudes(p, d, delta_m0, delta_c0)
+    x1 += DAMPING * (previous.b1_avg.real - x1)
+    x2 += DAMPING * (previous.b2_avg.real - x2)
+    change = math.inf
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        current = _reference_amplitudes(
+            p, d, delta_m0 + 2.0 * d.bare_D_mb1 * x1, delta_c0 - 2.0 * d.bare_D_cb2 * x2
+        )
+        pairs = [(getattr(current, k), getattr(previous, k))
+                 for k in ("m_avg", "c_avg", "b1_avg", "b2_avg")]
+        change = max(abs(a - b) / (abs(b) + 1e-30) for a, b in pairs)
+        if change < CONVERGENCE_TOL:
+            return dataclasses.replace(current, iterations=iteration)
+        previous = current
+        x1 += DAMPING * (current.b1_avg.real - x1)
+        x2 += DAMPING * (current.b2_avg.real - x2)
+    raise ConvergenceError(
+        f"mean-field iteration did not converge in {MAX_ITERATIONS} steps "
+        f"(last relative change {change:.3e})",
+        residual=change,
+    )
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (ConvergenceError, SingularPointError) as exc:
+        return type(exc), str(exc), getattr(exc, "residual", None)
+
+
+def _meanfield_cases():
+    """A seeded draw over the detuning plane of configs/meanfield_point.cfg,
+    plus the no-back-action, zero-drive and singular-optics cases."""
+    config = load_config(MEANFIELD_POINT)
+    config.pop("coupling_mode")
+    system, drive, _ = split_config(config)
+    drives = resolve_drive_params(drive)
+    rng = random.Random(0)
+    cases = []
+    for _ in range(12):
+        params = resolve_system_params({
+            **system,
+            "delta_m_tilde": rng.uniform(-40.3e6, 0.0),
+            "delta_c_tilde": rng.uniform(0.0, 40.22e6),
+        })
+        rabi, laser_coupling, _ = drive_conversions(drives, params.gamma_c)
+        cases.append((params, dataclasses.replace(drives, rabi=rabi, laser_coupling=laser_coupling)))
+    baseline = resolve_system_params({})
+    cases.append((baseline, DriveParams(rabi=cases[0][1].rabi, laser_coupling=cases[0][1].laser_coupling)))
+    cases.append((baseline, DriveParams(bare_D_mb1=1.0, bare_D_cb2=1.0)))
+    singular = resolve_system_params({"reflectivity": 0.5, "theta": 0.0, "delta_c_tilde": 0.0})
+    cases.append((singular, DriveParams(laser_coupling=1.0)))
+    return cases
+
+
+def test_iteration_is_bit_identical_to_the_longhand_reference():
+    outcomes = []
+    for params, drives in _meanfield_cases():
+        expected = _outcome(_reference_solve, params, drives)
+        got = _outcome(solve_self_consistent, params, drives)
+        # repr tells -0.0 from 0.0, which == does not
+        assert got == expected and repr(got) == repr(expected)
+        detunings = (params.delta_m_tilde, params.delta_c_tilde)
+        once = _outcome(amplitudes_once, params, drives, detunings)
+        assert repr(once) == repr(_outcome(_reference_amplitudes, params, drives, *detunings))
+        outcomes.append(expected)
+    # the draw covers every kind of outcome
+    iterations = [o.iterations for o in outcomes if isinstance(o, SteadyAmplitudes)]
+    assert max(iterations) > 1 and 1 in iterations
+    kinds = {o[0] for o in outcomes if isinstance(o, tuple)}
+    assert kinds == {ConvergenceError, SingularPointError}

@@ -440,11 +440,12 @@ class TestNonFiniteInputs:
         assert len(out.stderr.strip().splitlines()) == 1
         assert "temperature" in out.stderr
 
-    def test_sweep_with_nan_fixed_value_yields_error_rows(self):
+    @staticmethod
+    def _assert_error_rows(fixed):
         for nonreciprocity in (False, True):
             spec = SweepSpec(
                 SweepAxis("delta_m_tilde", -25e6, -15e6, 3),
-                fixed={"temperature": math.nan, "barnett_shift": 4.03e6},
+                fixed=fixed,
                 measures=("entanglement",),
                 nonreciprocity=nonreciprocity,
             )
@@ -457,3 +458,12 @@ class TestNonFiniteInputs:
                 assert all(row[i] is False for i in stable) and row[reason]
                 # margins, flags, measures and contrasts are all empty
                 assert all(v is None for i, v in enumerate(row[1:], 1) if i not in stable + [reason])
+
+    def test_sweep_with_nan_fixed_value_yields_error_rows(self):
+        self._assert_error_rows({"temperature": math.nan, "barnett_shift": 4.03e6})
+
+    @pytest.mark.parametrize("shift", ["abc", True])
+    def test_sweep_with_non_numeric_barnett_shift_yields_error_rows(self, shift):
+        # the contrast sweep signs the shift; a non-numeric one must still
+        # reach parameter validation instead of aborting the sweep
+        self._assert_error_rows({"barnett_shift": shift})
