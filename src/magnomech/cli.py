@@ -13,11 +13,10 @@ import json
 import sys
 
 from .errors import ConfigError, MagnomechError
-from .params import SYSTEM_KEYS, TWO_PI
 from .presets import PRESETS, get_preset
 from .sweep import emit, run_point, run_sweep, sweep_spec_from_config
 from . import validate as validation
-from .params import load_config
+from .params import echo_config, load_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,20 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_echo(params) -> dict:
-    """SystemParams in config-file units, for human-readable reports."""
-    echo = {}
-    for key, unit in SYSTEM_KEYS.items():
-        value = getattr(params, key)
-        echo[key] = value / TWO_PI if unit == "hz" else value
-    return echo
-
-
 def _cmd_point(args) -> int:
     config = load_config(args.config)
     report = run_point(config)
     payload = {
-        "params": _params_echo(report.params),
+        "params": echo_config(report.params),
         "report": report.to_record(),
     }
     text = json.dumps(payload, indent=1) + "\n"

@@ -21,6 +21,11 @@ from .errors import SolverError, StabilityError
 #: Relative Frobenius-norm bound accepted for ``A V + V A^T + D``.
 RESIDUAL_TOL = 1e-9
 
+#: Integration horizon of :func:`integrate_lyapunov` in units of the slowest
+#: decay time ``1/|max Re eig(A)|``, and its relative tolerance.
+INTEGRATION_HORIZON = 50.0
+INTEGRATION_RTOL = 1e-10
+
 #: Scale factor for the marginal-stability tolerance: a drift matrix is
 #: stable only if max Re(eig) < -1e-6 * max|A_ij|.  Relative to matrix
 #: scale because the rates span many orders of magnitude.
@@ -130,11 +135,10 @@ def solve_lyapunov_oracle(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarra
                     lambda rhs: sla.lu_solve(lu_piv, rhs.reshape(-1)).reshape(n, n))
 
 
-def integrate_lyapunov(drift: np.ndarray, diffusion: np.ndarray,
-                       horizon_factor: float = 50.0, rtol: float = 1e-10) -> np.ndarray:
+def integrate_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     """Covariance by direct integration of ``dV/dt = A V + V A^T + D``.
 
-    Integrates from V = 0 to ``t = horizon_factor / |max Re eig(A)|``, by
+    Integrates from V = 0 to ``t = INTEGRATION_HORIZON / |max Re eig(A)|``, by
     which time the transient has decayed to numerical noise.  Slow, and
     used only as an independent cross-check of the algebraic solvers.
     """
@@ -151,8 +155,8 @@ def integrate_lyapunov(drift: np.ndarray, diffusion: np.ndarray,
         return (drift @ v + v @ drift.T + diffusion).reshape(-1)
 
     scale = float(np.abs(diffusion).max() / (2.0 * abs(margin)) or 1.0)
-    sol = solve_ivp(rhs, (0.0, horizon_factor / abs(margin)), np.zeros(n * n),
-                    method="RK45", rtol=rtol, atol=rtol * scale)
+    sol = solve_ivp(rhs, (0.0, INTEGRATION_HORIZON / abs(margin)), np.zeros(n * n),
+                    method="RK45", rtol=INTEGRATION_RTOL, atol=INTEGRATION_RTOL * scale)
     if not sol.success:
         raise SolverError(f"time integration failed: {sol.message}")
     cov = sol.y[:, -1].reshape(n, n)

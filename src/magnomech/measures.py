@@ -28,6 +28,10 @@ MEASURE_FAMILIES = ("entanglement", "steering", "contangle", "occupation")
 #: Rounding noise below this magnitude is reported as an exact zero.
 ZERO_CLIP = 1e-10
 
+#: A state is physical when its smallest symplectic eigenvalue is at least
+#: 1/2 - PHYSICAL_TOL.
+PHYSICAL_TOL = 1e-8
+
 #: The six mode pairs with no direct coupling in the model, in canonical
 #: mode order; these are the pairs whose correlations the device is
 #: designed to create.
@@ -139,13 +143,9 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return np.sort(_symplectic_moduli(np.asarray(cov, dtype=float)))[::2]
 
 
-def is_physical(cov: np.ndarray, tol: float = 1e-8) -> bool:
-    """True when every symplectic eigenvalue is >= 1/2 - tol."""
-    return bool(symplectic_eigenvalues(cov)[0] >= 0.5 - tol)
-
-
-def _min_symplectic(cov: np.ndarray) -> float:
-    return float(_symplectic_moduli(cov).min())
+def is_physical(cov: np.ndarray) -> bool:
+    """True when every symplectic eigenvalue is >= 1/2 - PHYSICAL_TOL."""
+    return bool(symplectic_eigenvalues(cov)[0] >= 0.5 - PHYSICAL_TOL)
 
 
 def _partial_transpose(cov: np.ndarray, mode: int) -> np.ndarray:
@@ -350,9 +350,9 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
     reported, flagged, and quantum-state theorems (such as steering implying
     entanglement) are only guaranteed where the flag is set.
     """
-    nu_min = _min_symplectic(cov)
+    nu_min = float(symplectic_eigenvalues(cov)[0])
     report = MeasureReport(stable=True, margin=margin, params=params,
-                           physical=bool(nu_min >= 0.5 - 1e-8), min_symplectic=nu_min)
+                           physical=bool(nu_min >= 0.5 - PHYSICAL_TOL), min_symplectic=nu_min)
     if "entanglement" in measures:
         values = _log_negativities(_gather(cov, _ALL_PAIR_ROWS))
         report.pairwise_E = dict(zip(ALL_PAIRS, values.tolist()))

@@ -164,8 +164,6 @@ def drive_conversions(drives: DriveParams, gamma_c: float):
     d = drives
     if d.rabi == 0 and d.drive_field <= 0 and d.sphere_radius <= 0:
         raise DomainError("sphere_radius must be > 0")
-    if d.drive_power < 0 or d.laser_power < 0:
-        raise DomainError("powers must be >= 0")
     drive_field = 0.0
     if d.sphere_radius > 0:
         drive_field = math.sqrt(2.0 * d.drive_power * mu_0 / (math.pi * c_light)) / d.sphere_radius

@@ -16,7 +16,7 @@ point (see :data:`BASELINE_CONFIG`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from scipy.constants import c as SPEED_OF_LIGHT
 
@@ -24,76 +24,12 @@ from .errors import ConfigError, DomainError
 
 TWO_PI = 2.0 * math.pi
 
-# Configuration keys for SystemParams: name -> unit tag.
-# "hz"   value/2pi in Hz, converted to rad/s on load
-# "k"    kelvin, "m" metres, "rad" radians, "1" dimensionless
-SYSTEM_KEYS = {
-    "omega_a": "hz",
-    "omega_m": "hz",
-    "omega_b1": "hz",
-    "omega_b2": "hz",
-    "gamma_a": "hz",
-    "gamma_m": "hz",
-    "gamma_c": "hz",
-    "gamma_b1": "hz",
-    "gamma_b2": "hz",
-    "D_ma": "hz",
-    "D_b1b2": "hz",
-    "G_m": "hz",
-    "G_c": "hz",
-    "delta_m_tilde": "hz",
-    "delta_c_tilde": "hz",
-    "delta_a": "hz",
-    "barnett_shift": "hz",
-    "reflectivity": "1",
-    "theta": "rad",
-    "temperature": "k",
-    "lambda_c": "m",
-}
 
-DRIVE_KEYS = {
-    "rabi": "hz",
-    "laser_coupling": "hz",
-    "bare_D_mb1": "hz",
-    "bare_D_cb2": "hz",
-    "spin_count": "1",
-    "gyromagnetic_ratio": "hz",  # per tesla
-    "drive_field": "t",
-    "drive_power": "w",
-    "laser_power": "w",
-    "sphere_radius": "m",
-    "drive_freq_1": "hz",
-    "drive_freq_2": "hz",
-}
-
-# Operating point used throughout: both electromagnetic modes at 10 GHz,
-# near-degenerate mechanical modes around 20 MHz, effective couplings
-# quoted directly, magnon drive red-detuned (delta_m_tilde = -omega_b1)
-# and optical drive at delta_c_tilde = +omega_b2.  delta_a is absent:
-# it defaults to delta_m_tilde (the magnon and microwave resonances are
-# degenerate and share the drive tone, so their detunings track).
-BASELINE_CONFIG = {
-    "omega_a": 10e9,
-    "omega_m": 10e9,
-    "omega_b1": 20.15e6,
-    "omega_b2": 20.11e6,
-    "gamma_a": 1e6,
-    "gamma_m": 1e6,
-    "gamma_c": 1e6,
-    "gamma_b1": 100.0,
-    "gamma_b2": 100.0,
-    "D_ma": 1.5e6,
-    "D_b1b2": 2.4e6,
-    "G_m": 0.7e6,
-    "G_c": 2.7e6,
-    "delta_m_tilde": -20.15e6,
-    "delta_c_tilde": 20.11e6,
-    "barnett_shift": 0.0,
-    "reflectivity": 0.0,
-    "theta": 0.0,
-    "temperature": 0.010,
-    "lambda_c": 1550e-9,
-}
+def _key(unit: str, baseline: float | None = None, **field_args):
+    """A config key: its unit tag, spelled as its sweep-column suffix (``hz``,
+    ``K``, ``rad``, ``m``, ``T``, ``W`` or empty), and for system keys its
+    baseline value in file units."""
+    return field(metadata={"unit": unit, "baseline": baseline}, **field_args)
 
 
 @dataclass(frozen=True)
@@ -105,29 +41,36 @@ class SystemParams:
     reflectivity in [0, 1); ``theta`` the feedback phase in radians;
     ``temperature`` the bath temperature in K; ``lambda_c`` the optical
     resonance wavelength in metres.
+
+    The baselines form the operating point used throughout: both
+    electromagnetic modes at 10 GHz, mechanical modes near 20 MHz,
+    effective couplings quoted directly, magnon drive at delta_m_tilde =
+    -omega_b1 and optical drive at delta_c_tilde = +omega_b2.  ``delta_a``
+    has none: it defaults to delta_m_tilde (the degenerate magnon and
+    microwave resonances share the drive tone, so their detunings track).
     """
 
-    omega_a: float
-    omega_m: float
-    omega_b1: float
-    omega_b2: float
-    gamma_a: float
-    gamma_m: float
-    gamma_c: float
-    gamma_b1: float
-    gamma_b2: float
-    D_ma: float
-    D_b1b2: float
-    G_m: float
-    G_c: float
-    delta_m_tilde: float
-    delta_c_tilde: float
-    delta_a: float
-    barnett_shift: float = 0.0
-    reflectivity: float = 0.0
-    theta: float = 0.0
-    temperature: float = 0.0
-    lambda_c: float = 1550e-9
+    omega_a: float = _key("hz", 10e9)
+    omega_m: float = _key("hz", 10e9)
+    omega_b1: float = _key("hz", 20.15e6)
+    omega_b2: float = _key("hz", 20.11e6)
+    gamma_a: float = _key("hz", 1e6)
+    gamma_m: float = _key("hz", 1e6)
+    gamma_c: float = _key("hz", 1e6)
+    gamma_b1: float = _key("hz", 100.0)
+    gamma_b2: float = _key("hz", 100.0)
+    D_ma: float = _key("hz", 1.5e6)
+    D_b1b2: float = _key("hz", 2.4e6)
+    G_m: float = _key("hz", 0.7e6)
+    G_c: float = _key("hz", 2.7e6)
+    delta_m_tilde: float = _key("hz", -20.15e6)
+    delta_c_tilde: float = _key("hz", 20.11e6)
+    delta_a: float = _key("hz")
+    barnett_shift: float = _key("hz", 0.0)
+    reflectivity: float = _key("", 0.0)
+    theta: float = _key("rad", 0.0)
+    temperature: float = _key("K", 0.010)
+    lambda_c: float = _key("m", 1550e-9)
 
     def __post_init__(self):
         for name in ("omega_a", "omega_m", "omega_b1", "omega_b2",
@@ -164,20 +107,20 @@ class DriveParams:
     ``rabi`` and ``laser_coupling`` are the magnon and optical drive
     amplitudes (rad/s); either may be supplied directly or derived from
     the laboratory quantities below via :func:`magnomech.model.drive_conversions`.
+    ``gyromagnetic_ratio`` is in rad/s per tesla.
     """
 
-    rabi: float = 0.0
-    laser_coupling: float = 0.0
-    bare_D_mb1: float = 0.0
-    bare_D_cb2: float = 0.0
-    spin_count: float = 0.0
-    gyromagnetic_ratio: float = 0.0
-    drive_field: float = 0.0
-    drive_power: float = 0.0
-    laser_power: float = 0.0
-    sphere_radius: float = 0.0
-    drive_freq_1: float = 0.0
-    drive_freq_2: float = 0.0
+    rabi: float = _key("hz", default=0.0)
+    laser_coupling: float = _key("hz", default=0.0)
+    bare_D_mb1: float = _key("hz", default=0.0)
+    bare_D_cb2: float = _key("hz", default=0.0)
+    spin_count: float = _key("", default=0.0)
+    gyromagnetic_ratio: float = _key("hz", default=0.0)
+    drive_field: float = _key("T", default=0.0)
+    drive_power: float = _key("W", default=0.0)
+    laser_power: float = _key("W", default=0.0)
+    sphere_radius: float = _key("m", default=0.0)
+    drive_freq_2: float = _key("hz", default=0.0)
 
     def __post_init__(self):
         for name in ("drive_power", "laser_power", "spin_count"):
@@ -185,10 +128,34 @@ class DriveParams:
                 raise DomainError(f"{name} must be >= 0")
 
 
-def _convert(value: float, unit: str) -> float:
-    if unit == "hz":
-        return TWO_PI * value
-    return value
+#: Config keys of :class:`SystemParams` and :class:`DriveParams`: name -> unit tag.
+SYSTEM_KEYS = {f.name: f.metadata["unit"] for f in fields(SystemParams)}
+DRIVE_KEYS = {f.name: f.metadata["unit"] for f in fields(DriveParams)}
+
+#: The baseline operating point in file units; every key but ``delta_a``.
+BASELINE_CONFIG = {f.name: f.metadata["baseline"] for f in fields(SystemParams)
+                   if f.metadata["baseline"] is not None}
+
+
+def _validated(config: dict, units: dict, what: str) -> dict:
+    """Check keys and values of a config mapping and convert ``hz`` keys to rad/s."""
+    out = {}
+    for key, value in config.items():
+        if key not in units:
+            raise ConfigError(f"unknown {what} {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{what} {key!r} needs a numeric value, got {value!r}")
+        try:
+            number = TWO_PI * value if units[key] == "hz" else float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{what} {key!r} must be finite, got {value!r}")
+        out[key] = number
+    return out
+
+
+_BASELINE_PARAMS = _validated(BASELINE_CONFIG, SYSTEM_KEYS, "parameter")
 
 
 def resolve_system_params(config: dict[str, float]) -> SystemParams:
@@ -198,33 +165,20 @@ def resolve_system_params(config: dict[str, float]) -> SystemParams:
     missing keys fall back to the baseline.  ``delta_a`` defaults to
     ``delta_m_tilde`` when not given explicitly.
     """
-    merged = dict(BASELINE_CONFIG)
-    for key, value in config.items():
-        if key not in SYSTEM_KEYS:
-            raise ConfigError(f"unknown parameter {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"parameter {key!r} needs a numeric value, got {value!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"parameter {key!r} must be finite, got {value!r}")
-        merged[key] = value
-    if "delta_a" not in merged:
-        merged["delta_a"] = merged["delta_m_tilde"]
-    kwargs = {k: _convert(v, SYSTEM_KEYS[k]) for k, v in merged.items()}
+    kwargs = {**_BASELINE_PARAMS, **_validated(config, SYSTEM_KEYS, "parameter")}
+    kwargs.setdefault("delta_a", kwargs["delta_m_tilde"])
     return SystemParams(**kwargs)
 
 
 def resolve_drive_params(config: dict[str, float]) -> DriveParams:
     """Build :class:`DriveParams` from a config-convention mapping."""
-    kwargs = {}
-    for key, value in config.items():
-        if key not in DRIVE_KEYS:
-            raise ConfigError(f"unknown drive parameter {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"drive parameter {key!r} needs a numeric value, got {value!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"drive parameter {key!r} must be finite, got {value!r}")
-        kwargs[key] = _convert(value, DRIVE_KEYS[key])
-    return DriveParams(**kwargs)
+    return DriveParams(**_validated(config, DRIVE_KEYS, "drive parameter"))
+
+
+def echo_config(params) -> dict:
+    """A :class:`SystemParams` or :class:`DriveParams` back in file units."""
+    return {f.name: getattr(params, f.name) / TWO_PI if f.metadata["unit"] == "hz"
+            else getattr(params, f.name) for f in fields(params)}
 
 
 def _parse_scalar(raw: str):

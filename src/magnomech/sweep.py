@@ -48,8 +48,6 @@ _SWEEP_ONLY_KEYS = {
     "nonreciprocity", "measures", "coupling_mode",
 }
 
-_UNIT_SUFFIX = {"hz": "hz", "k": "K", "rad": "rad", "1": "", "m": "m"}
-
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -64,8 +62,8 @@ class SweepAxis:
         return np.linspace(self.start, self.stop, self.count)
 
     def column(self) -> str:
-        suffix = _UNIT_SUFFIX[SYSTEM_KEYS[self.name]]
-        return f"{self.name}_{suffix}" if suffix else self.name
+        unit = SYSTEM_KEYS[self.name]
+        return f"{self.name}_{unit}" if unit else self.name
 
 
 @dataclass
@@ -87,9 +85,7 @@ class SweepSpec:
                 raise ConfigError(f"axis {axis.name!r} needs count >= 2")
         if self.axis2 is not None and self.axis2.name == self.axis1.name:
             raise ConfigError("the two sweep axes must address distinct parameters")
-        _check_measures(self.measures)
-        if self.coupling_mode not in ("direct", "meanfield"):
-            raise ConfigError("coupling_mode must be 'direct' or 'meanfield'")
+        _check_options(self.measures, self.coupling_mode)
 
 
 @dataclass
@@ -115,10 +111,12 @@ def split_config(config: dict):
     return system, drive, control
 
 
-def _check_measures(names) -> None:
-    for name in names:
+def _check_options(measures, coupling_mode) -> None:
+    for name in measures:
         if name not in MEASURE_FAMILIES:
             raise ConfigError(f"unknown measure family {name!r}")
+    if coupling_mode not in ("direct", "meanfield"):
+        raise ConfigError("coupling_mode must be 'direct' or 'meanfield'")
 
 
 def _parse_measures(raw) -> tuple:
@@ -138,12 +136,14 @@ def _parse_axis(control: dict, which: str) -> SweepAxis | None:
     try:
         start = float(control[f"{which}_start"])
         stop = float(control[f"{which}_stop"])
-        count = int(control[f"{which}_count"])
+        count = float(control[f"{which}_count"])
     except KeyError as exc:
         raise ConfigError(f"{which} needs {which}_start/_stop/_count") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{which} bounds must be numeric") from exc
-    return SweepAxis(str(name), start, stop, count)
+    if not count.is_integer():
+        raise ConfigError(f"{which}_count must be a whole number, got {count!r}")
+    return SweepAxis(str(name), start, stop, int(count))
 
 
 def sweep_spec_from_config(config: dict) -> SweepSpec:
@@ -153,6 +153,9 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
     axis2 = _parse_axis(control, "axis2")
     if axis1 is None:
         raise ConfigError("a sweep needs at least axis1")
+    nonreciprocity = control.get("nonreciprocity", False)
+    if not isinstance(nonreciprocity, bool):
+        raise ConfigError(f"nonreciprocity must be true or false, got {nonreciprocity!r}")
     fixed = dict(system)
     fixed.update(drive)
     return SweepSpec(
@@ -160,7 +163,7 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
         axis2=axis2,
         fixed=fixed,
         measures=_parse_measures(control.get("measures")),
-        nonreciprocity=bool(control.get("nonreciprocity", False)),
+        nonreciprocity=nonreciprocity,
         coupling_mode=str(control.get("coupling_mode", "direct")),
     )
 
@@ -214,13 +217,13 @@ def evaluate_point(params: SystemParams, measures=MEASURE_FAMILIES) -> MeasureRe
     return evaluate_measures(cov, params, gate.margin, measures)
 
 
-def run_point(config: dict, measures=None) -> MeasureReport:
+def run_point(config: dict) -> MeasureReport:
     """Full pipeline for one configuration mapping."""
     _, _, control = split_config(config)
-    selected = _parse_measures(control.get("measures")) if measures is None else measures
-    _check_measures(selected)
-    params = resolve_point(config, str(control.get("coupling_mode", "direct")))
-    return evaluate_point(params, selected)
+    measures = _parse_measures(control.get("measures"))
+    coupling_mode = str(control.get("coupling_mode", "direct"))
+    _check_options(measures, coupling_mode)
+    return evaluate_point(resolve_point(config, coupling_mode), measures)
 
 
 def _reason_code(exc: MagnomechError) -> str:

@@ -23,6 +23,11 @@ from .model import build_drift
 from .params import resolve_system_params
 
 
+#: Number of random systems and generator seed of each solver cross-check.
+ORACLE_SYSTEMS, ORACLE_SEED = 100, 20240
+INTEGRATION_SYSTEMS, INTEGRATION_SEED = 10, 31337
+
+
 def random_stable_system(rng: np.random.Generator, n_modes: int):
     """A random stable drift matrix and PSD diffusion, dimension 2*n_modes."""
     n = 2 * n_modes
@@ -34,11 +39,11 @@ def random_stable_system(rng: np.random.Generator, n_modes: int):
     return drift, diffusion
 
 
-def check_solver_vs_oracle(n_systems: int = 100, seed: int = 20240) -> tuple:
+def check_solver_vs_oracle() -> tuple:
     """Bartels-Stewart against the Kronecker solve on random systems."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ORACLE_SEED)
     worst = 0.0
-    for k in range(n_systems):
+    for k in range(ORACLE_SYSTEMS):
         n_modes = 2 + k % 9  # sizes 2..10
         drift, diffusion = random_stable_system(rng, n_modes)
         cov = solve_lyapunov(drift, diffusion)
@@ -46,21 +51,21 @@ def check_solver_vs_oracle(n_systems: int = 100, seed: int = 20240) -> tuple:
         rel = float(np.linalg.norm(cov - ref) / np.linalg.norm(ref))
         worst = max(worst, rel)
     passed = worst < 1e-8
-    return "solver-vs-oracle", passed, f"max relative difference {worst:.3e} over {n_systems} systems"
+    return "solver-vs-oracle", passed, f"max relative difference {worst:.3e} over {ORACLE_SYSTEMS} systems"
 
 
-def check_integration_oracle(n_systems: int = 10, seed: int = 31337) -> tuple:
+def check_integration_oracle() -> tuple:
     """Algebraic solution against direct time integration."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(INTEGRATION_SEED)
     worst = 0.0
-    for k in range(n_systems):
+    for k in range(INTEGRATION_SYSTEMS):
         drift, diffusion = random_stable_system(rng, 2 + k % 4)
         cov = solve_lyapunov(drift, diffusion)
         ref = integrate_lyapunov(drift, diffusion)
         rel = float(np.linalg.norm(cov - ref) / np.linalg.norm(cov))
         worst = max(worst, rel)
     passed = worst < 1e-6
-    return "integration-oracle", passed, f"max relative difference {worst:.3e} over {n_systems} systems"
+    return "integration-oracle", passed, f"max relative difference {worst:.3e} over {INTEGRATION_SYSTEMS} systems"
 
 
 def check_tmsv_family() -> tuple:
@@ -100,7 +105,7 @@ def check_decoupled_spectrum() -> tuple:
     return "decoupled-spectrum", passed, f"max relative deviation {worst:.3e}"
 
 
-def run_all(stream=None) -> bool:
+def run_all() -> bool:
     """Run every suite, print one line per suite, return overall pass."""
     checks = (
         check_solver_vs_oracle,
@@ -112,9 +117,5 @@ def run_all(stream=None) -> bool:
     for check in checks:
         name, passed, detail = check()
         ok &= passed
-        line = f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}"
-        if stream is not None:
-            print(line, file=stream)
-        else:
-            print(line)
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     return ok

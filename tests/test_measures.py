@@ -25,7 +25,7 @@ from magnomech import (
     symplectic_eigenvalues,
     tmsv_covariance,
 )
-from magnomech.measures import _min_symplectic, _partial_transpose
+from magnomech.measures import _partial_transpose
 
 
 def _rotation(phi):
@@ -77,7 +77,7 @@ class TestLogNegativity:
         # eigenvalue: two independent routes to the same number
         for pair in (("b1", "m"), ("c", "a"), ("b2", "a"), ("b1", "b2")):
             v4 = reduce_modes(baseline_cov, pair)
-            nu = _min_symplectic(_partial_transpose(v4, 0))
+            nu = symplectic_eigenvalues(_partial_transpose(v4, 0))[0]
             expected = max(0.0, -math.log(2 * nu))
             assert log_negativity(v4) == pytest.approx(expected, abs=1e-10)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import magnomech
 from magnomech import (
@@ -16,13 +17,16 @@ from magnomech import (
     SweepSpec,
     emit,
     parse_config,
+    resolve_drive_params,
     resolve_system_params,
     run_point,
     run_sweep,
     sweep_spec_from_config,
 )
 from magnomech.cli import main as cli_main
-from magnomech.params import TWO_PI
+from magnomech.params import BASELINE_CONFIG, DRIVE_KEYS, SYSTEM_KEYS, TWO_PI, echo_config
+
+RESOLVERS = ((resolve_system_params, SYSTEM_KEYS), (resolve_drive_params, DRIVE_KEYS))
 
 
 class TestConfigParsing:
@@ -74,6 +78,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="count"):
             SweepSpec(SweepAxis("temperature", 0, 1, 1))
 
+    @pytest.mark.parametrize("value", ["2.9", "inf", "nan"])
+    def test_axis_count_must_be_whole(self, value):
+        text = f"axis1 = temperature\naxis1_start = 0\naxis1_stop = 1\naxis1_count = {value}\n"
+        with pytest.raises(ConfigError, match="axis1"):
+            sweep_spec_from_config(parse_config(text))
+
+    @pytest.mark.parametrize("value", ["no", "off", "yes", "1"])
+    def test_nonreciprocity_needs_a_boolean(self, value):
+        text = f"axis1 = temperature\naxis1_start = 0\naxis1_stop = 1\naxis1_count = 2\nnonreciprocity = {value}\n"
+        with pytest.raises(ConfigError, match="nonreciprocity"):
+            sweep_spec_from_config(parse_config(text))
+
 
 class TestUnits:
     def test_frequency_keys_are_scaled(self):
@@ -89,6 +105,33 @@ class TestUnits:
         assert p.delta_a == p.delta_m_tilde
         q = resolve_system_params({"delta_m_tilde": -7e6, "delta_a": 3e6})
         assert q.delta_a == pytest.approx(TWO_PI * 3e6, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_resolvers_return_or_raise_typed_errors(self, data):
+        # the bounded integers reach past the float range (about 2**1024)
+        integers = st.integers() | st.integers(-(2**1100), 2**1100)
+        values = st.one_of(st.floats(), st.booleans(), st.text(max_size=4), integers)
+        for resolve, keys in RESOLVERS:
+            config = data.draw(st.dictionaries(st.sampled_from(sorted(keys)), values))
+            try:
+                resolve(config)
+            except MagnomechError:
+                pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_echo_gives_the_file_values_back(self, data):
+        for resolve, keys in RESOLVERS:
+            config = data.draw(st.fixed_dictionaries({}, optional={
+                key: st.floats(0.0, 0.999) if key == "reflectivity" else st.floats(1e-9, 1e12)
+                for key in keys}))
+            echo = echo_config(resolve(config))
+            assert {key: echo[key] for key in config} == pytest.approx(config, rel=1e-15, abs=0)
+
+    def test_echo_of_the_baseline(self):
+        expected = {**BASELINE_CONFIG, "delta_a": BASELINE_CONFIG["delta_m_tilde"]}
+        assert echo_config(resolve_system_params({})) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 class TestRunPoint:
@@ -115,6 +158,11 @@ class TestRunPoint:
     def test_measure_subset(self):
         report = run_point({"measures": "entanglement"})
         assert report.pairwise_E and not report.steering and not report.tripartite_R
+
+    @pytest.mark.parametrize("mode", ["Direct", "meanfeld", ""])
+    def test_unknown_coupling_mode_rejected(self, mode):
+        with pytest.raises(ConfigError, match="coupling_mode"):
+            run_point({"coupling_mode": mode})
 
 
 PLAIN_HEADER = [
@@ -166,8 +214,18 @@ class TestRunSweep:
     def test_axis_columns_carry_units(self):
         table = run_sweep(_tiny_sweep())
         assert table.columns[0] == "temperature_K"
-        spec = SweepSpec(SweepAxis("delta_m_tilde", -40e6, 0, 2), measures=("entanglement",))
-        assert run_sweep(spec).columns[0] == "delta_m_tilde_hz"
+        columns = []
+        for key in SYSTEM_KEYS:
+            value = BASELINE_CONFIG.get(key, BASELINE_CONFIG["delta_m_tilde"])
+            spec = SweepSpec(SweepAxis(key, value, value, 2), measures=("entanglement",))
+            columns.append(run_sweep(spec).columns[0])
+        assert columns == [
+            "omega_a_hz", "omega_m_hz", "omega_b1_hz", "omega_b2_hz",
+            "gamma_a_hz", "gamma_m_hz", "gamma_c_hz", "gamma_b1_hz", "gamma_b2_hz",
+            "D_ma_hz", "D_b1b2_hz", "G_m_hz", "G_c_hz",
+            "delta_m_tilde_hz", "delta_c_tilde_hz", "delta_a_hz", "barnett_shift_hz",
+            "reflectivity", "theta_rad", "temperature_K", "lambda_c_m",
+        ]
 
     def test_unstable_rows_are_masked(self, tmp_path):
         spec = SweepSpec(
@@ -388,6 +446,12 @@ class TestCli:
         cfg.write_text("bogus_key = 1\n")
         assert cli_main(["point", "--config", str(cfg)]) == 1
         assert "bogus_key" in capsys.readouterr().err
+
+    def test_unknown_coupling_mode_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("coupling_mode = meanfeld\n")
+        assert cli_main(["point", "--config", str(cfg)]) == 1
+        assert "coupling_mode" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["point", "--config", str(tmp_path / "nope.cfg")]) == 1
