@@ -1,16 +1,18 @@
 """Stability gate and steady-state covariance via the Lyapunov equation.
 
 The steady-state covariance matrix V of the linearized dynamics solves
-``A V + V A^T + D = 0``.  The primary solver is the dense Bartels-Stewart
-algorithm on one real Schur form of A (LAPACK ``dtrsyl`` for the solve
-and its refinement pass); an independent Kronecker-vectorized solve and
-a direct time-integration serve as cross-check oracles.  Every algebraic
-solve is refined once, symmetrized and verified against a residual bound
-before being returned.
+``A V + V A^T + D = 0``.  One real Schur form of A (LAPACK ``dgees``,
+memoised on the matrix contents) serves both the stability gate and the
+primary solver, the dense Bartels-Stewart algorithm (LAPACK ``dtrsyl``
+for the solve and its refinement pass); an independent Kronecker-
+vectorized solve and a direct time-integration serve as cross-check
+oracles.  Every algebraic solve is refined once, symmetrized and
+verified against a residual bound before being returned.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,34 @@ def _threshold(drift: np.ndarray) -> float:
     return -STABILITY_EPS * float(np.abs(drift).max() or 1.0)
 
 
+_DGEES = sla.get_lapack_funcs("gees", (np.empty((1, 1)),))
+
+
+@functools.lru_cache(maxsize=1)
+def _schur_of(shape: tuple, data: bytes):
+    drift = np.frombuffer(data).reshape(shape)
+    if not np.isfinite(drift).all():
+        raise SolverError("drift matrix has non-finite entries")
+    schur, _, _, _, basis, _, info = _DGEES(lambda *_: None, drift)  # unsorted
+    if info != 0:
+        raise SolverError(f"Schur decomposition failed (LAPACK dgees info {info})")
+    schur.flags.writeable = False
+    basis.flags.writeable = False
+    return schur, basis
+
+
+def _real_schur(drift: np.ndarray):
+    """Read-only real Schur factors ``(T, U)`` of ``drift = U T U^T``.
+
+    Memoised on the matrix contents, so the gate and the solve of one point
+    share a single factorization; an array mutated in place is factored
+    afresh.  The real parts of all eigenvalues sit on ``diag(T)``.
+    """
+    if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
+        raise ValueError("drift must be a square matrix")
+    return _schur_of(drift.shape, drift.tobytes())
+
+
 def stability_check(drift: np.ndarray) -> StabilityResult:
     """Decide dynamical stability of a real square drift matrix.
 
@@ -52,13 +82,7 @@ def stability_check(drift: np.ndarray) -> StabilityResult:
     report how far from the boundary a point sits.
     """
     drift = np.asarray(drift, dtype=float)
-    if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
-        raise ValueError("drift must be a square matrix")
-    try:
-        eigenvalues = np.linalg.eigvals(drift)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"eigenvalue iteration failed: {exc}") from exc
-    margin = float(eigenvalues.real.max())
+    margin = float(_real_schur(drift)[0].diagonal().max())
     return StabilityResult(stable=margin < _threshold(drift), margin=margin)
 
 
@@ -90,18 +114,16 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
 
     One real Schur form ``A = U T U^T`` serves the stability guard (the
     real parts of all eigenvalues sit on ``diag(T)``) and both triangular
-    Sylvester solves.  The refinement pass matters because the model's
-    rates span five orders of magnitude: without it the backward error of
-    the weakly damped subspace shows up as spurious 1e-9-level
-    correlations between uncoupled modes.
+    Sylvester solves; it is memoised, so a :func:`stability_check` of the
+    same matrix just before has already paid for it.  The refinement pass
+    matters because the model's rates span five orders of magnitude:
+    without it the backward error of the weakly damped subspace shows up
+    as spurious 1e-9-level correlations between uncoupled modes.
     """
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
-    try:
-        schur, basis = sla.schur(drift, output="real")
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Schur decomposition failed: {exc}") from exc
-    _require_stable(drift, float(np.diag(schur).max()), "solve_lyapunov")
+    schur, basis = _real_schur(drift)
+    _require_stable(drift, float(schur.diagonal().max()), "solve_lyapunov")
 
     def solve(rhs):
         # T Y + Y T^T = U^T rhs U, then X = U Y U^T

@@ -105,17 +105,21 @@ def _pair_dets(stack: np.ndarray):
     return _lapack(np.linalg.det, blocks), _lapack(np.linalg.det, stack)
 
 
-def _log_negativities(stack: np.ndarray) -> np.ndarray:
-    blocks, det_all = _pair_dets(stack)
+def _log_negativities(blocks: np.ndarray, det_all: np.ndarray) -> np.ndarray:
+    """Log-negativities from :func:`_pair_dets` of a stack of two-mode covariances."""
     sigma = blocks[:, 0, 0] + blocks[:, 1, 1] - 2.0 * blocks[:, 0, 1]
     disc = sigma * sigma - 4.0 * det_all
+    scale = sigma * sigma + 4.0 * np.abs(det_all)
     # the discriminant vanishes identically for balanced states; only
     # violations beyond rounding scale are physicality errors
-    bad = disc < -ZERO_CLIP * (sigma * sigma + 4.0 * np.abs(det_all))
+    bad = disc < -ZERO_CLIP * scale
     if bad.any():
         raise PhysicalityError("partially transposed symplectic spectrum is complex "
                                f"(sigma^2 - 4 det V = {disc[bad][0]:.3e} < 0)")
-    inner = (sigma - np.sqrt(np.maximum(disc, 0.0))) / 2.0
+    # a rounding-level discriminant is a degenerate spectrum, which is never
+    # entangled; its square root would read as up to ~5e-9 of negativity
+    disc = np.where(disc <= 16.0 * np.finfo(float).eps * scale, 0.0, disc)
+    inner = (sigma - np.sqrt(disc)) / 2.0
     if (inner <= 0.0).any():
         raise PhysicalityError(f"squared symplectic eigenvalue is nonpositive ({inner.min():.3e})")
     return _snap_zero(np.maximum(0.0, -np.log(2.0 * np.sqrt(inner))))
@@ -178,7 +182,8 @@ def _contangle_plan(triples):
 
 # Gather tables of the measure kernel, fixed by the mode order.
 _ALL_PAIR_ROWS = np.array([_quadratures(_mode_indices(pair)) for pair in ALL_PAIRS])
-_INDIRECT_ROWS = np.array([_quadratures(_mode_indices(pair)) for pair in INDIRECT_PAIRS])
+#: Rows of the indirect pairs in the all-pair stack (same mode orientation).
+_INDIRECT_OF_ALL = np.array([ALL_PAIRS.index(pair) for pair in INDIRECT_PAIRS])
 _TRIPLE_KEYS = tuple(_canonical(triple) for triple in DEFAULT_TRIPLES)
 _TRIPLE_PLAN = _contangle_plan([_mode_indices(key) for key in _TRIPLE_KEYS])
 _ONE_TRIPLE = _contangle_plan([(0, 1, 2)])
@@ -212,7 +217,7 @@ def log_negativity(cov4: np.ndarray) -> float:
     ``max(0, -ln(2 eta))``.
     """
     cov4 = _block(cov4, 4, "log_negativity")
-    return float(_log_negativities(cov4[None])[0])
+    return float(_log_negativities(*_pair_dets(cov4[None]))[0])
 
 
 def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
@@ -353,11 +358,13 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
     nu_min = float(symplectic_eigenvalues(cov)[0])
     report = MeasureReport(stable=True, margin=margin, params=params,
                            physical=bool(nu_min >= 0.5 - PHYSICAL_TOL), min_symplectic=nu_min)
+    if "entanglement" in measures or "steering" in measures:
+        blocks, det_all = _pair_dets(_gather(cov, _ALL_PAIR_ROWS))
     if "entanglement" in measures:
-        values = _log_negativities(_gather(cov, _ALL_PAIR_ROWS))
+        values = _log_negativities(blocks, det_all)
         report.pairwise_E = dict(zip(ALL_PAIRS, values.tolist()))
     if "steering" in measures:
-        blocks, det_all = _pair_dets(_gather(cov, _INDIRECT_ROWS))
+        blocks, det_all = blocks[_INDIRECT_OF_ALL], det_all[_INDIRECT_OF_ALL]
         values = _steerings(np.diagonal(blocks, axis1=1, axis2=2), det_all[:, None])
         for (a, b), (a_to_b, b_to_a) in zip(INDIRECT_PAIRS, values.tolist()):
             report.steering.update({(a, b): a_to_b, (b, a): b_to_a})

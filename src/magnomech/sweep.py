@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -58,6 +59,17 @@ class SweepAxis:
     stop: float
     count: int
 
+    def __post_init__(self):
+        if self.name not in SYSTEM_KEYS:
+            raise ConfigError(f"axis parameter {self.name!r} is not a model parameter")
+        count = self.count
+        if (isinstance(count, bool) or not isinstance(count, numbers.Real)
+                or not float(count).is_integer()):
+            raise ConfigError(f"axis {self.name!r} count must be a whole number, got {count!r}")
+        if count < 2:
+            raise ConfigError(f"axis {self.name!r} needs count >= 2")
+        object.__setattr__(self, "count", int(count))
+
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
 
@@ -78,13 +90,10 @@ class SweepSpec:
     coupling_mode: str = "direct"
 
     def __post_init__(self):
-        for axis in filter(None, (self.axis1, self.axis2)):
-            if axis.name not in SYSTEM_KEYS:
-                raise ConfigError(f"axis parameter {axis.name!r} is not a model parameter")
-            if axis.count < 2:
-                raise ConfigError(f"axis {axis.name!r} needs count >= 2")
         if self.axis2 is not None and self.axis2.name == self.axis1.name:
             raise ConfigError("the two sweep axes must address distinct parameters")
+        if not isinstance(self.nonreciprocity, bool):
+            raise ConfigError(f"nonreciprocity must be true or false, got {self.nonreciprocity!r}")
         _check_options(self.measures, self.coupling_mode)
 
 
@@ -134,16 +143,15 @@ def _parse_axis(control: dict, which: str) -> SweepAxis | None:
                 raise ConfigError(f"{which}_{part} given without {which}")
         return None
     try:
-        start = float(control[f"{which}_start"])
-        stop = float(control[f"{which}_stop"])
-        count = float(control[f"{which}_count"])
+        bounds = [float(control[f"{which}_{part}"]) for part in ("start", "stop", "count")]
     except KeyError as exc:
         raise ConfigError(f"{which} needs {which}_start/_stop/_count") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{which} bounds must be numeric") from exc
-    if not count.is_integer():
-        raise ConfigError(f"{which}_count must be a whole number, got {count!r}")
-    return SweepAxis(str(name), start, stop, int(count))
+    try:
+        return SweepAxis(str(name), *bounds)
+    except ConfigError as exc:
+        raise ConfigError(f"{which}: {exc}") from exc
 
 
 def sweep_spec_from_config(config: dict) -> SweepSpec:
@@ -153,9 +161,6 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
     axis2 = _parse_axis(control, "axis2")
     if axis1 is None:
         raise ConfigError("a sweep needs at least axis1")
-    nonreciprocity = control.get("nonreciprocity", False)
-    if not isinstance(nonreciprocity, bool):
-        raise ConfigError(f"nonreciprocity must be true or false, got {nonreciprocity!r}")
     fixed = dict(system)
     fixed.update(drive)
     return SweepSpec(
@@ -163,7 +168,7 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
         axis2=axis2,
         fixed=fixed,
         measures=_parse_measures(control.get("measures")),
-        nonreciprocity=nonreciprocity,
+        nonreciprocity=control.get("nonreciprocity", False),
         coupling_mode=str(control.get("coupling_mode", "direct")),
     )
 
@@ -180,6 +185,7 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     Using ``|G|`` instead (ROADMAP.md, hardening item (c)) would change
     existing sweep outputs.
     """
+    _check_options((), coupling_mode)
     system, drive, _ = split_config(config)
     params = resolve_system_params(system)
     if coupling_mode == "direct":
@@ -218,8 +224,15 @@ def evaluate_point(params: SystemParams, measures=MEASURE_FAMILIES) -> MeasureRe
 
 
 def run_point(config: dict) -> MeasureReport:
-    """Full pipeline for one configuration mapping."""
+    """Full pipeline for one configuration mapping.
+
+    Of the sweep control keys only ``measures`` and ``coupling_mode`` apply
+    to a single point; any other one (an axis, ``nonreciprocity``) is an error.
+    """
     _, _, control = split_config(config)
+    sweep_only = sorted(control.keys() - {"measures", "coupling_mode"})
+    if sweep_only:
+        raise ConfigError(f"sweep keys {sweep_only} do not apply to a single point")
     measures = _parse_measures(control.get("measures"))
     coupling_mode = str(control.get("coupling_mode", "direct"))
     _check_options(measures, coupling_mode)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -62,6 +63,27 @@ class TestSolve:
     def test_oracle_scalar_balance(self):
         cov = solve_lyapunov_oracle(-2.0 * np.eye(4), 3.0 * np.eye(4))
         assert np.allclose(cov, 0.75 * np.eye(4), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_drift_is_solver_error(self, bad):
+        drift = np.full((2, 2), bad)
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_lyapunov(drift, np.eye(2))
+        with pytest.raises(SolverError, match="non-finite"):
+            stability_check(drift)
+
+    def test_dgees_failure_is_solver_error(self, monkeypatch):
+        dgees = lyapunov._DGEES
+
+        def failing(*args, **kwargs):
+            *out, _ = dgees(*args, **kwargs)
+            return (*out, 3)
+
+        monkeypatch.setattr(lyapunov, "_DGEES", failing)
+        lyapunov._schur_of.cache_clear()
+        for call in (stability_check, lambda a: solve_lyapunov(a, np.eye(3))):
+            with pytest.raises(SolverError, match="dgees info 3"):
+                call(-np.eye(3))
 
     def test_unstable_input_is_contract_violation(self):
         a = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -142,18 +164,61 @@ def _two_pass_reference(drift, diffusion):
     return (cov + cov.T) / 2.0
 
 
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Call counts of the spectral routines, with the factorization memo cleared."""
+    calls = {"dgees": 0, "eigvals": 0, "schur": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lyapunov, "_DGEES", counting("dgees", lyapunov._DGEES))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(sla, "schur", counting("schur", sla.schur))
+    lyapunov._schur_of.cache_clear()
+    yield calls
+    lyapunov._schur_of.cache_clear()
+
+
 class TestOneFactorization:
-    def test_one_schur_per_solve(self, baseline, monkeypatch):
-        calls = []
-        schur = lyapunov.sla.schur
+    def test_gate_and_solve_share_one_dgees(self, baseline, lapack_calls):
+        drift = build_drift(baseline)
+        assert stability_check(drift).stable
+        solve_lyapunov(drift, build_diffusion(baseline))
+        assert lapack_calls == {"dgees": 1, "eigvals": 0, "schur": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return schur(*args, **kwargs)
+    def test_unstable_point_runs_one_dgees(self, lapack_calls):
+        drift = np.diag([-1.0, -2.0, 0.5, -3.0])
+        assert not stability_check(drift).stable
+        with pytest.raises(StabilityError):
+            solve_lyapunov(drift, np.eye(4))
+        assert lapack_calls["dgees"] == 1
 
-        monkeypatch.setattr(lyapunov.sla, "schur", counting)
-        solve_lyapunov(build_drift(baseline), build_diffusion(baseline))
-        assert len(calls) == 1
+    def test_sweep_point_runs_one_dgees(self, baseline, lapack_calls):
+        from magnomech.sweep import evaluate_point
+
+        unstable = dataclasses.replace(baseline, delta_c_tilde=-baseline.delta_c_tilde)
+        for params, stable in ((baseline, True), (unstable, False)):
+            before = lapack_calls["dgees"]
+            assert evaluate_point(params, ()).stable is stable
+            assert lapack_calls["dgees"] == before + 1
+
+    def test_in_place_mutation_gives_fresh_factors(self, lapack_calls):
+        drift = -np.eye(4)
+        assert stability_check(drift).margin == -1.0
+        drift[2, 2] = 0.5
+        assert stability_check(drift).margin == 0.5
+        with pytest.raises(StabilityError):
+            solve_lyapunov(drift, np.eye(4))
+        assert lapack_calls["dgees"] == 2
+
+    def test_factors_are_read_only(self):
+        for factor in lyapunov._real_schur(-np.eye(3)):
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0
 
     def test_matches_two_pass_scipy_solve_and_oracle(self, baseline, rng):
         systems = [(build_drift(baseline), build_diffusion(baseline))]

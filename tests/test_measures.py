@@ -69,6 +69,17 @@ class TestLogNegativity:
     def test_two_mode_squeezed_family(self, r):
         assert log_negativity(tmsv_covariance(r)) == pytest.approx(2 * r, abs=1e-10)
 
+    def test_rounding_noise_on_vacuum_is_not_entanglement(self, rng):
+        # an uncorrelated pair has a degenerate partially transposed spectrum;
+        # rounding-level entry noise must not read as negativity
+        for _ in range(2000):
+            noise = rng.normal(scale=1e-17, size=(4, 4))
+            assert log_negativity(0.5 * np.eye(4) + (noise + noise.T) / 2) == 0.0
+        noise = rng.normal(scale=1e-17, size=(10, 10))
+        report = evaluate_measures(0.5 * np.eye(10) + (noise + noise.T) / 2, None, -1.0,
+                                   ("entanglement",))
+        assert set(report.pairwise_E.values()) == {0.0}
+
     def test_squeezing_half_gives_unity(self):
         assert log_negativity(tmsv_covariance(0.5)) == pytest.approx(1.0, abs=1e-12)
 

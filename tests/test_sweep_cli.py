@@ -24,6 +24,7 @@ from magnomech import (
     sweep_spec_from_config,
 )
 from magnomech.cli import main as cli_main
+from magnomech.sweep import resolve_point
 from magnomech.params import BASELINE_CONFIG, DRIVE_KEYS, SYSTEM_KEYS, TWO_PI, echo_config
 
 RESOLVERS = ((resolve_system_params, SYSTEM_KEYS), (resolve_drive_params, DRIVE_KEYS))
@@ -83,6 +84,21 @@ class TestConfigParsing:
         text = f"axis1 = temperature\naxis1_start = 0\naxis1_stop = 1\naxis1_count = {value}\n"
         with pytest.raises(ConfigError, match="axis1"):
             sweep_spec_from_config(parse_config(text))
+
+    @pytest.mark.parametrize("count", [2.5, math.inf, math.nan, True, "3"])
+    def test_direct_axis_count_must_be_whole(self, count):
+        with pytest.raises(ConfigError, match="count"):
+            SweepAxis("temperature", 0, 1, count)
+
+    def test_whole_float_count_becomes_an_int(self):
+        axis = SweepAxis("temperature", 0, 1, 3.0)
+        assert axis.count == 3 and type(axis.count) is int
+        assert len(run_sweep(SweepSpec(axis, measures=())).rows) == 3
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_direct_spec_nonreciprocity_needs_a_boolean(self, value):
+        with pytest.raises(ConfigError, match="nonreciprocity"):
+            SweepSpec(SweepAxis("temperature", 0, 1, 2), nonreciprocity=value)
 
     @pytest.mark.parametrize("value", ["no", "off", "yes", "1"])
     def test_nonreciprocity_needs_a_boolean(self, value):
@@ -163,6 +179,20 @@ class TestRunPoint:
     def test_unknown_coupling_mode_rejected(self, mode):
         with pytest.raises(ConfigError, match="coupling_mode"):
             run_point({"coupling_mode": mode})
+        with pytest.raises(ConfigError, match="coupling_mode"):
+            resolve_point({}, mode)
+
+    @pytest.mark.parametrize("key, value", [
+        ("axis1", "temperature"), ("axis1_count", 3.0), ("axis2_start", 0.0),
+        ("nonreciprocity", True),
+    ])
+    def test_sweep_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            run_point({key: value})
+
+    def test_point_control_keys_accepted(self):
+        report = run_point({"measures": "entanglement", "coupling_mode": "direct"})
+        assert report.stable and report.pairwise_E
 
 
 PLAIN_HEADER = [
@@ -452,6 +482,11 @@ class TestCli:
         cfg.write_text("coupling_mode = meanfeld\n")
         assert cli_main(["point", "--config", str(cfg)]) == 1
         assert "coupling_mode" in capsys.readouterr().err
+
+    def test_point_on_a_sweep_config_exit_code(self, capsys):
+        cfg = TestShippedConfigs.CONFIG_DIR / "detuning_sweep.cfg"
+        assert cli_main(["point", "--config", str(cfg)]) == 1
+        assert "axis1" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["point", "--config", str(tmp_path / "nope.cfg")]) == 1
