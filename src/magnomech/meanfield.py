@@ -149,6 +149,14 @@ def solve_self_consistent(
     largest relative amplitude change drops below ``CONVERGENCE_TOL``;
     the returned record carries the converged detunings and the number
     of refinement evaluations in ``iterations``.
+
+    After ``MAX_ITERATIONS`` steps without convergence it raises
+    :class:`ConvergenceError` with the last relative change as
+    ``residual``.  An orbit whose displacement pair repeats an earlier
+    one exactly is periodic, so none of its later steps can converge:
+    the iteration then stops once it has tested one more full period,
+    on a step whose change equals the one at ``MAX_ITERATIONS``, and
+    raises the same error with the same residual.
     """
     _, fb_shift, _ = feedback_rates(params.gamma_c, params.reflectivity, params.theta)
     delta_m0 = params.delta_m_tilde + params.barnett_shift
@@ -161,6 +169,11 @@ def solve_self_consistent(
     x1 += DAMPING * (b1.real - x1)
     x2 += DAMPING * (b2.real - x2)
     change = math.inf
+    # Brent's cycle detection on (x1, x2), which alone fixes every later
+    # step: the pair held after iteration ``saved_at`` (0, 1, 2, 4, ...) is
+    # kept.  x never becomes -0.0 (a sum is -0.0 only if both terms are),
+    # so == here means bit-identical.
+    saved1, saved2, saved_at, next_save, stop = x1, x2, 0, 1, MAX_ITERATIONS
     for iteration in range(1, MAX_ITERATIONS + 1):
         delta_m = delta_m0 + shift_m * x1
         delta_c = delta_c0 - shift_c * x2
@@ -170,9 +183,19 @@ def solve_self_consistent(
                      abs(b11 - b1) / (abs(b1) + eps), abs(b21 - b2) / (abs(b2) + eps))
         if change < CONVERGENCE_TOL:
             return _record(drives, new, delta_m, delta_c, iteration)
+        if iteration == stop:
+            break
         m, c, b1, b2, m_abs, c_abs = new
         x1 += DAMPING * (b1.real - x1)
         x2 += DAMPING * (b2.real - x2)
+        if x1 == saved1 and x2 == saved2:
+            # the orbit repeats with this period from here on, and so does
+            # every later change: test one more full period, then stop on
+            # the step whose change equals the one at MAX_ITERATIONS
+            period = iteration - saved_at
+            stop = min(stop, iteration + period + (MAX_ITERATIONS - iteration) % period)
+        elif iteration == next_save:
+            saved1, saved2, saved_at, next_save = x1, x2, iteration, 2 * iteration
     raise ConvergenceError(
         f"mean-field iteration did not converge in {MAX_ITERATIONS} steps "
         f"(last relative change {change:.3e})",

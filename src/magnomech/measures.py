@@ -102,7 +102,10 @@ def _snap_zero(values: np.ndarray) -> np.ndarray:
 def _pair_dets(stack: np.ndarray):
     """Determinants of the 2x2 blocks, shape (k, 2, 2), and of each 4x4 matrix."""
     blocks = stack.reshape(len(stack), 2, 2, 2, 2).swapaxes(2, 3)
-    return _lapack(np.linalg.det, blocks), _lapack(np.linalg.det, stack)
+    # numpy's det warns of a division by zero on blocks of subnormal entries,
+    # whose determinant underflows; the 0.0 it returns is correctly rounded
+    with np.errstate(divide="ignore"):
+        return _lapack(np.linalg.det, blocks), _lapack(np.linalg.det, stack)
 
 
 def _log_negativities(blocks: np.ndarray, det_all: np.ndarray) -> np.ndarray:

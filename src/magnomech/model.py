@@ -33,16 +33,18 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
     """Mean thermal occupation of a mode at angular frequency ``omega``.
 
     Evaluates the Bose factor 1/(exp(hbar*omega/kB*T) - 1).  Returns
-    exactly 0 at zero temperature and underflows to 0 once the exponent
-    exceeds ~700 (where the occupation is below 1e-300 anyway).
+    exactly 0 at zero temperature (or one so small that kB*T underflows)
+    and underflows to 0 once the exponent exceeds ~700 (where the
+    occupation is below 1e-300 anyway).
     """
     if omega <= 0:
         raise DomainError("omega must be > 0")
     if temperature < 0:
         raise DomainError("temperature must be >= 0")
-    if temperature == 0.0:
+    thermal_energy = k_B * temperature
+    if thermal_energy == 0.0:
         return 0.0
-    x = hbar * omega / (k_B * temperature)
+    x = hbar * omega / thermal_energy
     if x > 700.0:
         return 0.0
     return 1.0 / math.expm1(x)

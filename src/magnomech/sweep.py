@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -50,6 +51,15 @@ _SWEEP_ONLY_KEYS = {
 }
 
 
+def _finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     """One linearly spaced sweep axis over a named parameter."""
@@ -62,9 +72,12 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in SYSTEM_KEYS:
             raise ConfigError(f"axis parameter {self.name!r} is not a model parameter")
+        for bound in ("start", "stop"):
+            value = getattr(self, bound)
+            if not _finite_real(value):
+                raise ConfigError(f"axis {self.name!r} {bound} must be a finite number, got {value!r}")
         count = self.count
-        if (isinstance(count, bool) or not isinstance(count, numbers.Real)
-                or not float(count).is_integer()):
+        if not _finite_real(count) or not float(count).is_integer():
             raise ConfigError(f"axis {self.name!r} count must be a whole number, got {count!r}")
         if count < 2:
             raise ConfigError(f"axis {self.name!r} needs count >= 2")
@@ -95,6 +108,10 @@ class SweepSpec:
         if not isinstance(self.nonreciprocity, bool):
             raise ConfigError(f"nonreciprocity must be true or false, got {self.nonreciprocity!r}")
         _check_options(self.measures, self.coupling_mode)
+        # fixed values are checked per point, so a bad one gives error rows
+        unknown = [key for key in self.fixed if key not in SYSTEM_KEYS and key not in DRIVE_KEYS]
+        if unknown:
+            raise ConfigError(f"fixed keys {unknown} are not model or drive parameters")
 
 
 @dataclass
@@ -182,8 +199,8 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     couplings enter the drift matrix.  The dropped imaginary parts are
     not negligible: on ``configs/meanfield_point.cfg``
     ``|Im G_m / Re G_m|`` is 5.0% and ``|Im G_c / Re G_c|`` is 5.4%.
-    Using ``|G|`` instead (ROADMAP.md, hardening item (c)) would change
-    existing sweep outputs.
+    Using ``|G|`` instead (ROADMAP.md item 2) would change existing
+    sweep outputs.
     """
     _check_options((), coupling_mode)
     system, drive, _ = split_config(config)

@@ -3,6 +3,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from magnomech import (
@@ -17,12 +18,19 @@ from magnomech import (
     run_point,
     solve_self_consistent,
 )
+from magnomech import meanfield
 from magnomech.meanfield import CONVERGENCE_TOL, DAMPING, MAX_ITERATIONS, SteadyAmplitudes
 from magnomech.model import feedback_rates
 from magnomech.params import TWO_PI, load_config, resolve_drive_params
 from magnomech.sweep import split_config
 
 MEANFIELD_POINT = Path(__file__).parent.parent / "configs" / "meanfield_point.cfg"
+
+#: Detunings (delta_m_tilde, delta_c_tilde) in Hz at which the iteration on
+#: the drive of configs/meanfield_point.cfg settles into an exact period-2
+#: orbit, and at which its orbit never repeats within MAX_ITERATIONS.
+CYCLING = (-40.3e6, 3351666.6666666665)
+NON_REPEATING = (-40.3e6, 5027500.0)
 
 
 def _baseline_detunings(params):
@@ -272,23 +280,27 @@ def _outcome(solve, *args):
         return type(exc), str(exc), getattr(exc, "residual", None)
 
 
-def _meanfield_cases():
-    """A seeded draw over the detuning plane of configs/meanfield_point.cfg,
-    plus the no-back-action, zero-drive and singular-optics cases."""
+def _meanfield_point(delta_m_tilde, delta_c_tilde):
+    """``(params, drives)`` of configs/meanfield_point.cfg at the given detunings (Hz)."""
     config = load_config(MEANFIELD_POINT)
     config.pop("coupling_mode")
     system, drive, _ = split_config(config)
     drives = resolve_drive_params(drive)
+    params = resolve_system_params(
+        {**system, "delta_m_tilde": delta_m_tilde, "delta_c_tilde": delta_c_tilde}
+    )
+    rabi, laser_coupling, _ = drive_conversions(drives, params.gamma_c)
+    return params, dataclasses.replace(drives, rabi=rabi, laser_coupling=laser_coupling)
+
+
+def _meanfield_cases():
+    """A seeded draw over the detuning plane of configs/meanfield_point.cfg,
+    the cycling and non-repeating points, and the no-back-action,
+    zero-drive and singular-optics cases."""
     rng = random.Random(0)
-    cases = []
-    for _ in range(12):
-        params = resolve_system_params({
-            **system,
-            "delta_m_tilde": rng.uniform(-40.3e6, 0.0),
-            "delta_c_tilde": rng.uniform(0.0, 40.22e6),
-        })
-        rabi, laser_coupling, _ = drive_conversions(drives, params.gamma_c)
-        cases.append((params, dataclasses.replace(drives, rabi=rabi, laser_coupling=laser_coupling)))
+    cases = [_meanfield_point(rng.uniform(-40.3e6, 0.0), rng.uniform(0.0, 40.22e6))
+             for _ in range(12)]
+    cases += [_meanfield_point(*CYCLING), _meanfield_point(*NON_REPEATING)]
     baseline = resolve_system_params({})
     cases.append((baseline, DriveParams(rabi=cases[0][1].rabi, laser_coupling=cases[0][1].laser_coupling)))
     cases.append((baseline, DriveParams(bare_D_mb1=1.0, bare_D_cb2=1.0)))
@@ -313,3 +325,54 @@ def test_iteration_is_bit_identical_to_the_longhand_reference():
     assert max(iterations) > 1 and 1 in iterations
     kinds = {o[0] for o in outcomes if isinstance(o, tuple)}
     assert kinds == {ConvergenceError, SingularPointError}
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The detunings of every amplitude step the solver evaluates."""
+    calls = []
+    amplitude_map = meanfield._amplitude_map
+
+    def counting_map(params, drives):
+        step = amplitude_map(params, drives)
+
+        def counted(*detunings):
+            calls.append(detunings)
+            return step(*detunings)
+
+        return counted
+
+    monkeypatch.setattr(meanfield, "_amplitude_map", counting_map)
+    return calls
+
+
+def test_iteration_stops_once_its_orbit_repeats(step_calls):
+    with pytest.raises(ConvergenceError):
+        solve_self_consistent(*_meanfield_point(*CYCLING))
+    assert len(step_calls) < 100
+    assert step_calls[-1] == step_calls[-3] != step_calls[-2]
+    step_calls.clear()
+    with pytest.raises(ConvergenceError):
+        solve_self_consistent(*_meanfield_point(*NON_REPEATING))
+    assert len(step_calls) == MAX_ITERATIONS + 1
+
+
+def test_detuning_plane_outcomes_match_the_longhand_reference(step_calls):
+    # a seeded 10x10 sub-grid of the 25x25 plane of the meanfield-detuning
+    # benchmark workload, which holds all three kinds of outcome
+    rng = random.Random(0)
+    grid_m = np.linspace(-40.3e6, 0.0, 25)
+    grid_c = np.linspace(0.0, 40.22e6, 25)
+    rows, columns = sorted(rng.sample(range(25), 10)), sorted(rng.sample(range(25), 10))
+    kinds = set()
+    for i in rows:
+        for j in columns:
+            params, drives = _meanfield_point(float(grid_m[i]), float(grid_c[j]))
+            step_calls.clear()
+            got = _outcome(solve_self_consistent, params, drives)
+            assert repr(got) == repr(_outcome(_reference_solve, params, drives))
+            if isinstance(got, SteadyAmplitudes):
+                kinds.add("converged")
+            else:
+                kinds.add("non-repeating" if len(step_calls) > MAX_ITERATIONS else "cycling")
+    assert kinds == {"converged", "cycling", "non-repeating"}

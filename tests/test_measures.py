@@ -80,6 +80,14 @@ class TestLogNegativity:
                                    ("entanglement",))
         assert set(report.pairwise_E.values()) == {0.0}
 
+    def test_subnormal_cross_correlations_read_as_zero_without_warning(self):
+        # the cross block's determinant underflows; numpy reports that as a
+        # division by zero, which the test configuration turns into an error
+        cov = 0.5 * np.eye(4)
+        cov[0, 3] = cov[3, 0] = cov[1, 2] = cov[2, 1] = 5e-324
+        assert log_negativity(cov) == 0.0
+        assert gaussian_steering(cov) == 0.0
+
     def test_squeezing_half_gives_unity(self):
         assert log_negativity(tmsv_covariance(0.5)) == pytest.approx(1.0, abs=1e-12)
 

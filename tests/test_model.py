@@ -34,6 +34,11 @@ class TestThermalOccupancy:
     def test_zero_temperature_is_exact_zero(self):
         assert thermal_occupancy(TWO_PI * 1e6, 0.0) == 0.0
 
+    @pytest.mark.parametrize("temperature", [5e-324, 1e-310])
+    def test_subnormal_temperature_is_exact_zero(self, temperature):
+        # kB*T underflows to 0 here; the occupation must not divide by it
+        assert thermal_occupancy(TWO_PI * 1e6, temperature) == 0.0
+
     def test_no_overflow_at_huge_exponent(self):
         # hbar*omega/kB*T around 1e6: must underflow to 0, not raise
         assert thermal_occupancy(2 * math.pi * 200e12, 0.010) == 0.0

@@ -85,10 +85,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="axis1"):
             sweep_spec_from_config(parse_config(text))
 
-    @pytest.mark.parametrize("count", [2.5, math.inf, math.nan, True, "3"])
+    @pytest.mark.parametrize("count", [2.5, math.inf, math.nan, True, "3", 10**400])
     def test_direct_axis_count_must_be_whole(self, count):
         with pytest.raises(ConfigError, match="count"):
             SweepAxis("temperature", 0, 1, count)
+
+    @pytest.mark.parametrize("bound", ["abc", None, True, math.nan, math.inf, -math.inf, 10**400])
+    def test_direct_axis_bounds_must_be_finite_numbers(self, bound):
+        with pytest.raises(ConfigError, match="start"):
+            SweepAxis("temperature", bound, 1, 3)
+        with pytest.raises(ConfigError, match="stop"):
+            SweepAxis("temperature", 0, bound, 3)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_axis_bounds_must_be_finite(self, value):
+        text = f"axis1 = temperature\naxis1_start = 0\naxis1_stop = {value}\naxis1_count = 3\n"
+        with pytest.raises(ConfigError, match="axis1"):
+            sweep_spec_from_config(parse_config(text))
+
+    @pytest.mark.parametrize("key", ["bogus", "axis1", "measures", "coupling_mode"])
+    def test_fixed_keys_must_be_model_or_drive_parameters(self, key):
+        with pytest.raises(ConfigError, match=key):
+            SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed={key: 1})
 
     def test_whole_float_count_becomes_an_int(self):
         axis = SweepAxis("temperature", 0, 1, 3.0)
