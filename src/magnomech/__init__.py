@@ -52,7 +52,6 @@ from .model import (
     build_diffusion,
     build_drift,
     drive_conversions,
-    feedback_rates,
     thermal_occupancy,
 )
 from .params import (
@@ -113,7 +112,6 @@ __all__ = [
     "emit",
     "evaluate_measures",
     "evaluate_point",
-    "feedback_rates",
     "gaussian_steering",
     "get_preset",
     "integrate_lyapunov",

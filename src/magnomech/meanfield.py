@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, SingularPointError
-from .model import feedback_rates
 from .params import DriveParams, SystemParams
 
 _SQRT2 = math.sqrt(2.0)
@@ -59,7 +58,6 @@ def _amplitude_map(params: SystemParams, drives: DriveParams):
     in full bit for bit.
     """
     p, d = params, drives
-    gamma_c_fb, _, _ = feedback_rates(p.gamma_c, p.reflectivity, p.theta)
     den_a = 1j * p.delta_a + p.gamma_a
     if den_a == 0:
         raise SingularPointError("microwave response (i*delta_a + gamma_a) vanishes")
@@ -68,7 +66,8 @@ def _amplitude_map(params: SystemParams, drives: DriveParams):
     z1 = 1j * p.gamma_b1 - p.omega_b1
     z2 = 1j * p.gamma_b2 - p.omega_b2
     den_b = p.D_b1b2**2 - z1 * z2
-    rabi, gamma_m, d_b1b2, d_mb1, d_cb2 = d.rabi, p.gamma_m, p.D_b1b2, d.bare_D_mb1, d.bare_D_cb2
+    rabi, gamma_m, gamma_c_fb = d.rabi, p.gamma_m, p.gamma_c_fb
+    d_b1b2, d_mb1, d_cb2 = p.D_b1b2, d.bare_D_mb1, d.bare_D_cb2
 
     def step(delta_m_eff: float, delta_c_eff: float):
         den_m = (1j * delta_m_eff + gamma_m) + microwave_load
@@ -158,9 +157,8 @@ def solve_self_consistent(
     on a step whose change equals the one at ``MAX_ITERATIONS``, and
     raises the same error with the same residual.
     """
-    _, fb_shift, _ = feedback_rates(params.gamma_c, params.reflectivity, params.theta)
     delta_m0 = params.delta_m_tilde + params.barnett_shift
-    delta_c0 = params.delta_c_tilde + fb_shift
+    delta_c0 = params.delta_c_tilde + params.fb_shift
     step = _amplitude_map(params, drives)
     shift_m, shift_c = 2.0 * drives.bare_D_mb1, 2.0 * drives.bare_D_cb2
     eps = 1e-30

@@ -9,7 +9,7 @@ normalization puts the vacuum variance at 1/2.
 
 from __future__ import annotations
 
-import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -50,40 +50,19 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def feedback_rates(gamma_c: float, reflectivity: float, theta: float):
-    """Feedback-modified optical rates.
-
-    Returns ``(gamma_c_fb, detuning_shift, noise_factor)``: the effective
-    optical damping gamma_c*(1 - 2*L*cos(theta)), the detuning shift
-    2*gamma_c*L*sin(theta), and the input-noise scale
-    psi^2*|1 - L*exp(i*theta)|^2 with psi^2 = 1 - L^2.
-
-    A negative effective damping is returned as-is; whether the operating
-    point is usable is decided later by the stability gate.
-    """
-    if not 0.0 <= reflectivity < 1.0:
-        raise DomainError("reflectivity must lie in [0, 1)")
-    gamma_fb = gamma_c * (1.0 - 2.0 * reflectivity * math.cos(theta))
-    shift = 2.0 * gamma_c * reflectivity * math.sin(theta)
-    psi_sq = 1.0 - reflectivity**2
-    loop = 1.0 - reflectivity * cmath.exp(1j * theta)
-    noise_factor = psi_sq * (loop.real**2 + loop.imag**2)
-    return gamma_fb, shift, noise_factor
-
-
 def build_drift(params: SystemParams) -> np.ndarray:
     """Assemble the 10x10 drift matrix of the quadrature fluctuations.
 
     The magnon detuning entry is delta_m_tilde + barnett_shift; the
-    optical entries use the feedback-modified damping and detuning from
-    :func:`feedback_rates`.  All couplings enter as beam-splitter or
-    two-mode-squeezing blocks between the (X, Y) pairs; entries not set
-    below are zero.
+    optical entries use the feedback-modified damping ``gamma_c_fb`` and
+    detuning shift ``fb_shift`` of :class:`SystemParams`.  All couplings
+    enter as beam-splitter or two-mode-squeezing blocks between the (X, Y)
+    pairs; entries not set below are zero.
     """
     p = params
     d_m = p.delta_m_tilde + p.barnett_shift
-    gamma_c_fb, shift, _ = feedback_rates(p.gamma_c, p.reflectivity, p.theta)
-    d_c = p.delta_c_tilde + shift
+    gamma_c_fb = p.gamma_c_fb
+    d_c = p.delta_c_tilde + p.fb_shift
 
     a = np.zeros((2 * N_MODES, 2 * N_MODES))
     # mechanical mode b1
@@ -134,7 +113,6 @@ def build_diffusion(params: SystemParams) -> np.ndarray:
     optical entries additionally carry the feedback noise factor.
     """
     p = params
-    _, _, noise_factor = feedback_rates(p.gamma_c, p.reflectivity, p.theta)
     occupations = (
         thermal_occupancy(p.omega_b1, p.temperature),
         thermal_occupancy(p.omega_b2, p.temperature),
@@ -142,39 +120,35 @@ def build_diffusion(params: SystemParams) -> np.ndarray:
         thermal_occupancy(p.omega_c, p.temperature),
         thermal_occupancy(p.omega_a, p.temperature),
     )
-    rates = (p.gamma_b1, p.gamma_b2, p.gamma_m, p.gamma_c * noise_factor, p.gamma_a)
+    rates = (p.gamma_b1, p.gamma_b2, p.gamma_m, p.gamma_c * p.fb_noise_factor, p.gamma_a)
     diag = np.empty(2 * N_MODES)
     for i, (gamma, nbar) in enumerate(zip(rates, occupations)):
         diag[2 * i] = diag[2 * i + 1] = gamma * (2.0 * nbar + 1.0)
     return np.diag(diag)
 
 
-def drive_conversions(drives: DriveParams, gamma_c: float):
-    """Derive the drive amplitudes from laboratory quantities.
+def drive_conversions(drives: DriveParams, gamma_c: float) -> DriveParams:
+    """``drives`` with its amplitudes ``rabi`` and ``laser_coupling`` completed.
 
-    Returns ``(rabi, laser_coupling, drive_field)`` where the drive
-    magnetic field is (1/R)*sqrt(2*P0*mu0/(pi*c)), the magnon Rabi rate
-    is (sqrt(5)/4)*gyro*sqrt(N)*H_d, and the optical drive amplitude is
-    sqrt(2*gamma_c*P_L/(hbar*omega_laser)).  ``gamma_c`` is the optical
-    damping from :class:`SystemParams` (the optical amplitude depends on
-    the cavity linewidth, not on any drive-side quantity).
-
-    ``sphere_radius`` is needed only when the Rabi rate has to come from
-    ``drive_power`` (no ``rabi`` and no ``drive_field`` given); without
-    it the returned ``drive_field`` is 0.
+    Each amplitude that is 0 is derived from the laboratory quantities when
+    one is given; one given directly is kept.  The Rabi rate is
+    (sqrt(5)/4)*gyro*sqrt(N)*H_d, with H_d a positive ``drive_field`` or
+    else the field (1/R)*sqrt(2*P0*mu0/(pi*c)) of ``drive_power``: the one
+    conversion that needs ``sphere_radius``.  The optical amplitude is
+    sqrt(2*gamma_c*P_L/(hbar*omega_laser)), with ``gamma_c`` the optical
+    damping of :class:`SystemParams`.
     """
     d = drives
-    if d.rabi == 0 and d.drive_field <= 0 and d.sphere_radius <= 0:
-        raise DomainError("sphere_radius must be > 0")
-    drive_field = 0.0
-    if d.sphere_radius > 0:
-        drive_field = math.sqrt(2.0 * d.drive_power * mu_0 / (math.pi * c_light)) / d.sphere_radius
-    field = d.drive_field if d.drive_field > 0 else drive_field
-    rabi = (math.sqrt(5.0) / 4.0) * d.gyromagnetic_ratio * math.sqrt(d.spin_count) * field
-    if d.laser_power > 0:
+    rabi, laser_coupling = d.rabi, d.laser_coupling
+    if rabi == 0 and (d.drive_field > 0 or d.drive_power > 0):
+        field = d.drive_field
+        if field <= 0:
+            if d.sphere_radius <= 0:
+                raise DomainError("sphere_radius must be > 0 to convert drive_power")
+            field = math.sqrt(2.0 * d.drive_power * mu_0 / (math.pi * c_light)) / d.sphere_radius
+        rabi = (math.sqrt(5.0) / 4.0) * d.gyromagnetic_ratio * math.sqrt(d.spin_count) * field
+    if laser_coupling == 0 and d.laser_power > 0:
         if d.drive_freq_2 <= 0:
             raise DomainError("drive_freq_2 must be > 0 when laser_power > 0")
         laser_coupling = math.sqrt(2.0 * gamma_c * d.laser_power / (hbar * d.drive_freq_2))
-    else:
-        laser_coupling = 0.0
-    return rabi, laser_coupling, drive_field
+    return dataclasses.replace(d, rabi=rabi, laser_coupling=laser_coupling)

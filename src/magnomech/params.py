@@ -15,7 +15,9 @@ point (see :data:`BASELINE_CONFIG`).
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from scipy.constants import c as SPEED_OF_LIGHT
@@ -95,6 +97,23 @@ class SystemParams:
         return math.sqrt(self.psi_sq)
 
     @property
+    def gamma_c_fb(self) -> float:
+        """Feedback-modified optical damping gamma_c*(1 - 2*L*cos(theta)); a
+        negative value is left for the stability gate to judge."""
+        return self.gamma_c * (1.0 - 2.0 * self.reflectivity * math.cos(self.theta))
+
+    @property
+    def fb_shift(self) -> float:
+        """Feedback shift of the optical detuning, 2*gamma_c*L*sin(theta)."""
+        return 2.0 * self.gamma_c * self.reflectivity * math.sin(self.theta)
+
+    @property
+    def fb_noise_factor(self) -> float:
+        """Feedback scale of the optical input noise, psi^2*|1 - L*exp(i*theta)|^2."""
+        loop = 1.0 - self.reflectivity * cmath.exp(1j * self.theta)
+        return self.psi_sq * (loop.real**2 + loop.imag**2)
+
+    @property
     def omega_c(self) -> float:
         """Optical resonance angular frequency fixed by lambda_c (rad/s)."""
         return TWO_PI * SPEED_OF_LIGHT / self.lambda_c
@@ -137,20 +156,32 @@ BASELINE_CONFIG = {f.name: f.metadata["baseline"] for f in fields(SystemParams)
                    if f.metadata["baseline"] is not None}
 
 
+def finite_number(value, unit: str) -> float | None:
+    """The one numeric rule for config values and sweep bounds.
+
+    Returns ``value`` as a float in internal units (an ``hz`` value times
+    2pi), or None unless it is a real number (numpy scalars included) that
+    is not a bool and is finite after that conversion.
+    """
+    # float and int come before the ABC, whose isinstance check is slow
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        return None
+    try:
+        number = TWO_PI * float(value) if unit == "hz" else float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _validated(config: dict, units: dict, what: str) -> dict:
     """Check keys and values of a config mapping and convert ``hz`` keys to rad/s."""
     out = {}
     for key, value in config.items():
         if key not in units:
             raise ConfigError(f"unknown {what} {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{what} {key!r} needs a numeric value, got {value!r}")
-        try:
-            number = TWO_PI * value if units[key] == "hz" else float(value)
-        except OverflowError:  # an int beyond the float range
-            number = math.inf
-        if not math.isfinite(number):
-            raise ConfigError(f"{what} {key!r} must be finite, got {value!r}")
+        number = finite_number(value, units[key])
+        if number is None:
+            raise ConfigError(f"{what} {key!r} must be a finite number, got {value!r}")
         out[key] = number
     return out
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -30,16 +28,12 @@ from .errors import (
 from .lyapunov import solve_lyapunov, stability_check
 from .measures import MEASURE_FAMILIES, MeasureReport, contrast_ratio, evaluate_measures
 from .meanfield import solve_self_consistent
-from .model import (
-    build_diffusion,
-    build_drift,
-    drive_conversions,
-    feedback_rates,
-)
+from .model import build_diffusion, build_drift, drive_conversions
 from .params import (
     DRIVE_KEYS,
     SYSTEM_KEYS,
     SystemParams,
+    finite_number,
     resolve_drive_params,
     resolve_system_params,
 )
@@ -51,18 +45,9 @@ _SWEEP_ONLY_KEYS = {
 }
 
 
-def _finite_real(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 @dataclass(frozen=True)
 class SweepAxis:
-    """One linearly spaced sweep axis over a named parameter."""
+    """One linearly spaced sweep axis over a named parameter; bounds are floats in file units."""
 
     name: str
     start: float
@@ -74,10 +59,11 @@ class SweepAxis:
             raise ConfigError(f"axis parameter {self.name!r} is not a model parameter")
         for bound in ("start", "stop"):
             value = getattr(self, bound)
-            if not _finite_real(value):
+            if finite_number(value, SYSTEM_KEYS[self.name]) is None:
                 raise ConfigError(f"axis {self.name!r} {bound} must be a finite number, got {value!r}")
+            object.__setattr__(self, bound, float(value))
         count = self.count
-        if not _finite_real(count) or not float(count).is_integer():
+        if finite_number(count, "") is None or not float(count).is_integer():
             raise ConfigError(f"axis {self.name!r} count must be a whole number, got {count!r}")
         if count < 2:
             raise ConfigError(f"axis {self.name!r} needs count >= 2")
@@ -91,9 +77,14 @@ class SweepAxis:
         return f"{self.name}_{unit}" if unit else self.name
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
-    """A full sweep: axes, fixed overrides and evaluation options."""
+    """A full sweep: axes, fixed overrides and evaluation options.
+
+    ``fixed`` keys must be model parameters, or drive parameters when
+    ``coupling_mode`` is ``meanfield``; its values are checked per point.
+    The spec keeps its own copy of ``fixed``.
+    """
 
     axis1: SweepAxis
     axis2: SweepAxis | None = None
@@ -103,15 +94,18 @@ class SweepSpec:
     coupling_mode: str = "direct"
 
     def __post_init__(self):
+        if not isinstance(self.axis1, SweepAxis) or not isinstance(self.axis2, (SweepAxis, type(None))):
+            raise ConfigError("a sweep needs a SweepAxis as axis1 and, optionally, as axis2")
         if self.axis2 is not None and self.axis2.name == self.axis1.name:
             raise ConfigError("the two sweep axes must address distinct parameters")
         if not isinstance(self.nonreciprocity, bool):
             raise ConfigError(f"nonreciprocity must be true or false, got {self.nonreciprocity!r}")
         _check_options(self.measures, self.coupling_mode)
-        # fixed values are checked per point, so a bad one gives error rows
         unknown = [key for key in self.fixed if key not in SYSTEM_KEYS and key not in DRIVE_KEYS]
         if unknown:
             raise ConfigError(f"fixed keys {unknown} are not model or drive parameters")
+        _check_drive_keys(self.fixed.keys() & DRIVE_KEYS.keys(), self.coupling_mode)
+        object.__setattr__(self, "fixed", dict(self.fixed))
 
 
 @dataclass
@@ -138,11 +132,18 @@ def split_config(config: dict):
 
 
 def _check_options(measures, coupling_mode) -> None:
+    if not isinstance(measures, (tuple, list)):
+        raise ConfigError(f"measures must be a tuple of family names, got {measures!r}")
     for name in measures:
         if name not in MEASURE_FAMILIES:
             raise ConfigError(f"unknown measure family {name!r}")
     if coupling_mode not in ("direct", "meanfield"):
         raise ConfigError("coupling_mode must be 'direct' or 'meanfield'")
+
+
+def _check_drive_keys(drive_keys, coupling_mode) -> None:
+    if drive_keys and coupling_mode == "direct":
+        raise ConfigError(f"drive keys {sorted(drive_keys)} need coupling_mode = meanfield")
 
 
 def _parse_measures(raw) -> tuple:
@@ -160,11 +161,9 @@ def _parse_axis(control: dict, which: str) -> SweepAxis | None:
                 raise ConfigError(f"{which}_{part} given without {which}")
         return None
     try:
-        bounds = [float(control[f"{which}_{part}"]) for part in ("start", "stop", "count")]
+        bounds = [control[f"{which}_{part}"] for part in ("start", "stop", "count")]
     except KeyError as exc:
         raise ConfigError(f"{which} needs {which}_start/_stop/_count") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{which} bounds must be numeric") from exc
     try:
         return SweepAxis(str(name), *bounds)
     except ConfigError as exc:
@@ -174,15 +173,11 @@ def _parse_axis(control: dict, which: str) -> SweepAxis | None:
 def sweep_spec_from_config(config: dict) -> SweepSpec:
     """Build a :class:`SweepSpec` from a parsed configuration mapping."""
     system, drive, control = split_config(config)
-    axis1 = _parse_axis(control, "axis1")
-    axis2 = _parse_axis(control, "axis2")
-    if axis1 is None:
-        raise ConfigError("a sweep needs at least axis1")
     fixed = dict(system)
     fixed.update(drive)
     return SweepSpec(
-        axis1=axis1,
-        axis2=axis2,
+        axis1=_parse_axis(control, "axis1"),
+        axis2=_parse_axis(control, "axis2"),
         fixed=fixed,
         measures=_parse_measures(control.get("measures")),
         nonreciprocity=control.get("nonreciprocity", False),
@@ -193,38 +188,31 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
 def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     """Resolve a config mapping to :class:`SystemParams`.
 
-    In ``meanfield`` mode the effective couplings and the displacement-
-    shifted detunings are produced by the self-consistent amplitude
-    solve.  Only the real parts ``Re G`` of the complex effective
-    couplings enter the drift matrix.  The dropped imaginary parts are
-    not negligible: on ``configs/meanfield_point.cfg``
+    Drive keys apply only in ``meanfield`` mode; in ``direct`` mode they
+    are a :class:`ConfigError`.  In ``meanfield`` mode the drive block is
+    completed by :func:`drive_conversions`, and the effective couplings
+    and the displacement-shifted detunings are produced by the
+    self-consistent amplitude solve.  Only the real parts ``Re G`` of the
+    complex effective couplings enter the drift matrix.  The dropped
+    imaginary parts are not negligible: on ``configs/meanfield_point.cfg``
     ``|Im G_m / Re G_m|`` is 5.0% and ``|Im G_c / Re G_c|`` is 5.4%.
     Using ``|G|`` instead (ROADMAP.md item 2) would change existing
     sweep outputs.
     """
     _check_options((), coupling_mode)
     system, drive, _ = split_config(config)
+    _check_drive_keys(drive, coupling_mode)
     params = resolve_system_params(system)
     if coupling_mode == "direct":
         return params
-    drives = resolve_drive_params(drive)
-    needs_rabi = drives.rabi == 0.0 and (drives.drive_power > 0.0 or drives.drive_field > 0.0)
-    needs_laser = drives.laser_coupling == 0.0 and drives.laser_power > 0.0
-    if needs_rabi or needs_laser:
-        rabi, laser_coupling, _ = drive_conversions(drives, params.gamma_c)
-        drives = dataclasses.replace(
-            drives,
-            rabi=drives.rabi or rabi,
-            laser_coupling=drives.laser_coupling or laser_coupling,
-        )
+    drives = drive_conversions(resolve_drive_params(drive), params.gamma_c)
     amplitudes = solve_self_consistent(params, drives)
-    _, fb_shift, _ = feedback_rates(params.gamma_c, params.reflectivity, params.theta)
     return dataclasses.replace(
         params,
         G_m=amplitudes.g_m_eff.real,
         G_c=amplitudes.g_c_eff.real,
         delta_m_tilde=amplitudes.delta_m_eff - params.barnett_shift,
-        delta_c_tilde=amplitudes.delta_c_eff - fb_shift,
+        delta_c_tilde=amplitudes.delta_c_eff - params.fb_shift,
     )
 
 
@@ -330,9 +318,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
         configs = (config,)
         if spec.nonreciprocity:
             shift = config.get("barnett_shift", 0.0)
-            # a non-numeric shift stays unsigned, so resolve_system_params
-            # rejects it and the cell becomes an error row
-            numeric = isinstance(shift, (int, float)) and not isinstance(shift, bool)
+            # a shift that is not a finite number stays unsigned, so
+            # resolve_system_params rejects it and the cell becomes an error row
+            numeric = finite_number(shift, SYSTEM_KEYS["barnett_shift"]) is not None
             configs = tuple({**config, "barnett_shift": sign * abs(shift) if numeric else shift}
                             for sign in (1.0, -1.0))
         tasks.append((configs, spec.measures, spec.coupling_mode))

@@ -20,7 +20,6 @@ from magnomech import (
 )
 from magnomech import meanfield
 from magnomech.meanfield import CONVERGENCE_TOL, DAMPING, MAX_ITERATIONS, SteadyAmplitudes
-from magnomech.model import feedback_rates
 from magnomech.params import TWO_PI, load_config, resolve_drive_params
 from magnomech.sweep import split_config
 
@@ -56,15 +55,7 @@ def drives(params):
         bare_D_mb1=TWO_PI * 0.1,
         bare_D_cb2=TWO_PI * 100.0,
     )
-    rabi, laser_coupling, _ = drive_conversions(raw, params.gamma_c)
-    return DriveParams(
-        rabi=rabi,
-        laser_coupling=laser_coupling,
-        bare_D_mb1=raw.bare_D_mb1,
-        bare_D_cb2=raw.bare_D_cb2,
-        sphere_radius=raw.sphere_radius,
-        drive_freq_2=omega_laser,
-    )
+    return drive_conversions(raw, params.gamma_c)
 
 
 def test_undriven_system_is_dark(params):
@@ -178,9 +169,7 @@ def test_drive_field_sets_the_rabi_rate_however_the_laser_is_given(params):
         "bare_D_mb1": 0.1, "bare_D_cb2": 100, "sphere_radius": 100e-6, "drive_field": 1e-6,
     }
     laser = {"laser_power": 30e-3, "drive_freq_2": 1.934e14}
-    _, laser_coupling, _ = drive_conversions(
-        resolve_drive_params({**laser, "sphere_radius": 100e-6}), params.gamma_c
-    )
+    laser_coupling = drive_conversions(resolve_drive_params(laser), params.gamma_c).laser_coupling
     from_power = run_point({**config, **laser}).params.G_m
     from_coupling = run_point({**config, "laser_coupling": laser_coupling / TWO_PI}).params.G_m
     assert from_power > 0
@@ -192,17 +181,19 @@ def test_drive_field_sets_the_rabi_rate_however_the_laser_is_given(params):
     [
         {"drive_field": 1e-6, "laser_coupling": 1.5e10},
         {"rabi": 5e12, "laser_power": 30e-3, "drive_freq_2": 1.934e14},
+        {"laser_power": 30e-3, "drive_freq_2": 1.934e14},
     ],
-    ids=["drive_field+laser_coupling", "rabi+laser_power"],
+    ids=["drive_field+laser_coupling", "rabi+laser_power", "laser_power"],
 )
 def test_sphere_radius_needed_only_to_derive_the_field_from_power(config):
+    magnon_driven = "rabi" in config or "drive_field" in config
     config = {
         **config, "coupling_mode": "meanfield", "spin_count": 1.77e16,
         "gyromagnetic_ratio": 28e9, "bare_D_mb1": 0.1, "bare_D_cb2": 100,
     }
     without = run_point(config).params
     with_radius = run_point({**config, "sphere_radius": 100e-6}).params
-    assert without.G_m > 0 and without.G_c > 0
+    assert (without.G_m > 0) == magnon_driven and without.G_c > 0
     assert (without.G_m, without.G_c) == (with_radius.G_m, with_radius.G_c)
     # the Rabi rate from drive_power alone still needs the radius
     power_only = {k: v for k, v in config.items() if k not in ("rabi", "drive_field")}
@@ -212,7 +203,7 @@ def test_sphere_radius_needed_only_to_derive_the_field_from_power(config):
 
 def _reference_amplitudes(p, d, delta_m_eff, delta_c_eff):
     """The closed-form amplitudes written out longhand, term by term."""
-    gamma_c_fb, _, _ = feedback_rates(p.gamma_c, p.reflectivity, p.theta)
+    gamma_c_fb = p.gamma_c * (1.0 - 2.0 * p.reflectivity * math.cos(p.theta))
     den_a = 1j * p.delta_a + p.gamma_a
     if den_a == 0:
         raise SingularPointError("microwave response (i*delta_a + gamma_a) vanishes")
@@ -245,7 +236,7 @@ def _reference_amplitudes(p, d, delta_m_eff, delta_c_eff):
 
 def _reference_solve(p, d):
     """The damped displacement iteration written out longhand."""
-    _, shift, _ = feedback_rates(p.gamma_c, p.reflectivity, p.theta)
+    shift = 2.0 * p.gamma_c * p.reflectivity * math.sin(p.theta)
     delta_m0 = p.delta_m_tilde + p.barnett_shift
     delta_c0 = p.delta_c_tilde + shift
     x1 = 0.0
@@ -285,12 +276,10 @@ def _meanfield_point(delta_m_tilde, delta_c_tilde):
     config = load_config(MEANFIELD_POINT)
     config.pop("coupling_mode")
     system, drive, _ = split_config(config)
-    drives = resolve_drive_params(drive)
     params = resolve_system_params(
         {**system, "delta_m_tilde": delta_m_tilde, "delta_c_tilde": delta_c_tilde}
     )
-    rabi, laser_coupling, _ = drive_conversions(drives, params.gamma_c)
-    return params, dataclasses.replace(drives, rabi=rabi, laser_coupling=laser_coupling)
+    return params, drive_conversions(resolve_drive_params(drive), params.gamma_c)
 
 
 def _meanfield_cases():

@@ -11,7 +11,6 @@ from magnomech import (
     build_diffusion,
     build_drift,
     drive_conversions,
-    feedback_rates,
     resolve_system_params,
     thermal_occupancy,
 )
@@ -56,15 +55,20 @@ class TestThermalOccupancy:
             thermal_occupancy(-1.0, 0.01)
 
 
+def _feedback_rates(reflectivity, theta):
+    p = resolve_system_params({"gamma_c": 1e6, "reflectivity": reflectivity, "theta": theta})
+    return p.gamma_c_fb, p.fb_shift, p.fb_noise_factor
+
+
 class TestFeedbackRates:
     def test_no_feedback_is_identity(self):
         gamma = TWO_PI * 1e6
         for theta in (0.0, 0.7, math.pi):
-            assert feedback_rates(gamma, 0.0, theta) == (gamma, 0.0, 1.0)
+            assert _feedback_rates(0.0, theta) == (gamma, 0.0, 1.0)
 
     def test_high_reflectivity_zero_phase(self):
         gamma = TWO_PI * 1e6
-        g_fb, shift, factor = feedback_rates(gamma, 0.9, 0.0)
+        g_fb, shift, factor = _feedback_rates(0.9, 0.0)
         assert g_fb == pytest.approx(-0.8 * gamma, rel=1e-12)
         assert shift == 0.0
         # psi^2 = 0.19, |1 - 0.9|^2 = 0.01
@@ -72,7 +76,7 @@ class TestFeedbackRates:
 
     def test_quarter_phase(self):
         gamma = TWO_PI * 1e6
-        g_fb, shift, factor = feedback_rates(gamma, 0.5, math.pi / 2)
+        g_fb, shift, factor = _feedback_rates(0.5, math.pi / 2)
         assert g_fb == pytest.approx(gamma, rel=1e-12)
         assert shift == pytest.approx(gamma, rel=1e-12)
         # psi^2 = 0.75, |1 - 0.5i|^2 = 1.25
@@ -80,9 +84,9 @@ class TestFeedbackRates:
 
     def test_reflectivity_domain(self):
         with pytest.raises(DomainError):
-            feedback_rates(1.0, 1.0, 0.0)
+            _feedback_rates(1.0, 0.0)
         with pytest.raises(DomainError):
-            feedback_rates(1.0, -0.1, 0.0)
+            _feedback_rates(-0.1, 0.0)
 
 
 def test_drift_decoupled_spectrum():
@@ -180,8 +184,11 @@ class TestDiffusion:
 
 class TestDriveConversions:
     def test_drive_field_from_power(self):
-        drives = DriveParams(drive_power=4e-3, sphere_radius=100e-6)
-        _, _, field = drive_conversions(drives, gamma_c=TWO_PI * 1e6)
+        # with gyro = N = 1 the Rabi rate is sqrt(5)/4 times the field
+        drives = DriveParams(drive_power=4e-3, sphere_radius=100e-6,
+                             spin_count=1.0, gyromagnetic_ratio=1.0)
+        rabi = drive_conversions(drives, gamma_c=TWO_PI * 1e6).rabi
+        field = rabi / (math.sqrt(5.0) / 4.0)
         # frozen from the closed-form expression; the device-level figure
         # usually quoted for these settings is ~3.3e-5 T
         assert field == pytest.approx(3.267116626e-5, rel=1e-6)
@@ -189,28 +196,26 @@ class TestDriveConversions:
 
     def test_zero_laser_power(self):
         drives = DriveParams(sphere_radius=1e-4, laser_power=0.0)
-        _, laser_coupling, _ = drive_conversions(drives, gamma_c=TWO_PI * 1e6)
-        assert laser_coupling == 0.0
+        assert drive_conversions(drives, gamma_c=TWO_PI * 1e6).laser_coupling == 0.0
 
     def test_zero_drive_field(self):
         drives = DriveParams(
             sphere_radius=1e-4, spin_count=1e16, gyromagnetic_ratio=TWO_PI * 28e9
         )
-        rabi, _, _ = drive_conversions(drives, gamma_c=TWO_PI * 1e6)
-        assert rabi == 0.0
+        assert drive_conversions(drives, gamma_c=TWO_PI * 1e6).rabi == 0.0
 
     def test_laser_coupling_magnitude(self):
         omega_laser = TWO_PI * 299792458.0 / 1550e-9
         drives = DriveParams(
             sphere_radius=1e-4, laser_power=30e-3, drive_freq_2=omega_laser
         )
-        _, coupling, _ = drive_conversions(drives, gamma_c=TWO_PI * 1e6)
+        coupling = drive_conversions(drives, gamma_c=TWO_PI * 1e6).laser_coupling
         expected = math.sqrt(2 * TWO_PI * 1e6 * 30e-3 / (1.0545718176461565e-34 * omega_laser))
         assert coupling == pytest.approx(expected, rel=1e-12)
 
     def test_bad_radius(self):
-        with pytest.raises(DomainError):
-            drive_conversions(DriveParams(sphere_radius=0.0), gamma_c=1.0)
+        with pytest.raises(DomainError, match="sphere_radius"):
+            drive_conversions(DriveParams(drive_power=4e-3, sphere_radius=0.0), gamma_c=1.0)
 
 
 class TestSystemParams:
@@ -227,6 +232,8 @@ class TestSystemParams:
             resolve_system_params({"omega_b1": 0.0})
         with pytest.raises(DomainError):
             resolve_system_params({"reflectivity": 1.0})
+        with pytest.raises(DomainError):
+            resolve_system_params({"reflectivity": -0.1})
         with pytest.raises(DomainError):
             resolve_system_params({"temperature": -0.1})
 

@@ -1,0 +1,14 @@
+"""README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    stable, entanglement = capsys.readouterr().out.splitlines()[0].split()
+    assert stable == "True" and float(entanglement) > 0

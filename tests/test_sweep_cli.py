@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -67,6 +68,14 @@ class TestConfigParsing:
     def test_axis_needs_bounds(self):
         with pytest.raises(ConfigError, match="axis1_start"):
             sweep_spec_from_config({"axis1": "temperature"})
+        with pytest.raises(ConfigError, match="axis1"):
+            sweep_spec_from_config({"axis2": "theta", "axis2_start": 0, "axis2_stop": 1, "axis2_count": 2})
+
+    @pytest.mark.parametrize("axes", [(None,), (None, SweepAxis("temperature", 0, 1, 2)),
+                                      (SweepAxis("temperature", 0, 1, 2), "theta")])
+    def test_spec_needs_sweep_axes(self, axes):
+        with pytest.raises(ConfigError, match="axis1"):
+            SweepSpec(*axes)
 
     def test_axes_must_differ(self):
         with pytest.raises(ConfigError, match="distinct"):
@@ -97,7 +106,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="stop"):
             SweepAxis("temperature", 0, bound, 3)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bound", ["start", "stop"])
+    def test_direct_axis_bounds_must_be_finite_in_rad_per_s(self, bound):
+        # 1e308 Hz is a finite float, but 2pi times it is not
+        bounds = {"start": 1e307, "stop": 1e307, bound: 1e308}
+        with pytest.raises(ConfigError, match=bound):
+            SweepAxis("delta_c_tilde", bounds["start"], bounds["stop"], 2)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "false", "true"])
     def test_axis_bounds_must_be_finite(self, value):
         text = f"axis1 = temperature\naxis1_start = 0\naxis1_stop = {value}\naxis1_count = 3\n"
         with pytest.raises(ConfigError, match="axis1"):
@@ -107,6 +123,32 @@ class TestConfigParsing:
     def test_fixed_keys_must_be_model_or_drive_parameters(self, key):
         with pytest.raises(ConfigError, match=key):
             SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed={key: 1})
+
+    @pytest.mark.parametrize("fixed", [{"laser_power": -1.0}, {"rabi": 1e6, "temperature": 0.0}])
+    def test_direct_spec_rejects_drive_keys(self, fixed):
+        with pytest.raises(ConfigError, match="coupling_mode"):
+            SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed=fixed)
+        SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed=fixed, coupling_mode="meanfield")
+
+    def test_direct_sweep_config_rejects_drive_keys(self):
+        text = "axis1 = temperature\naxis1_start = 0\naxis1_stop = 1\naxis1_count = 2\nlaser_power = 0.03\n"
+        with pytest.raises(ConfigError, match="laser_power"):
+            sweep_spec_from_config(parse_config(text))
+        spec = sweep_spec_from_config(parse_config(text + "coupling_mode = meanfield\n"))
+        assert spec.fixed == {"laser_power": 0.03}
+
+    def test_spec_is_frozen(self):
+        fixed = {"temperature": 0.0}
+        spec = SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed=fixed)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.coupling_mode = "bogus"
+        fixed["bogus"] = 1.0
+        assert spec.fixed == {"temperature": 0.0}
+
+    @pytest.mark.parametrize("measures", ["entanglement", None, 5])
+    def test_measures_must_be_a_tuple_of_names(self, measures):
+        with pytest.raises(ConfigError, match="measures"):
+            SweepSpec(SweepAxis("temperature", 0, 1, 2), measures=measures)
 
     def test_whole_float_count_becomes_an_int(self):
         axis = SweepAxis("temperature", 0, 1, 3.0)
@@ -207,6 +249,14 @@ class TestRunPoint:
     def test_sweep_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             run_point({key: value})
+
+    @pytest.mark.parametrize("config", [{"laser_power": "abc"}, {"rabi": 1e6},
+                                        {"coupling_mode": "direct", "sphere_radius": 1e-4}])
+    def test_drive_keys_need_meanfield_mode(self, config):
+        with pytest.raises(ConfigError, match="coupling_mode = meanfield"):
+            run_point(config)
+        with pytest.raises(ConfigError, match="coupling_mode = meanfield"):
+            resolve_point({k: v for k, v in config.items() if k != "coupling_mode"})
 
     def test_point_control_keys_accepted(self):
         report = run_point({"measures": "entanglement", "coupling_mode": "direct"})
@@ -331,6 +381,19 @@ class TestRunSweep:
         emit(table, "csv", out)
         cells = out.read_text().splitlines()[1].split(",")
         assert cells[idx["C_E_b1m"]] == "" and cells[idx["E_b1m_minus"]] != ""
+
+    @pytest.mark.parametrize("nonreciprocity", [False, True])
+    def test_numpy_scalars_give_the_rows_of_equal_floats(self, nonreciprocity):
+        def rows(fixed):
+            spec = SweepSpec(SweepAxis("temperature", 0.0, 0.1, 2), fixed=fixed,
+                             measures=("entanglement",), nonreciprocity=nonreciprocity)
+            return run_sweep(spec).rows
+
+        numpy_rows = rows({"reflectivity": np.float32(0.5), "theta": np.int64(3),
+                           "barnett_shift": np.float32(4.03e6), "G_m": np.int64(0)})
+        assert numpy_rows == rows({"reflectivity": 0.5, "theta": 3.0,
+                                   "barnett_shift": 4.03e6, "G_m": 0.0})
+        assert all(row[1] is True for row in numpy_rows)
 
     def test_worker_counts_agree(self, tmp_path):
         spec = _tiny_sweep()
