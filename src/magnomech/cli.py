@@ -99,7 +99,7 @@ def main(argv=None) -> int:
             return _cmd_presets(args)
         if args.command == "validate":
             return 0 if validation.run_all() else 2
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MagnomechError as exc:

@@ -42,10 +42,6 @@ class StabilityResult:
     margin: float  # max real part of the drift spectrum (rad/s)
 
 
-def _threshold(drift: np.ndarray) -> float:
-    return -STABILITY_EPS * float(np.abs(drift).max() or 1.0)
-
-
 _DGEES = sla.get_lapack_funcs("gees", (np.empty((1, 1)),))
 
 
@@ -83,12 +79,15 @@ def stability_check(drift: np.ndarray) -> StabilityResult:
     """
     drift = np.asarray(drift, dtype=float)
     margin = float(_real_schur(drift)[0].diagonal().max())
-    return StabilityResult(stable=margin < _threshold(drift), margin=margin)
+    return StabilityResult(stable=margin < -STABILITY_EPS * float(np.abs(drift).max() or 1.0),
+                           margin=margin)
 
 
-def _require_stable(drift: np.ndarray, margin: float, caller: str) -> None:
-    if not margin < _threshold(drift):
-        raise StabilityError(f"{caller} called on unstable drift (margin {margin:.3e})")
+def _require_stable(drift: np.ndarray, caller: str) -> float:
+    gate = stability_check(drift)
+    if not gate.stable:
+        raise StabilityError(f"{caller} called on unstable drift (margin {gate.margin:.3e})")
+    return gate.margin
 
 
 def _refined(drift, diffusion, solve) -> np.ndarray:
@@ -122,8 +121,8 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     """
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
+    _require_stable(drift, "solve_lyapunov")
     schur, basis = _real_schur(drift)
-    _require_stable(drift, float(schur.diagonal().max()), "solve_lyapunov")
 
     def solve(rhs):
         # T Y + Y T^T = U^T rhs U, then X = U Y U^T
@@ -146,7 +145,7 @@ def solve_lyapunov_oracle(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarra
     n = drift.shape[0]
     if n > 24:
         raise ValueError("oracle path is restricted to at most 12 modes")
-    _require_stable(drift, stability_check(drift).margin, "oracle")
+    _require_stable(drift, "oracle")
     eye = np.eye(n)
     try:
         lu_piv = sla.lu_factor(np.kron(eye, drift) + np.kron(drift, eye))
@@ -168,8 +167,7 @@ def integrate_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
 
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
-    margin = stability_check(drift).margin
-    _require_stable(drift, margin, "integration oracle")
+    margin = _require_stable(drift, "integration oracle")
     n = drift.shape[0]
 
     def rhs(_t, y):

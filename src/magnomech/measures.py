@@ -4,10 +4,10 @@ All operations take covariance matrices in the (X, Y)-per-mode ordering
 with vacuum variance 1/2.  Bipartite entanglement is the logarithmic
 negativity from the partially transposed two-mode covariance, steering
 is the Renyi-2 measure, and tripartite entanglement the minimum residual
-contangle built from squared one-versus-rest logarithmic negativities.
-One batched kernel serves :func:`evaluate_measures` and the scalar
-functions alike: index tables gather the blocks, and each family costs
-one or two stacked LAPACK calls.
+contangle (a squared one-versus-rest log-negativity less the squared pair
+log-negativities).  One batched kernel serves :func:`evaluate_measures`
+and the scalar functions alike: one stack of block determinants gives the
+pair negativities and steering, one stacked eigvals the one-versus-rest terms.
 """
 
 from __future__ import annotations
@@ -166,30 +166,29 @@ def _partial_transpose(cov: np.ndarray, mode: int) -> np.ndarray:
 _FLIP_FIRST = _partial_transpose(np.ones(OMEGA.shape), 0)
 
 
-def _contangle_plan(triples):
+def _contangle_plan(triples, n_modes):
     """Gather tables for the residual contangles of ascending mode-index triples.
 
     Returns the quadrature rows of each one-versus-rest bipartition
-    (singled-out mode first, three per triple), those of each distinct
-    one-versus-one pair, and ``pair_of[t, i]``: the two pairs of triple
-    ``t`` that hold its ``i``-th mode.
+    (singled-out mode first, three per triple) and ``pair_of[t, i]``: the
+    positions, among the ``n_modes`` state's mode pairs in :data:`ALL_PAIRS`
+    order, of the two pairs of triple ``t`` that hold its ``i``-th mode.
     """
-    pairs = sorted({pair for triple in triples for pair in itertools.combinations(triple, 2)})
+    pairs = list(itertools.combinations(range(n_modes), 2))
     rest = [[mode, *(m for m in triple if m != mode)] for triple in triples for mode in triple]
     pair_of = [[pairs.index(tuple(sorted((first, other)))) for other in others]
                for first, *others in rest]
-    return (np.array([_quadratures(modes) for modes in rest]),
-            np.array([_quadratures(pair) for pair in pairs]),
-            np.array(pair_of).reshape(len(triples), 3, 2))
+    return np.array([_quadratures(modes) for modes in rest]), np.array(pair_of).reshape(-1, 3, 2)
 
 
 # Gather tables of the measure kernel, fixed by the mode order.
 _ALL_PAIR_ROWS = np.array([_quadratures(_mode_indices(pair)) for pair in ALL_PAIRS])
+_THREE_PAIR_ROWS = np.array([_quadratures(pair) for pair in itertools.combinations(range(3), 2)])
 #: Rows of the indirect pairs in the all-pair stack (same mode orientation).
 _INDIRECT_OF_ALL = np.array([ALL_PAIRS.index(pair) for pair in INDIRECT_PAIRS])
 _TRIPLE_KEYS = tuple(_canonical(triple) for triple in DEFAULT_TRIPLES)
-_TRIPLE_PLAN = _contangle_plan([_mode_indices(key) for key in _TRIPLE_KEYS])
-_ONE_TRIPLE = _contangle_plan([(0, 1, 2)])
+_TRIPLE_PLAN = _contangle_plan([_mode_indices(key) for key in _TRIPLE_KEYS], len(MODE_ORDER))
+_ONE_TRIPLE = _contangle_plan([(0, 1, 2)], 3)
 
 
 def _contangles(stack: np.ndarray) -> np.ndarray:
@@ -203,10 +202,11 @@ def _contangles(stack: np.ndarray) -> np.ndarray:
     return e * e
 
 
-def _residual_contangles(cov: np.ndarray, plan) -> np.ndarray:
-    rest_rows, pair_rows, pair_of = plan
+def _residual_contangles(cov: np.ndarray, plan, negativities: np.ndarray) -> np.ndarray:
+    """Minimum residual contangle per triple of ``plan``, given the pair log-negativities."""
+    rest_rows, pair_of = plan
     rest = _contangles(_gather(cov, rest_rows)).reshape(pair_of.shape[:2])
-    pairs = _contangles(_gather(cov, pair_rows))[pair_of]
+    pairs = (negativities * negativities)[pair_of]
     return (rest - (pairs[..., 0] + pairs[..., 1])).min(axis=1)
 
 
@@ -242,13 +242,14 @@ def residual_contangle(cov6: np.ndarray) -> float:
     """Minimum residual contangle of a three-mode covariance matrix.
 
     For each of the three one-versus-two bipartitions, the residual is
-    the one-versus-rest contangle minus the two one-versus-one contangles
-    of the singled-out mode (computed from the reduced 4x4 states by the
-    same partial-transpose recipe); the minimum over bipartitions is
-    returned.  Positive values witness genuine tripartite entanglement.
+    the one-versus-rest contangle minus the one-versus-one contangles of
+    the singled-out mode, the squared log-negativities of its two pairs;
+    the minimum over bipartitions is returned.  Positive values witness
+    genuine tripartite entanglement.
     """
     cov6 = _block(cov6, 6, "residual_contangle")
-    return float(_residual_contangles(cov6, _ONE_TRIPLE)[0])
+    negativities = _log_negativities(*_pair_dets(_gather(cov6, _THREE_PAIR_ROWS)))
+    return float(_residual_contangles(cov6, _ONE_TRIPLE, negativities)[0])
 
 
 def contrast_ratio(value_plus: float, value_minus: float) -> float:
@@ -361,18 +362,19 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
     nu_min = float(symplectic_eigenvalues(cov)[0])
     report = MeasureReport(stable=True, margin=margin, params=params,
                            physical=bool(nu_min >= 0.5 - PHYSICAL_TOL), min_symplectic=nu_min)
-    if "entanglement" in measures or "steering" in measures:
+    if not {"entanglement", "steering", "contangle"}.isdisjoint(measures):
         blocks, det_all = _pair_dets(_gather(cov, _ALL_PAIR_ROWS))
+    if "entanglement" in measures or "contangle" in measures:
+        negativities = _log_negativities(blocks, det_all)
     if "entanglement" in measures:
-        values = _log_negativities(blocks, det_all)
-        report.pairwise_E = dict(zip(ALL_PAIRS, values.tolist()))
+        report.pairwise_E = dict(zip(ALL_PAIRS, negativities.tolist()))
     if "steering" in measures:
         blocks, det_all = blocks[_INDIRECT_OF_ALL], det_all[_INDIRECT_OF_ALL]
         values = _steerings(np.diagonal(blocks, axis1=1, axis2=2), det_all[:, None])
         for (a, b), (a_to_b, b_to_a) in zip(INDIRECT_PAIRS, values.tolist()):
             report.steering.update({(a, b): a_to_b, (b, a): b_to_a})
     if "contangle" in measures:
-        values = _residual_contangles(cov, _TRIPLE_PLAN)
+        values = _residual_contangles(cov, _TRIPLE_PLAN, negativities)
         report.tripartite_R = dict(zip(_TRIPLE_KEYS, values.tolist()))
     if "occupation" in measures:
         for mode in ("b1", "b2"):

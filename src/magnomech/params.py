@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 from scipy.constants import c as SPEED_OF_LIGHT
@@ -173,8 +174,16 @@ def finite_number(value, unit: str) -> float | None:
     return number if math.isfinite(number) else None
 
 
+def require_mapping(config, what: str) -> None:
+    """Raise ConfigError unless ``config`` is a mapping of config keys to values."""
+    # dict comes before the ABC, whose isinstance check is slow
+    if not isinstance(config, (dict, Mapping)):
+        raise ConfigError(f"{what} must be a mapping of keys to values, got {config!r}")
+
+
 def _validated(config: dict, units: dict, what: str) -> dict:
     """Check keys and values of a config mapping and convert ``hz`` keys to rad/s."""
+    require_mapping(config, f"a {what} config")
     out = {}
     for key, value in config.items():
         if key not in units:

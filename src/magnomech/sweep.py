@@ -34,6 +34,7 @@ from .params import (
     SYSTEM_KEYS,
     SystemParams,
     finite_number,
+    require_mapping,
     resolve_drive_params,
     resolve_system_params,
 )
@@ -101,6 +102,7 @@ class SweepSpec:
         if not isinstance(self.nonreciprocity, bool):
             raise ConfigError(f"nonreciprocity must be true or false, got {self.nonreciprocity!r}")
         _check_options(self.measures, self.coupling_mode)
+        require_mapping(self.fixed, "fixed")
         unknown = [key for key in self.fixed if key not in SYSTEM_KEYS and key not in DRIVE_KEYS]
         if unknown:
             raise ConfigError(f"fixed keys {unknown} are not model or drive parameters")
@@ -118,6 +120,7 @@ class ResultTable:
 
 def split_config(config: dict):
     """Partition a parsed config mapping into system/drive/sweep parts."""
+    require_mapping(config, "a config")
     system, drive, control = {}, {}, {}
     for key, value in config.items():
         if key in SYSTEM_KEYS:
@@ -326,6 +329,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
         tasks.append((configs, spec.measures, spec.coupling_mode))
         axis_values.append(values)
 
+    # the pool starts all its workers at once; more than one per task is waste
+    workers = min(workers, len(tasks))
     if workers <= 1:
         outcomes = [_evaluate_task(task) for task in tasks]
     else:

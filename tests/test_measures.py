@@ -328,6 +328,40 @@ class TestMeasureKernel:
                 for other in set(fields.values()) - {name}:
                     assert getattr(alone, other) == {}
 
+    def test_full_report_makes_two_eigvals_calls(self, baseline, baseline_cov, monkeypatch):
+        # one for the 10x10 symplectic spectrum and one for the stacked
+        # one-versus-rest contangles; the pair terms come from determinants
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(stack):
+            calls.append(stack.shape)
+            return eigvals(stack)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        evaluate_measures(baseline_cov, baseline, margin=-1.0)
+        assert calls == [(10, 10), (12, 6, 6)]
+
+    def test_contangles_match_the_eigenvalue_route(self):
+        def contangle(cov, modes):
+            nu = symplectic_eigenvalues(_partial_transpose(reduce_modes(cov, modes), 0))[0]
+            return max(0.0, -math.log(2.0 * nu)) ** 2
+
+        checked = 0
+        for params, cov in _kernel_points():
+            report = evaluate_measures(cov, params, margin=-1.0, measures=("contangle",))
+            if not report.physical:
+                continue
+            for triple in DEFAULT_TRIPLES:
+                residuals = []
+                for mode in triple:
+                    others = [m for m in triple if m != mode]
+                    residuals.append(contangle(cov, (mode, *others))
+                                     - sum(contangle(cov, (mode, other)) for other in others))
+                assert report.contangle(triple) == pytest.approx(min(residuals), abs=1e-10)
+                checked += 1
+        assert checked >= 10 * len(DEFAULT_TRIPLES)
+
     def test_nonphysical_block_raises_physicality_error(self):
         cov = 0.5 * np.eye(10)
         cov[2:4, 2:4] = 0.3 * np.eye(2)

@@ -24,6 +24,7 @@ from magnomech import (
     run_sweep,
     sweep_spec_from_config,
 )
+from magnomech import sweep as sweep_module
 from magnomech.cli import main as cli_main
 from magnomech.sweep import resolve_point
 from magnomech.params import BASELINE_CONFIG, DRIVE_KEYS, SYSTEM_KEYS, TWO_PI, echo_config
@@ -144,6 +145,20 @@ class TestConfigParsing:
             spec.coupling_mode = "bogus"
         fixed["bogus"] = 1.0
         assert spec.fixed == {"temperature": 0.0}
+
+    @pytest.mark.parametrize("build", [
+        lambda: SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed=None),
+        lambda: SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed="temperature"),
+        lambda: run_point(None),
+        lambda: run_point([("temperature", 0.0)]),
+        lambda: resolve_point("temperature"),
+        lambda: resolve_system_params(None),
+        lambda: resolve_drive_params(["rabi"]),
+    ], ids=["fixed-none", "fixed-string", "run-point-none", "run-point-list", "resolve-point-string",
+            "system-params-none", "drive-params-list"])
+    def test_non_mapping_config_is_a_config_error(self, build):
+        with pytest.raises(ConfigError, match="mapping"):
+            build()
 
     @pytest.mark.parametrize("measures", ["entanglement", None, 5])
     def test_measures_must_be_a_tuple_of_names(self, measures):
@@ -403,6 +418,30 @@ class TestRunSweep:
         emit(run_sweep(spec, workers=2), "csv", parallel)
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_worker_pool_is_capped_at_the_task_count(self, monkeypatch):
+        # a pool forks all its workers at the first submit, so the count
+        # it is built with must not exceed the number of grid cells
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, function, tasks, chunksize=1):
+                return map(function, tasks)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
+        spec = SweepSpec(SweepAxis("temperature", 0, 0.1, 2), measures=())
+        for workers in (2, 3, 100_000):
+            assert run_sweep(spec, workers=workers).rows == run_sweep(spec).rows
+        assert sizes == [2, 2, 2]
+
     def test_detuning_grid_peaks_at_cooling_point(self):
         # microwave-optical entanglement is maximal where the magnon
         # drive sits at -omega_b1 and the optical drive at +omega_b2
@@ -569,8 +608,22 @@ class TestCli:
         assert cli_main(["point", "--config", str(cfg)]) == 1
         assert "axis1" in capsys.readouterr().err
 
-    def test_missing_file_exit_code(self, tmp_path):
-        assert cli_main(["point", "--config", str(tmp_path / "nope.cfg")]) == 1
+    @pytest.mark.parametrize("args", [
+        ["point", "--config", "{tmp}/nope.cfg"],
+        ["point", "--config", "{tmp}"],
+        ["point", "--config", "{tmp}/latin1.cfg"],
+        ["point", "--config", "{tmp}/point.cfg", "--out", "{tmp}"],
+        ["sweep", "--config", "{tmp}/sweep.cfg", "--out", "{tmp}"],
+        ["presets", "--preset", "temperature-baseline", "--out", "{tmp}"],
+    ], ids=["missing-config", "config-is-a-directory", "config-not-utf8", "point-out-is-a-directory",
+            "sweep-out-is-a-directory", "presets-out-is-a-directory"])
+    def test_missing_file_exit_code(self, tmp_path, capsys, args):
+        (tmp_path / "latin1.cfg").write_bytes("# température\n".encode("latin-1"))
+        (tmp_path / "point.cfg").write_text("temperature = 0.0\n")
+        (tmp_path / "sweep.cfg").write_text(
+            "axis1 = temperature\naxis1_start = 0\naxis1_stop = 0.1\naxis1_count = 2\n")
+        assert cli_main([arg.format(tmp=tmp_path) for arg in args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_presets_listing(self, capsys):
         assert cli_main(["presets"]) == 0
