@@ -2,17 +2,18 @@
 
 Subcommands: ``point`` (single evaluation), ``sweep`` (grid to file),
 ``presets`` (list or run shipped presets), ``validate`` (self-check
-suites).  Exit codes: 0 success, 1 configuration error, 2 numerical
-failure.
+suites).  Exit codes: 0 success, 1 configuration error (a config value
+outside its domain included), 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
-from .errors import ConfigError, MagnomechError
+from .errors import ConfigError, DomainError, MagnomechError
 from .presets import PRESETS, get_preset
 from .sweep import emit, run_point, run_sweep, sweep_spec_from_config
 from . import validate as validation
@@ -50,28 +51,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output(path):
+    """Open ``path`` for writing, truncating it; stdout when no path is given."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _cmd_point(args) -> int:
-    config = load_config(args.config)
-    report = run_point(config)
+    report = run_point(load_config(args.config))
     payload = {
         "params": echo_config(report.params),
         "report": report.to_record(),
     }
-    text = json.dumps(payload, indent=1) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(payload, indent=1) + "\n")
+    return 0
+
+
+def _run_to_file(spec, args) -> int:
+    # opened before the sweep, as a shell redirection is, so a bad --out costs no grid
+    with _output(args.out) as fh:
+        emit(run_sweep(spec, workers=args.workers), args.format, fh)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    spec = sweep_spec_from_config(config)
-    table = run_sweep(spec, workers=args.workers)
-    emit(table, args.format, args.out)
-    return 0
+    return _run_to_file(sweep_spec_from_config(load_config(args.config)), args)
 
 
 def _cmd_presets(args) -> int:
@@ -82,10 +88,7 @@ def _cmd_presets(args) -> int:
         return 0
     if not args.out:
         raise ConfigError("running a preset requires --out")
-    preset = get_preset(args.preset)
-    table = run_sweep(preset.spec, workers=args.workers)
-    emit(table, args.format, args.out)
-    return 0
+    return _run_to_file(get_preset(args.preset).spec, args)
 
 
 def main(argv=None) -> int:
@@ -99,7 +102,7 @@ def main(argv=None) -> int:
             return _cmd_presets(args)
         if args.command == "validate":
             return 0 if validation.run_all() else 2
-    except (ConfigError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MagnomechError as exc:

@@ -276,7 +276,7 @@ def effective_phonon_number(cov: np.ndarray, mode) -> float:
     value = (cov[2 * idx, 2 * idx] + cov[2 * idx + 1, 2 * idx + 1] - 1.0) / 2.0
     if value < -1e-8:
         raise PhysicalityError(f"effective occupation of mode {MODE_ORDER[idx]} is {value:.3e} < 0")
-    return max(0.0, value)
+    return max(0.0, float(value))
 
 
 def tmsv_covariance(r: float) -> np.ndarray:

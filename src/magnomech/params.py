@@ -255,6 +255,9 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    """Read and parse a configuration file."""
+    """Read and parse a UTF-8 configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            return parse_config(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

@@ -24,6 +24,7 @@ _W_B2 = BASELINE_CONFIG["omega_b2"]
 
 _FB = {"reflectivity": 0.9, "theta": math.pi}
 _BE = {"barnett_shift": 0.2 * _W_B1}
+_DETUNING_COUNT = 33  # points per axis of the detuning-plane presets
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,10 @@ class Preset:
     spec: SweepSpec
 
 
-def _detuning_axes(count=33):
+def _detuning_axes():
     return (
-        SweepAxis("delta_m_tilde", -2.0 * _W_B1, 0.0, count),
-        SweepAxis("delta_c_tilde", 0.0, 2.0 * _W_B2, count),
+        SweepAxis("delta_m_tilde", -2.0 * _W_B1, 0.0, _DETUNING_COUNT),
+        SweepAxis("delta_c_tilde", 0.0, 2.0 * _W_B2, _DETUNING_COUNT),
     )
 
 

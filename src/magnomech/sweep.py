@@ -103,10 +103,10 @@ class SweepSpec:
             raise ConfigError(f"nonreciprocity must be true or false, got {self.nonreciprocity!r}")
         _check_options(self.measures, self.coupling_mode)
         require_mapping(self.fixed, "fixed")
-        unknown = [key for key in self.fixed if key not in SYSTEM_KEYS and key not in DRIVE_KEYS]
-        if unknown:
-            raise ConfigError(f"fixed keys {unknown} are not model or drive parameters")
-        _check_drive_keys(self.fixed.keys() & DRIVE_KEYS.keys(), self.coupling_mode)
+        _, drive, control = split_config(self.fixed)
+        if control:
+            raise ConfigError(f"fixed keys {sorted(control)} are not model or drive parameters")
+        _check_drive_keys(drive, self.coupling_mode)
         object.__setattr__(self, "fixed", dict(self.fixed))
 
 
@@ -149,11 +149,18 @@ def _check_drive_keys(drive_keys, coupling_mode) -> None:
         raise ConfigError(f"drive keys {sorted(drive_keys)} need coupling_mode = meanfield")
 
 
-def _parse_measures(raw) -> tuple:
-    if raw is None:
-        return MEASURE_FAMILIES
-    names = tuple(part.strip() for part in str(raw).split(",") if part.strip())
-    return names or MEASURE_FAMILIES
+def _control_options(control: dict) -> tuple:
+    """The checked ``(measures, coupling_mode)`` of a config's control keys.
+
+    ``measures`` is a comma list of families, all of them when absent or
+    empty; ``coupling_mode`` defaults to ``direct``.
+    """
+    raw = control.get("measures")
+    names = () if raw is None else tuple(part.strip() for part in str(raw).split(",") if part.strip())
+    measures = names or MEASURE_FAMILIES
+    coupling_mode = str(control.get("coupling_mode", "direct"))
+    _check_options(measures, coupling_mode)
+    return measures, coupling_mode
 
 
 def _parse_axis(control: dict, which: str) -> SweepAxis | None:
@@ -176,15 +183,14 @@ def _parse_axis(control: dict, which: str) -> SweepAxis | None:
 def sweep_spec_from_config(config: dict) -> SweepSpec:
     """Build a :class:`SweepSpec` from a parsed configuration mapping."""
     system, drive, control = split_config(config)
-    fixed = dict(system)
-    fixed.update(drive)
+    measures, coupling_mode = _control_options(control)
     return SweepSpec(
         axis1=_parse_axis(control, "axis1"),
         axis2=_parse_axis(control, "axis2"),
-        fixed=fixed,
-        measures=_parse_measures(control.get("measures")),
+        fixed={**system, **drive},
+        measures=measures,
         nonreciprocity=control.get("nonreciprocity", False),
-        coupling_mode=str(control.get("coupling_mode", "direct")),
+        coupling_mode=coupling_mode,
     )
 
 
@@ -241,9 +247,7 @@ def run_point(config: dict) -> MeasureReport:
     sweep_only = sorted(control.keys() - {"measures", "coupling_mode"})
     if sweep_only:
         raise ConfigError(f"sweep keys {sweep_only} do not apply to a single point")
-    measures = _parse_measures(control.get("measures"))
-    coupling_mode = str(control.get("coupling_mode", "direct"))
-    _check_options(measures, coupling_mode)
+    measures, coupling_mode = _control_options(control)
     return evaluate_point(resolve_point(config, coupling_mode), measures)
 
 
@@ -348,19 +352,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return f"{value:.12e}"
     return str(value)
-
-
-def _native(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
 
 
 def emit(table: ResultTable, fmt: str, destination) -> None:
@@ -378,10 +374,7 @@ def emit(table: ResultTable, fmt: str, destination) -> None:
             lines.append(",".join(_format_cell(v) for v in row))
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
-        objects = [
-            {col: _native(v) for col, v in zip(table.columns, row)}
-            for row in table.rows
-        ]
+        objects = [dict(zip(table.columns, row)) for row in table.rows]
         payload = json.dumps(objects, indent=1) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")

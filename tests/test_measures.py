@@ -228,6 +228,10 @@ class TestEffectivePhononNumber:
         v = (n + 0.5) * np.eye(10)
         assert effective_phonon_number(v, "b2") == pytest.approx(n, rel=1e-12)
 
+    def test_returns_a_python_float(self):
+        # a numpy scalar here would be the one non-native cell of a sweep row
+        assert type(effective_phonon_number(3.7 * np.eye(10), "b2")) is float
+
     def test_small_negative_clipped(self):
         v = (0.5 - 5e-10) * np.eye(10)
         assert effective_phonon_number(v, "b1") == 0.0

@@ -122,8 +122,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key", ["bogus", "axis1", "measures", "coupling_mode"])
     def test_fixed_keys_must_be_model_or_drive_parameters(self, key):
-        with pytest.raises(ConfigError, match=key):
-            SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed={key: 1})
+        for value in (1, "x"):
+            with pytest.raises(ConfigError, match=key):
+                SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed={key: value})
 
     @pytest.mark.parametrize("fixed", [{"laser_power": -1.0}, {"rabi": 1e6, "temperature": 0.0}])
     def test_direct_spec_rejects_drive_keys(self, fixed):
@@ -410,6 +411,14 @@ class TestRunSweep:
                                    "barnett_shift": 4.03e6, "G_m": 0.0})
         assert all(row[1] is True for row in numpy_rows)
 
+    def test_contrast_cells_are_native_values(self):
+        spec = _tiny_sweep(fixed={"G_c": 2.7e6, "barnett_shift": 4.03e6},
+                           measures=("occupation",), nonreciprocity=True)
+        table = run_sweep(spec)
+        assert "C_n_eff_b1" in table.columns
+        for row in table.rows:
+            assert all(type(cell) in (type(None), bool, str, float) for cell in row)
+
     def test_worker_counts_agree(self, tmp_path):
         spec = _tiny_sweep()
         serial = tmp_path / "serial.csv"
@@ -597,6 +606,19 @@ class TestCli:
         assert cli_main(["point", "--config", str(cfg)]) == 1
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "reflectivity = 1.5\n",
+        "gamma_a = -1\n",
+        "coupling_mode = meanfield\nlaser_power = 0.03\n",
+    ], ids=["reflectivity", "negative-damping", "meanfield-without-drive-freq-2"])
+    def test_value_outside_its_domain_exit_code(self, tmp_path, capsys, text):
+        cfg = tmp_path / "domain.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "report.json"
+        assert cli_main(["point", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unknown_coupling_mode_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("coupling_mode = meanfeld\n")
@@ -623,7 +645,24 @@ class TestCli:
         (tmp_path / "sweep.cfg").write_text(
             "axis1 = temperature\naxis1_start = 0\naxis1_stop = 0.1\naxis1_count = 2\n")
         assert cli_main([arg.format(tmp=tmp_path) for arg in args]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        # the message names the file it is about
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--config", "{tmp}/sweep.cfg"],
+        ["presets", "--preset", "detuning-grid"],
+    ], ids=["sweep", "presets"])
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch, args):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was opened")
+
+        monkeypatch.setattr("magnomech.cli.run_sweep", no_sweep)
+        (tmp_path / "sweep.cfg").write_text(
+            "axis1 = temperature\naxis1_start = 0\naxis1_stop = 0.1\naxis1_count = 2\n")
+        out = tmp_path / "missing" / "x.csv"
+        assert cli_main([arg.format(tmp=tmp_path) for arg in args] + ["--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
 
     def test_presets_listing(self, capsys):
         assert cli_main(["presets"]) == 0
