@@ -6,8 +6,11 @@ negativity from the partially transposed two-mode covariance, steering
 is the Renyi-2 measure, and tripartite entanglement the minimum residual
 contangle (a squared one-versus-rest log-negativity less the squared pair
 log-negativities).  One batched kernel serves :func:`evaluate_measures`
-and the scalar functions alike: one stack of block determinants gives the
-pair negativities and steering, one stacked eigvals the one-versus-rest terms.
+and the scalar functions alike: each covariance stack is factored once,
+``V = L L^T`` (Cholesky), and the singular values of ``L^T J L`` are the
+symplectic eigenvalues (Williamson's theorem), ``J`` the symplectic form
+with the first momentum flipped for a partial transpose: in closed form
+for two modes, by SVD for more.
 """
 
 from __future__ import annotations
@@ -86,84 +89,87 @@ def _gather(cov: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return cov[rows[:, :, None], rows[:, None, :]]
 
 
-def _lapack(function, stack: np.ndarray) -> np.ndarray:
-    try:
-        return function(stack)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"{function.__name__} failed on a covariance block: {exc}") from exc
-
-
 def _snap_zero(values: np.ndarray) -> np.ndarray:
-    # solver-noise magnitudes are indistinguishable from an exact zero; snapping
-    # keeps "> 0" meaningful (a marginal product state must not read as entangled)
-    return np.where(np.abs(values) < ZERO_CLIP, 0.0, values)
+    # a nonnegative measure: negatives and solver-noise magnitudes read as an exact
+    # zero, which keeps "> 0" meaningful (a marginal product state is not entangled)
+    return np.where(values < ZERO_CLIP, 0.0, values)
 
 
-def _pair_dets(stack: np.ndarray):
-    """Determinants of the 2x2 blocks, shape (k, 2, 2), and of each 4x4 matrix."""
-    blocks = stack.reshape(len(stack), 2, 2, 2, 2).swapaxes(2, 3)
-    # numpy's det warns of a division by zero on blocks of subnormal entries,
-    # whose determinant underflows; the 0.0 it returns is correctly rounded
-    with np.errstate(divide="ignore"):
-        return _lapack(np.linalg.det, blocks), _lapack(np.linalg.det, stack)
+#: ``F Omega F`` (``F``: the first mode's momentum flip) negates Omega's first block;
+#: ``F V F`` has the Cholesky factor ``F L F``, so ``L^T (F Omega F) L`` has its spectrum.
+_OMEGA_PT = np.where(np.arange(len(OMEGA)) < 2, -1.0, 1.0)[:, None] * OMEGA
+
+#: Maps a flat 4x4 kernel with upper entries a..f to u = (a+f, b-e, c+d), w = (a-f, b+e, c-d).
+_UW = np.eye(16)[:, (1, 2, 3) * 2] + np.eye(16)[:, (11, 13, 6) * 2] * np.repeat([1.0, -1.0], 3)
 
 
-def _log_negativities(blocks: np.ndarray, det_all: np.ndarray) -> np.ndarray:
-    """Log-negativities from :func:`_pair_dets` of a stack of two-mode covariances."""
-    sigma = blocks[:, 0, 0] + blocks[:, 1, 1] - 2.0 * blocks[:, 0, 1]
-    disc = sigma * sigma - 4.0 * det_all
-    scale = sigma * sigma + 4.0 * np.abs(det_all)
-    # the discriminant vanishes identically for balanced states; only
-    # violations beyond rounding scale are physicality errors
-    bad = disc < -ZERO_CLIP * scale
-    if bad.any():
-        raise PhysicalityError("partially transposed symplectic spectrum is complex "
-                               f"(sigma^2 - 4 det V = {disc[bad][0]:.3e} < 0)")
-    # a rounding-level discriminant is a degenerate spectrum, which is never
-    # entangled; its square root would read as up to ~5e-9 of negativity
-    disc = np.where(disc <= 16.0 * np.finfo(float).eps * scale, 0.0, disc)
-    inner = (sigma - np.sqrt(disc)) / 2.0
-    if (inner <= 0.0).any():
-        raise PhysicalityError(f"squared symplectic eigenvalue is nonpositive ({inner.min():.3e})")
-    return _snap_zero(np.maximum(0.0, -np.log(2.0 * np.sqrt(inner))))
+def _factor(stack: np.ndarray) -> np.ndarray:
+    """Cholesky factor ``L`` (``V = L L^T``) of each covariance of a stack."""
+    if not np.isfinite(stack).all():
+        raise SolverError("covariance block has non-finite entries")
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError as exc:
+        raise PhysicalityError(f"covariance block is not positive definite ({exc})") from exc
 
 
-def _steerings(det_s: np.ndarray, det_all: np.ndarray) -> np.ndarray:
-    if (det_s <= 0.0).any() or (det_all <= 0.0).any():
+def _kernel(factor: np.ndarray, transpose: bool) -> np.ndarray:
+    """``K = L^T J L``, whose singular values are the symplectic eigenvalues of
+    ``L L^T`` (of its partial transpose with ``transpose``), each twice."""
+    dim = factor.shape[-1]
+    return factor.swapaxes(-1, -2) @ (_OMEGA_PT if transpose else OMEGA)[:dim, :dim] @ factor
+
+
+def _pair_moduli(factor: np.ndarray):
+    """Partially transposed symplectic eigenvalues (smaller, larger) of two-mode covariances
+    from Cholesky factors: ``||u| -+ |w||/2`` (see :data:`_UW`), the smaller taken as their
+    product ``det L`` (the kernel's Pfaffian) over the larger, free of cancellation."""
+    u1, u2, u3, w1, w2, w3 = (_kernel(factor, True).reshape(-1, 16) @ _UW).T
+    larger = (np.hypot(np.hypot(u1, u2), u3) + np.hypot(np.hypot(w1, w2), w3)) / 2.0
+    return np.prod(np.diagonal(factor, axis1=1, axis2=2), axis=1) / larger, larger
+
+
+def _log_negativity(nu: np.ndarray) -> np.ndarray:
+    """``-ln(2 nu)`` of the smallest partially transposed symplectic eigenvalues."""
+    if not (nu > 0.0).all():
+        raise PhysicalityError(f"partially transposed symplectic eigenvalue is {nu.min():.3e} <= 0")
+    return -np.log(2.0 * nu)
+
+
+def _pair_negativities(factor: np.ndarray) -> np.ndarray:
+    """Log-negativities of a stack of two-mode covariances from their Cholesky factors."""
+    return _snap_zero(_log_negativity(_pair_moduli(factor)[0]))
+
+
+def _steerings(stack: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Steering by the first and by the second mode of each two-mode covariance, shape
+    (k, 2): ``det V`` is the squared product of the Cholesky diagonal, ``det V_s`` closed-form."""
+    blocks = np.diagonal(stack.reshape(-1, 2, 2, 2, 2), axis1=1, axis2=3)
+    det_s = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 1, 0] ** 2
+    det_all = np.prod(np.diagonal(factor, axis1=1, axis2=2), axis=1)[:, None] ** 2
+    if not (det_s.min() > 0.0 and det_all.min() > 0.0):
         raise PhysicalityError("covariance determinant is nonpositive")
-    return _snap_zero(np.maximum(0.0, 0.5 * np.log(det_s / (4.0 * det_all))))
-
-
-def _symplectic_moduli(stack: np.ndarray) -> np.ndarray:
-    """|eigenvalues| of Omega V for each V; each symplectic eigenvalue twice."""
-    dim = stack.shape[-1]
-    return np.abs(_lapack(np.linalg.eigvals, OMEGA[:dim, :dim] @ stack))
+    return _snap_zero(0.5 * np.log(det_s / (4.0 * det_all)))
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted ascending.
 
-    The eigenvalues of ``i * Omega * V`` come in pairs +/-nu; the returned
-    array holds each nu once.  With vacuum variance 1/2, physical states
-    have every nu >= 1/2.  Covers up to the model's five modes.
+    The singular values of ``L^T Omega L``, ``V = L L^T`` (Cholesky), are the
+    symplectic eigenvalues, each twice; the result holds each once.  Physical
+    states (vacuum variance 1/2) have every nu >= 1/2; a matrix that is not
+    positive definite raises :class:`PhysicalityError`.  Covers up to five modes.
     """
-    return np.sort(_symplectic_moduli(np.asarray(cov, dtype=float)))[::2]
+    factor = _factor(np.asarray(cov, dtype=float))
+    return np.linalg.svd(_kernel(factor, False), compute_uv=False)[::-1][::2]
 
 
 def is_physical(cov: np.ndarray) -> bool:
-    """True when every symplectic eigenvalue is >= 1/2 - PHYSICAL_TOL."""
-    return bool(symplectic_eigenvalues(cov)[0] >= 0.5 - PHYSICAL_TOL)
-
-
-def _partial_transpose(cov: np.ndarray, mode: int) -> np.ndarray:
-    flip = np.ones(cov.shape[0])
-    flip[2 * mode + 1] = -1.0
-    return cov * np.outer(flip, flip)
-
-
-#: Momentum sign flip of the first mode (phase-space partial transpose);
-#: its leading 2k x 2k block applies to a k-mode covariance.
-_FLIP_FIRST = _partial_transpose(np.ones(OMEGA.shape), 0)
+    """Whether ``cov`` is positive definite with symplectic spectrum >= 1/2 - PHYSICAL_TOL."""
+    try:
+        return bool(symplectic_eigenvalues(cov)[0] >= 0.5 - PHYSICAL_TOL)
+    except PhysicalityError:
+        return False
 
 
 def _contangle_plan(triples, n_modes):
@@ -194,11 +200,8 @@ _ONE_TRIPLE = _contangle_plan([(0, 1, 2)], 3)
 def _contangles(stack: np.ndarray) -> np.ndarray:
     """Squared ``max(0, -ln(2 nu))`` per matrix, ``nu`` the smallest symplectic
     eigenvalue after flipping the first mode's momentum (partial transpose)."""
-    dim = stack.shape[-1]
-    nu = _symplectic_moduli(stack * _FLIP_FIRST[:dim, :dim]).min(axis=-1)
-    if (nu <= 0.0).any():
-        raise PhysicalityError("partially transposed covariance is singular")
-    e = np.maximum(0.0, -np.log(2.0 * nu))
+    nu = np.linalg.svd(_kernel(_factor(stack), True), compute_uv=False)[..., -1]
+    e = np.maximum(0.0, _log_negativity(nu))
     return e * e
 
 
@@ -213,14 +216,12 @@ def _residual_contangles(cov: np.ndarray, plan, negativities: np.ndarray) -> np.
 def log_negativity(cov4: np.ndarray) -> float:
     """Logarithmic negativity of a two-mode covariance matrix.
 
-    Computes the smaller symplectic eigenvalue of the partially
-    transposed state from the block determinants,
-    ``eta = sqrt((sigma - sqrt(sigma^2 - 4 det V))/2)`` with
-    ``sigma = det V_1 + det V_2 - 2 det V_12``, and returns
-    ``max(0, -ln(2 eta))``.
+    ``max(0, -ln(2 nu))``, ``nu`` the smaller symplectic eigenvalue of the
+    partial transpose: a closed-form singular value of ``L^T J L``.  A matrix
+    not positive definite, or whose ``nu`` rounds to 0, raises :class:`PhysicalityError`.
     """
-    cov4 = _block(cov4, 4, "log_negativity")
-    return float(_log_negativities(*_pair_dets(cov4[None]))[0])
+    cov4 = _block(cov4, 4, "log_negativity")[None]
+    return float(_pair_negativities(_factor(cov4))[0])
 
 
 def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
@@ -234,8 +235,7 @@ def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
     cov4 = _block(cov4, 4, "gaussian_steering")
     if steering_mode not in (0, 1):
         raise DomainError("steering_mode must be 0 or 1")
-    blocks, det_all = _pair_dets(cov4[None])
-    return float(_steerings(blocks[:, steering_mode, steering_mode], det_all)[0])
+    return float(_steerings(cov4[None], _factor(cov4[None]))[0, steering_mode])
 
 
 def residual_contangle(cov6: np.ndarray) -> float:
@@ -248,7 +248,7 @@ def residual_contangle(cov6: np.ndarray) -> float:
     genuine tripartite entanglement.
     """
     cov6 = _block(cov6, 6, "residual_contangle")
-    negativities = _log_negativities(*_pair_dets(_gather(cov6, _THREE_PAIR_ROWS)))
+    negativities = _pair_negativities(_factor(_gather(cov6, _THREE_PAIR_ROWS)))
     return float(_residual_contangles(cov6, _ONE_TRIPLE, negativities)[0])
 
 
@@ -363,14 +363,14 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
     report = MeasureReport(stable=True, margin=margin, params=params,
                            physical=bool(nu_min >= 0.5 - PHYSICAL_TOL), min_symplectic=nu_min)
     if not {"entanglement", "steering", "contangle"}.isdisjoint(measures):
-        blocks, det_all = _pair_dets(_gather(cov, _ALL_PAIR_ROWS))
+        pairs = _gather(cov, _ALL_PAIR_ROWS)
+        factors = _factor(pairs)
     if "entanglement" in measures or "contangle" in measures:
-        negativities = _log_negativities(blocks, det_all)
+        negativities = _pair_negativities(factors)
     if "entanglement" in measures:
         report.pairwise_E = dict(zip(ALL_PAIRS, negativities.tolist()))
     if "steering" in measures:
-        blocks, det_all = blocks[_INDIRECT_OF_ALL], det_all[_INDIRECT_OF_ALL]
-        values = _steerings(np.diagonal(blocks, axis1=1, axis2=2), det_all[:, None])
+        values = _steerings(pairs, factors)[_INDIRECT_OF_ALL]
         for (a, b), (a_to_b, b_to_a) in zip(INDIRECT_PAIRS, values.tolist()):
             report.steering.update({(a, b): a_to_b, (b, a): b_to_a})
     if "contangle" in measures:

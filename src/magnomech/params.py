@@ -255,9 +255,13 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    """Read and parse a UTF-8 configuration file."""
+    """Read and parse a UTF-8 configuration file; errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return parse_config(fh.read())
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -16,6 +16,7 @@ from magnomech import (
     effective_phonon_number,
     evaluate_measures,
     gaussian_steering,
+    is_physical,
     log_negativity,
     reduce_modes,
     residual_contangle,
@@ -25,11 +26,19 @@ from magnomech import (
     symplectic_eigenvalues,
     tmsv_covariance,
 )
-from magnomech.measures import _partial_transpose
 
 
 def _rotation(phi):
     return np.array([[math.cos(phi), math.sin(phi)], [-math.sin(phi), math.cos(phi)]])
+
+
+def _transposed_spectrum(cov):
+    """Symplectic eigenvalues of the partial transpose over the first mode,
+    from the eigenvalues of the flipped symplectic form times ``cov``: an
+    oracle independent of the Cholesky kernel."""
+    form = np.kron(np.eye(len(cov) // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    form[:2, :2] *= -1.0
+    return np.sort(np.abs(np.linalg.eigvals(form @ cov)))[::2]
 
 
 class TestReduce:
@@ -81,8 +90,8 @@ class TestLogNegativity:
         assert set(report.pairwise_E.values()) == {0.0}
 
     def test_subnormal_cross_correlations_read_as_zero_without_warning(self):
-        # the cross block's determinant underflows; numpy reports that as a
-        # division by zero, which the test configuration turns into an error
+        # an underflowing cross block must not surface as a RuntimeWarning,
+        # which the test configuration turns into an error
         cov = 0.5 * np.eye(4)
         cov[0, 3] = cov[3, 0] = cov[1, 2] = cov[2, 1] = 5e-324
         assert log_negativity(cov) == 0.0
@@ -92,13 +101,38 @@ class TestLogNegativity:
         assert log_negativity(tmsv_covariance(0.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_eigenvalue_route_on_model_states(self, baseline_cov):
-        # determinant formula against the partial-transpose symplectic
-        # eigenvalue: two independent routes to the same number
+        # closed form on the Cholesky factor against the eigenvalues of the
+        # flipped form times V: two independent routes to the same number
         for pair in (("b1", "m"), ("c", "a"), ("b2", "a"), ("b1", "b2")):
             v4 = reduce_modes(baseline_cov, pair)
-            nu = symplectic_eigenvalues(_partial_transpose(v4, 0))[0]
-            expected = max(0.0, -math.log(2 * nu))
+            expected = max(0.0, -math.log(2 * _transposed_spectrum(v4)[0]))
             assert log_negativity(v4) == pytest.approx(expected, abs=1e-10)
+
+    def test_mode_order_resolves_a_near_degenerate_spectrum(self):
+        # a stable point whose pair (b1, m) has a nearly degenerate partially
+        # transposed spectrum; 2.1054535531e-7 is its 50-digit value
+        params = resolve_system_params({
+            "gamma_a": 1e5, "gamma_m": 1e5, "gamma_c": 1e5, "gamma_b1": 4714.0,
+            "gamma_b2": 10.0, "D_ma": 1.0, "D_b1b2": 2504.0, "G_m": 3.0, "G_c": 16.0,
+            "delta_m_tilde": 0.0, "delta_c_tilde": 40.0, "barnett_shift": 12.0,
+            "temperature": 0.0})
+        cov = solve_lyapunov(build_drift(params), build_diffusion(params))
+        forward = log_negativity(reduce_modes(cov, ("b1", "m")))
+        backward = log_negativity(reduce_modes(cov, ("m", "b1")))
+        assert abs(forward - backward) <= 1e-15
+        assert abs(forward - 2.1054535531e-7) <= 1e-15
+
+    def test_spectrum_spread_keeps_the_smaller_eigenvalue(self):
+        # the partially transposed spectrum is (1e-20, 1); a difference of
+        # the two closed-form norms would round the smaller one to zero
+        assert log_negativity(np.diag([1e-40, 1.0, 1.0, 1.0])) == pytest.approx(
+            -math.log(2e-20), rel=1e-15)
+
+    def test_spectrum_lost_to_underflow_raises(self):
+        # the smaller eigenvalue, 1e-300, is det L = 1e-600 over the larger:
+        # an underflow to zero is a typed error, not log(0)
+        with pytest.raises(PhysicalityError):
+            log_negativity(np.diag([1e-300] * 4))
 
     def test_nonphysical_input_raises(self):
         v = np.zeros((4, 4))
@@ -332,23 +366,33 @@ class TestMeasureKernel:
                 for other in set(fields.values()) - {name}:
                     assert getattr(alone, other) == {}
 
-    def test_full_report_makes_two_eigvals_calls(self, baseline, baseline_cov, monkeypatch):
-        # one for the 10x10 symplectic spectrum and one for the stacked
-        # one-versus-rest contangles; the pair terms come from determinants
-        calls = []
-        eigvals = np.linalg.eigvals
+    @pytest.mark.parametrize("measures, stacks", [
+        (("entanglement", "steering", "contangle", "occupation"), [(10, 10), (10, 4, 4), (12, 6, 6)]),
+        (("entanglement", "steering"), [(10, 10), (10, 4, 4)]),
+    ], ids=["full-report", "entanglement-steering"])
+    def test_report_factors_each_stack_once(self, baseline, baseline_cov, monkeypatch,
+                                            measures, stacks):
+        # one Cholesky factorization each for the 10x10 spectrum, the ten
+        # mode pairs (negativities and steering) and the 12 one-versus-rest
+        # bipartitions; no eigenvalue or determinant call
+        calls = {"cholesky": [], "eigvals": [], "det": []}
 
-        def counting(stack):
-            calls.append(stack.shape)
-            return eigvals(stack)
+        def counting(name):
+            function = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
-        evaluate_measures(baseline_cov, baseline, margin=-1.0)
-        assert calls == [(10, 10), (12, 6, 6)]
+            def wrapper(stack, *args, **kwargs):
+                calls[name].append(stack.shape)
+                return function(stack, *args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        evaluate_measures(baseline_cov, baseline, margin=-1.0, measures=measures)
+        assert calls == {"cholesky": stacks, "eigvals": [], "det": []}
 
     def test_contangles_match_the_eigenvalue_route(self):
         def contangle(cov, modes):
-            nu = symplectic_eigenvalues(_partial_transpose(reduce_modes(cov, modes), 0))[0]
+            nu = _transposed_spectrum(reduce_modes(cov, modes))[0]
             return max(0.0, -math.log(2.0 * nu)) ** 2
 
         checked = 0
@@ -378,3 +422,11 @@ class TestMeasureKernel:
         cov[4, 4] = np.nan
         with pytest.raises(SolverError):
             evaluate_measures(cov, None, -1.0, ())
+
+    def test_matrix_that_is_not_positive_definite_is_not_physical(self):
+        # its eigvals(Omega V) moduli are all 1/2, as for the vacuum; only a
+        # positive definite matrix has a symplectic spectrum
+        cov = np.diag([0.5, -0.5, 0.5, 0.5])
+        assert not is_physical(cov)
+        with pytest.raises(PhysicalityError):
+            symplectic_eigenvalues(cov)

@@ -26,6 +26,7 @@ from magnomech import (
     stability_check,
 )
 from magnomech.lyapunov import RESIDUAL_TOL
+from magnomech.measures import _kernel, _pair_moduli
 
 W_B1, W_B2 = 20.15e6, 20.11e6
 
@@ -88,10 +89,7 @@ def test_log_negativity_ignores_mode_order_and_local_rotations(config, pair, phi
     cov = _steady_state(config)[3]
     cov4 = reduce_modes(cov, pair)
     rotation = _local_rotation(phi_1, phi_2)
-    # 5e-9 is the determinant formula's own resolution: near a degenerate
-    # partially transposed spectrum the square root of its discriminant
-    # turns rounding into up to ~5e-9 of negativity (see _log_negativities)
-    expected = pytest.approx(log_negativity(cov4), rel=1e-9, abs=5e-9)
+    expected = pytest.approx(log_negativity(cov4), rel=1e-12, abs=1e-13)
     assert log_negativity(reduce_modes(cov, pair[::-1])) == expected
     assert log_negativity(rotation @ cov4 @ rotation.T) == expected
 
@@ -107,3 +105,16 @@ def test_steering_implies_entanglement_on_physical_states(config):
     for a, b in INDIRECT_PAIRS:
         if report.steering_value(a, b) > 0 or report.steering_value(b, a) > 0:
             assert report.entanglement(a, b) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16), st.floats(1e-3, 10.0))
+def test_pair_closed_form_matches_svd(entries, shift):
+    # the closed-form singular values of the partially transposed 4x4 kernel
+    # L^T J L against a general SVD of it, on random positive definite L L^T
+    root = np.reshape(entries, (4, 4))
+    factor = np.linalg.cholesky(root @ root.T + shift * np.eye(4))[None]
+    singular = np.linalg.svd(_kernel(factor, True)[0], compute_uv=False)
+    smaller, larger = _pair_moduli(factor)
+    assert larger[0] == pytest.approx(singular[0], abs=1e-13 * singular[0])
+    assert smaller[0] == pytest.approx(singular[3], abs=1e-13 * singular[0])

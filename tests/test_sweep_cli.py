@@ -57,6 +57,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("theta = 0\ntheta = 1\n")
 
+    def test_syntax_error_names_the_file(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("temperature 0.05\n")
+        with pytest.raises(ConfigError) as info:
+            magnomech.load_config(cfg)
+        assert str(info.value).startswith(f"{cfg}: line 1: expected 'key = value'")
+
     def test_unknown_parameter_fails_at_resolve(self):
         with pytest.raises(ConfigError, match="unknown"):
             run_point({"not_a_parameter": 1.0})
@@ -634,13 +641,15 @@ class TestCli:
         ["point", "--config", "{tmp}/nope.cfg"],
         ["point", "--config", "{tmp}"],
         ["point", "--config", "{tmp}/latin1.cfg"],
+        ["point", "--config", "{tmp}/syntax.cfg"],
         ["point", "--config", "{tmp}/point.cfg", "--out", "{tmp}"],
         ["sweep", "--config", "{tmp}/sweep.cfg", "--out", "{tmp}"],
         ["presets", "--preset", "temperature-baseline", "--out", "{tmp}"],
-    ], ids=["missing-config", "config-is-a-directory", "config-not-utf8", "point-out-is-a-directory",
-            "sweep-out-is-a-directory", "presets-out-is-a-directory"])
+    ], ids=["missing-config", "config-is-a-directory", "config-not-utf8", "config-syntax-error",
+            "point-out-is-a-directory", "sweep-out-is-a-directory", "presets-out-is-a-directory"])
     def test_missing_file_exit_code(self, tmp_path, capsys, args):
         (tmp_path / "latin1.cfg").write_bytes("# température\n".encode("latin-1"))
+        (tmp_path / "syntax.cfg").write_text("temperature 0.05\n")
         (tmp_path / "point.cfg").write_text("temperature = 0.0\n")
         (tmp_path / "sweep.cfg").write_text(
             "axis1 = temperature\naxis1_start = 0\naxis1_stop = 0.1\naxis1_count = 2\n")
