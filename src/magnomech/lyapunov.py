@@ -1,13 +1,16 @@
 """Stability gate and steady-state covariance via the Lyapunov equation.
 
 The steady-state covariance matrix V of the linearized dynamics solves
-``A V + V A^T + D = 0``.  One real Schur form of A (LAPACK ``dgees``,
-memoised on the matrix contents) serves both the stability gate and the
-primary solver, the dense Bartels-Stewart algorithm (LAPACK ``dtrsyl``
-for the solve and its refinement pass); an independent Kronecker-
-vectorized solve and a direct time-integration serve as cross-check
-oracles.  Every algebraic solve is refined once, symmetrized and
-verified against a residual bound before being returned.
+``A V + V A^T + D = 0``.  Each distinct drift matrix is factored once:
+its real Schur form (LAPACK ``dgees``) and the stability verdict read off
+it are memoised on the matrix contents, two matrices at a time, so the
+``+`` and ``-`` rotation drifts of a contrast sweep both stay factored
+along an axis that leaves the drift unchanged.  The one entry serves both
+the stability gate and the primary solver, the dense Bartels-Stewart
+algorithm (LAPACK ``dtrsyl`` for the solve and its refinement pass); an
+independent Kronecker-vectorized solve and a direct time-integration
+serve as cross-check oracles.  Every algebraic solve is refined once,
+symmetrized and verified against a residual bound before being returned.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class StabilityResult:
 _DGEES = sla.get_lapack_funcs("gees", (np.empty((1, 1)),))
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _schur_of(shape: tuple, data: bytes):
     drift = np.frombuffer(data).reshape(shape)
     if not np.isfinite(drift).all():
@@ -55,15 +58,21 @@ def _schur_of(shape: tuple, data: bytes):
         raise SolverError(f"Schur decomposition failed (LAPACK dgees info {info})")
     schur.flags.writeable = False
     basis.flags.writeable = False
-    return schur, basis
+    margin = float(schur.diagonal().max())
+    gate = StabilityResult(stable=margin < -STABILITY_EPS * float(np.abs(drift).max() or 1.0),
+                           margin=margin)
+    return schur, basis, gate
 
 
 def _real_schur(drift: np.ndarray):
-    """Read-only real Schur factors ``(T, U)`` of ``drift = U T U^T``.
+    """Read-only real Schur factors ``(T, U)`` of ``drift = U T U^T`` and its verdict.
 
-    Memoised on the matrix contents, so the gate and the solve of one point
-    share a single factorization; an array mutated in place is factored
-    afresh.  The real parts of all eigenvalues sit on ``diag(T)``.
+    Memoised on the matrix contents, two matrices at a time, so the gate and
+    the solve of one point share a single factorization, and so do the
+    points of an axis that leaves the drift unchanged; an array mutated in
+    place is factored afresh.  The real parts of all eigenvalues sit on
+    ``diag(T)``; the :class:`StabilityResult` is read off it once, when the
+    matrix is factored.
     """
     if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
         raise ValueError("drift must be a square matrix")
@@ -75,16 +84,13 @@ def stability_check(drift: np.ndarray) -> StabilityResult:
 
     Stable means every eigenvalue has real part below the (scale-relative)
     marginal tolerance; the margin is returned either way so callers can
-    report how far from the boundary a point sits.
+    report how far from the boundary a point sits.  The verdict is the
+    memoised one of the matrix's Schur factorization.
     """
-    drift = np.asarray(drift, dtype=float)
-    margin = float(_real_schur(drift)[0].diagonal().max())
-    return StabilityResult(stable=margin < -STABILITY_EPS * float(np.abs(drift).max() or 1.0),
-                           margin=margin)
+    return _real_schur(np.asarray(drift, dtype=float))[2]
 
 
-def _require_stable(drift: np.ndarray, caller: str) -> float:
-    gate = stability_check(drift)
+def _require_stable(gate: StabilityResult, caller: str) -> float:
     if not gate.stable:
         raise StabilityError(f"{caller} called on unstable drift (margin {gate.margin:.3e})")
     return gate.margin
@@ -113,16 +119,17 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
 
     One real Schur form ``A = U T U^T`` serves the stability guard (the
     real parts of all eigenvalues sit on ``diag(T)``) and both triangular
-    Sylvester solves; it is memoised, so a :func:`stability_check` of the
-    same matrix just before has already paid for it.  The refinement pass
+    Sylvester solves; it is memoised with its verdict, so a
+    :func:`stability_check` of the same matrix just before has already paid
+    for both, and the guard reads that verdict.  The refinement pass
     matters because the model's rates span five orders of magnitude:
     without it the backward error of the weakly damped subspace shows up
     as spurious 1e-9-level correlations between uncoupled modes.
     """
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
-    _require_stable(drift, "solve_lyapunov")
-    schur, basis = _real_schur(drift)
+    schur, basis, gate = _real_schur(drift)
+    _require_stable(gate, "solve_lyapunov")
 
     def solve(rhs):
         # T Y + Y T^T = U^T rhs U, then X = U Y U^T
@@ -145,7 +152,7 @@ def solve_lyapunov_oracle(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarra
     n = drift.shape[0]
     if n > 24:
         raise ValueError("oracle path is restricted to at most 12 modes")
-    _require_stable(drift, "oracle")
+    _require_stable(stability_check(drift), "oracle")
     eye = np.eye(n)
     try:
         lu_piv = sla.lu_factor(np.kron(eye, drift) + np.kron(drift, eye))
@@ -167,7 +174,7 @@ def integrate_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
 
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
-    margin = _require_stable(drift, "integration oracle")
+    margin = _require_stable(stability_check(drift), "integration oracle")
     n = drift.shape[0]
 
     def rhs(_t, y):

@@ -24,6 +24,9 @@ CONVERGENCE_TOL = 1e-10
 MAX_ITERATIONS = 1000
 #: Under-relaxation factor applied to displacement updates.
 DAMPING = 0.5
+#: Largest gap, in steps, between the iterations whose displacement pair the
+#: cycle detection keeps.
+MAX_SAVE_GAP = 64
 
 
 @dataclass(frozen=True)
@@ -149,13 +152,21 @@ def solve_self_consistent(
     the returned record carries the converged detunings and the number
     of refinement evaluations in ``iterations``.
 
+    The convergence test reads the four relative changes (``m``, ``c``,
+    ``b1``, ``b2``) in turn and stops at the first one that fails, with
+    ``max()``'s reading of a NaN; the largest change itself is computed
+    only on the step that ends the iteration unconverged.
+
     After ``MAX_ITERATIONS`` steps without convergence it raises
     :class:`ConvergenceError` with the last relative change as
     ``residual``.  An orbit whose displacement pair repeats an earlier
     one exactly is periodic, so none of its later steps can converge:
     the iteration then stops once it has tested one more full period,
     on a step whose change equals the one at ``MAX_ITERATIONS``, and
-    raises the same error with the same residual.
+    raises the same error with the same residual.  The pair is kept for
+    comparison after steps 0, 1, 2, 4, ... until the gap reaches
+    ``MAX_SAVE_GAP``, then every ``MAX_SAVE_GAP`` steps, so a cycle
+    entered late is caught too.
     """
     delta_m0 = params.delta_m_tilde + params.barnett_shift
     delta_c0 = params.delta_c_tilde + params.fb_shift
@@ -166,22 +177,27 @@ def solve_self_consistent(
     x1 = x2 = 0.0
     x1 += DAMPING * (b1.real - x1)
     x2 += DAMPING * (b2.real - x2)
-    change = math.inf
     # Brent's cycle detection on (x1, x2), which alone fixes every later
-    # step: the pair held after iteration ``saved_at`` (0, 1, 2, 4, ...) is
-    # kept.  x never becomes -0.0 (a sum is -0.0 only if both terms are),
-    # so == here means bit-identical.
+    # step: the pair held after iteration ``saved_at`` (0, 1, 2, 4, ..., then
+    # every MAX_SAVE_GAP steps) is kept.  x never becomes -0.0 (a sum is
+    # -0.0 only if both terms are), so == here means bit-identical.
     saved1, saved2, saved_at, next_save, stop = x1, x2, 0, 1, MAX_ITERATIONS
     for iteration in range(1, MAX_ITERATIONS + 1):
         delta_m = delta_m0 + shift_m * x1
         delta_c = delta_c0 - shift_c * x2
         m1, c1, b11, b21, _, _ = new = step(delta_m, delta_c)
-        # m_abs, c_abs are the previous step's |m|, |c|: no second abs() call
-        change = max(abs(m1 - m) / (m_abs + eps), abs(c1 - c) / (c_abs + eps),
-                     abs(b11 - b1) / (abs(b1) + eps), abs(b21 - b2) / (abs(b2) + eps))
-        if change < CONVERGENCE_TOL:
+        # the relative changes in the order max() takes them, stopping at the
+        # first one that fails: a NaN first change fails the test, a NaN later
+        # one is passed over, just as max() passes it over.  m_abs, c_abs are
+        # the previous step's |m|, |c|: no second abs() call
+        if abs(m1 - m) / (m_abs + eps) < CONVERGENCE_TOL and not (
+                abs(c1 - c) / (c_abs + eps) >= CONVERGENCE_TOL
+                or abs(b11 - b1) / (abs(b1) + eps) >= CONVERGENCE_TOL
+                or abs(b21 - b2) / (abs(b2) + eps) >= CONVERGENCE_TOL):
             return _record(drives, new, delta_m, delta_c, iteration)
         if iteration == stop:
+            change = max(abs(m1 - m) / (m_abs + eps), abs(c1 - c) / (c_abs + eps),
+                         abs(b11 - b1) / (abs(b1) + eps), abs(b21 - b2) / (abs(b2) + eps))
             break
         m, c, b1, b2, m_abs, c_abs = new
         x1 += DAMPING * (b1.real - x1)
@@ -193,7 +209,8 @@ def solve_self_consistent(
             period = iteration - saved_at
             stop = min(stop, iteration + period + (MAX_ITERATIONS - iteration) % period)
         elif iteration == next_save:
-            saved1, saved2, saved_at, next_save = x1, x2, iteration, 2 * iteration
+            saved1, saved2, saved_at = x1, x2, iteration
+            next_save = iteration + min(iteration, MAX_SAVE_GAP)
     raise ConvergenceError(
         f"mean-field iteration did not converge in {MAX_ITERATIONS} steps "
         f"(last relative change {change:.3e})",

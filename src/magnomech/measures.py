@@ -158,14 +158,24 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     The singular values of ``L^T Omega L``, ``V = L L^T`` (Cholesky), are the
     symplectic eigenvalues, each twice; the result holds each once.  Physical
     states (vacuum variance 1/2) have every nu >= 1/2; a matrix that is not
-    positive definite raises :class:`PhysicalityError`.  Covers up to five modes.
+    positive definite raises :class:`PhysicalityError`, and one that is not
+    square with an even dimension of 2 to 10 (one to five modes) :class:`DomainError`.
     """
-    factor = _factor(np.asarray(cov, dtype=float))
+    cov = np.asarray(cov, dtype=float)
+    dim = cov.shape[0] if cov.ndim == 2 and cov.shape[0] == cov.shape[1] else 0
+    if dim not in range(2, len(OMEGA) + 1, 2):
+        raise DomainError(f"symplectic spectrum needs a square covariance of one to five modes, "
+                          f"got shape {cov.shape}")
+    factor = _factor(cov)
     return np.linalg.svd(_kernel(factor, False), compute_uv=False)[::-1][::2]
 
 
 def is_physical(cov: np.ndarray) -> bool:
-    """Whether ``cov`` is positive definite with symplectic spectrum >= 1/2 - PHYSICAL_TOL."""
+    """Whether ``cov`` is positive definite with symplectic spectrum >= 1/2 - PHYSICAL_TOL.
+
+    A matrix of the wrong shape raises :class:`DomainError`, as in
+    :func:`symplectic_eigenvalues`.
+    """
     try:
         return bool(symplectic_eigenvalues(cov)[0] >= 0.5 - PHYSICAL_TOL)
     except PhysicalityError:
@@ -195,6 +205,19 @@ _INDIRECT_OF_ALL = np.array([ALL_PAIRS.index(pair) for pair in INDIRECT_PAIRS])
 _TRIPLE_KEYS = tuple(_canonical(triple) for triple in DEFAULT_TRIPLES)
 _TRIPLE_PLAN = _contangle_plan([_mode_indices(key) for key in _TRIPLE_KEYS], len(MODE_ORDER))
 _ONE_TRIPLE = _contangle_plan([(0, 1, 2)], 3)
+
+
+#: The measure fields of :meth:`MeasureReport.to_record`, in record order: for each
+#: report map, its attribute, the field names and the map keys they read.
+_RECORD_FIELDS = (
+    ("pairwise_E", tuple(f"E_{a}{b}" for a, b in ALL_PAIRS), ALL_PAIRS),
+    ("steering", tuple(f"S_{s}_to_{t}" for a, b in INDIRECT_PAIRS for s, t in ((a, b), (b, a))),
+     tuple(pair for a, b in INDIRECT_PAIRS for pair in ((a, b), (b, a)))),
+    ("tripartite_R", tuple(f"R_{''.join(key)}" for key in _TRIPLE_KEYS), _TRIPLE_KEYS),
+    ("phonon_occ", ("n_eff_b1", "n_eff_b2"), ("b1", "b2")),
+)
+#: Names of a record's measure fields, in order; the other fields are the point's status.
+MEASURE_FIELDS = tuple(name for _, names, _ in _RECORD_FIELDS for name in names)
 
 
 def _contangles(stack: np.ndarray) -> np.ndarray:
@@ -329,15 +352,8 @@ class MeasureReport:
         """Flatten to one record with stable, order-independent field names."""
         record = {"stable": self.stable, "reason": self.reason or "", "stability_margin": self.margin,
                   "physical": self.physical, "min_symplectic": self.min_symplectic}
-        for pair in ALL_PAIRS:
-            record[f"E_{pair[0]}{pair[1]}"] = self.pairwise_E.get(pair)
-        for a, b in INDIRECT_PAIRS:
-            record[f"S_{a}_to_{b}"] = self.steering.get((a, b))
-            record[f"S_{b}_to_{a}"] = self.steering.get((b, a))
-        for key in _TRIPLE_KEYS:
-            record[f"R_{''.join(key)}"] = self.tripartite_R.get(key)
-        for mode in ("b1", "b2"):
-            record[f"n_eff_{mode}"] = self.phonon_occ.get(mode)
+        for attr, names, keys in _RECORD_FIELDS:
+            record.update(zip(names, map(getattr(self, attr).get, keys)))
         return record
 
 

@@ -26,7 +26,13 @@ from .errors import (
     StabilityError,
 )
 from .lyapunov import solve_lyapunov, stability_check
-from .measures import MEASURE_FAMILIES, MeasureReport, contrast_ratio, evaluate_measures
+from .measures import (
+    MEASURE_FAMILIES,
+    MEASURE_FIELDS,
+    MeasureReport,
+    contrast_ratio,
+    evaluate_measures,
+)
 from .meanfield import solve_self_consistent
 from .model import build_diffusion, build_drift, drive_conversions
 from .params import (
@@ -276,7 +282,8 @@ def _evaluate_task(task):
         return [failed.to_record() for _ in configs]
 
 
-_META_KEYS = ("stable", "reason", "stability_margin", "physical", "min_symplectic")
+#: Each measure field of a record with its ``+``, ``-`` and contrast columns.
+_CONTRAST_FIELDS = tuple((key, f"{key}_plus", f"{key}_minus", f"C_{key}") for key in MEASURE_FIELDS)
 
 
 def _row(records: list) -> dict:
@@ -293,18 +300,16 @@ def _row(records: list) -> dict:
         "physical_plus": plus["physical"],
         "physical_minus": minus["physical"],
     }
-    for key in plus:
-        if key in _META_KEYS:
-            continue
+    for key, key_plus, key_minus, key_contrast in _CONTRAST_FIELDS:
         vp, vm = plus[key], minus[key]
-        row[f"{key}_plus"] = vp
-        row[f"{key}_minus"] = vm
+        row[key_plus] = vp
+        row[key_minus] = vm
         if vp is None or vm is None:
-            row[f"C_{key}"] = None
+            row[key_contrast] = None
         else:
             # residual contangles can be negative; the contrast is defined
             # on the nonnegative part
-            row[f"C_{key}"] = contrast_ratio(max(vp, 0.0), max(vm, 0.0))
+            row[key_contrast] = contrast_ratio(max(vp, 0.0), max(vm, 0.0))
     return row
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -12,10 +13,14 @@ import magnomech
 from magnomech import (
     SolverError,
     StabilityError,
+    SweepAxis,
+    SweepSpec,
     build_diffusion,
     build_drift,
+    emit,
     integrate_lyapunov,
     is_physical,
+    run_sweep,
     solve_lyapunov,
     solve_lyapunov_oracle,
     stability_check,
@@ -216,9 +221,49 @@ class TestOneFactorization:
         assert lapack_calls["dgees"] == 2
 
     def test_factors_are_read_only(self):
-        for factor in lyapunov._real_schur(-np.eye(3)):
+        schur, basis, _ = lyapunov._real_schur(-np.eye(3))
+        for factor in (schur, basis):
             with pytest.raises(ValueError):
                 factor[0, 0] = 1.0
+
+    def test_contrast_temperature_sweep_factors_two_drifts(self, lapack_calls):
+        # the drift does not depend on the temperature, so the + and - drifts
+        # of every row are the first row's two
+        spec = SweepSpec(SweepAxis("temperature", 0.0, 0.5, 6), fixed={"barnett_shift": 4e6},
+                         measures=("entanglement",), nonreciprocity=True)
+        table = run_sweep(spec)
+        assert len(table.rows) == 6
+        assert lapack_calls == {"dgees": 2, "eigvals": 0, "schur": 0}
+
+    def test_detuning_sweep_factors_each_point(self, lapack_calls):
+        spec = SweepSpec(SweepAxis("delta_m_tilde", -30e6, -10e6, 5),
+                         SweepAxis("delta_c_tilde", 10e6, 30e6, 3), measures=("entanglement",))
+        table = run_sweep(spec)
+        assert len(table.rows) == 15
+        assert lapack_calls["dgees"] == 15
+
+    def test_unstable_drift_error_names_its_margin(self, lapack_calls):
+        drift = np.diag([-1.0, -2.0, 0.5, -3.0])
+        for solve in (solve_lyapunov, solve_lyapunov_oracle, integrate_lyapunov):
+            with pytest.raises(StabilityError, match=r"unstable drift \(margin 5\.000e-01\)"):
+                solve(drift, np.eye(4))
+        assert stability_check(drift).margin == 0.5
+        assert lapack_calls["dgees"] == 1
+
+    def test_memo_left_by_another_sweep_changes_no_byte(self):
+        # the plain sweep at the + rotation shares its drift with the contrast
+        # sweep before it, so it runs on factors that sweep left behind
+        contrast = SweepSpec(SweepAxis("temperature", 0.0, 0.5, 3), fixed={"barnett_shift": 4e6},
+                             nonreciprocity=True)
+        plain = SweepSpec(SweepAxis("temperature", 0.0, 0.5, 3), fixed={"barnett_shift": 4e6})
+        texts = []
+        for before in (lambda: emit(run_sweep(contrast), "csv", io.StringIO()),
+                       lyapunov._schur_of.cache_clear):
+            before()
+            out = io.StringIO()
+            emit(run_sweep(plain), "csv", out)
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1]
 
     def test_matches_two_pass_scipy_solve_and_oracle(self, baseline, rng):
         systems = [(build_drift(baseline), build_diffusion(baseline))]

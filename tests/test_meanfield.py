@@ -30,6 +30,9 @@ MEANFIELD_POINT = Path(__file__).parent.parent / "configs" / "meanfield_point.cf
 #: orbit, and at which its orbit never repeats within MAX_ITERATIONS.
 CYCLING = (-40.3e6, 3351666.6666666665)
 NON_REPEATING = (-40.3e6, 5027500.0)
+#: A point of the same plane whose orbit enters an exact period-8 cycle at
+#: step 551, after step 512, the last power of two below MAX_ITERATIONS.
+LATE_CYCLING = (-28545833.333333332, 5027500.0)
 
 
 def _baseline_detunings(params):
@@ -289,7 +292,7 @@ def _meanfield_cases():
     rng = random.Random(0)
     cases = [_meanfield_point(rng.uniform(-40.3e6, 0.0), rng.uniform(0.0, 40.22e6))
              for _ in range(12)]
-    cases += [_meanfield_point(*CYCLING), _meanfield_point(*NON_REPEATING)]
+    cases += [_meanfield_point(*point) for point in (CYCLING, NON_REPEATING, LATE_CYCLING)]
     baseline = resolve_system_params({})
     cases.append((baseline, DriveParams(rabi=cases[0][1].rabi, laser_coupling=cases[0][1].laser_coupling)))
     cases.append((baseline, DriveParams(bare_D_mb1=1.0, bare_D_cb2=1.0)))
@@ -344,6 +347,35 @@ def test_iteration_stops_once_its_orbit_repeats(step_calls):
     with pytest.raises(ConvergenceError):
         solve_self_consistent(*_meanfield_point(*NON_REPEATING))
     assert len(step_calls) == MAX_ITERATIONS + 1
+
+
+def test_iteration_stops_on_a_cycle_entered_late(step_calls):
+    with pytest.raises(ConvergenceError):
+        solve_self_consistent(*_meanfield_point(*LATE_CYCLING))
+    assert len(step_calls) < MAX_ITERATIONS + 1
+
+
+@pytest.mark.parametrize("nan_at, converges", [(0, False), (1, True)])
+def test_nan_changes_count_as_max_counts_them(monkeypatch, params, nan_at, converges):
+    # constant amplitudes except one NaN: max() keeps a NaN first argument and
+    # passes over a later one, so only a NaN magnon change blocks convergence
+    def constant_map(_params, _drives):
+        amplitudes = [1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j]
+        amplitudes[nan_at] = complex(math.nan, 0.0)
+
+        def step(*_detunings):
+            return (*amplitudes, abs(amplitudes[0]), abs(amplitudes[1]))
+
+        return step
+
+    monkeypatch.setattr(meanfield, "_amplitude_map", constant_map)
+    drives = DriveParams(bare_D_mb1=1.0, bare_D_cb2=1.0)
+    if converges:
+        assert solve_self_consistent(params, drives).iterations == 1
+    else:
+        with pytest.raises(ConvergenceError, match="last relative change nan") as caught:
+            solve_self_consistent(params, drives)
+        assert math.isnan(caught.value.residual)
 
 
 def test_detuning_plane_outcomes_match_the_longhand_reference(step_calls):

@@ -7,6 +7,7 @@ from magnomech import (
     ALL_PAIRS,
     DEFAULT_TRIPLES,
     INDIRECT_PAIRS,
+    MODE_ORDER,
     DomainError,
     PhysicalityError,
     SolverError,
@@ -26,6 +27,7 @@ from magnomech import (
     symplectic_eigenvalues,
     tmsv_covariance,
 )
+from magnomech.measures import MEASURE_FAMILIES
 
 
 def _rotation(phi):
@@ -292,6 +294,25 @@ class TestReport:
         assert record["E_ca"] == report.entanglement("c", "a")
         assert record["E_ca"] == report.entanglement("a", "c")
 
+    @pytest.mark.parametrize("families", [MEASURE_FAMILIES, ()])
+    def test_record_field_order(self, baseline, baseline_cov, families):
+        report = evaluate_measures(baseline_cov, baseline, -1.0, families)
+        expected = {"stable": True, "reason": "", "stability_margin": -1.0,
+                    "physical": report.physical, "min_symplectic": report.min_symplectic}
+        for a, b in ALL_PAIRS:
+            expected[f"E_{a}{b}"] = report.pairwise_E.get((a, b))
+        for a, b in INDIRECT_PAIRS:
+            expected[f"S_{a}_to_{b}"] = report.steering.get((a, b))
+            expected[f"S_{b}_to_{a}"] = report.steering.get((b, a))
+        for triple in DEFAULT_TRIPLES:
+            key = tuple(sorted(triple, key=MODE_ORDER.index))
+            expected[f"R_{''.join(key)}"] = report.tripartite_R.get(key)
+        for mode in ("b1", "b2"):
+            expected[f"n_eff_{mode}"] = report.phonon_occ.get(mode)
+        record = report.to_record()
+        assert list(record) == list(expected)
+        assert record == expected
+
     def test_hierarchy_on_baseline(self, baseline, baseline_cov):
         report = evaluate_measures(baseline_cov, baseline, margin=-1.0)
         for (a, b), s in report.steering.items():
@@ -422,6 +443,13 @@ class TestMeasureKernel:
         cov[4, 4] = np.nan
         with pytest.raises(SolverError):
             evaluate_measures(cov, None, -1.0, ())
+
+    @pytest.mark.parametrize("cov", [np.eye(3), np.eye(12), np.stack([0.5 * np.eye(4)] * 2)],
+                             ids=["odd", "six-modes", "stack"])
+    def test_spectrum_rejects_a_shape_that_is_not_one_to_five_modes(self, cov):
+        for call in (symplectic_eigenvalues, is_physical):
+            with pytest.raises(DomainError, match="one to five modes"):
+                call(cov)
 
     def test_matrix_that_is_not_positive_definite_is_not_physical(self):
         # its eigvals(Omega V) moduli are all 1/2, as for the vacuum; only a
