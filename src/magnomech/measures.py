@@ -6,11 +6,15 @@ negativity from the partially transposed two-mode covariance, steering
 is the Renyi-2 measure, and tripartite entanglement the minimum residual
 contangle (a squared one-versus-rest log-negativity less the squared pair
 log-negativities).  One batched kernel serves :func:`evaluate_measures`
-and the scalar functions alike: each covariance stack is factored once,
-``V = L L^T`` (Cholesky), and the singular values of ``L^T J L`` are the
-symplectic eigenvalues (Williamson's theorem), ``J`` the symplectic form
-with the first momentum flipped for a partial transpose: in closed form
-for two modes, by SVD for more.
+and the scalar functions alike: a covariance is factored once,
+``V = L L^T`` (Cholesky), and the singular values of ``L^T J L`` are its
+symplectic eigenvalues (Williamson's theorem), ``J`` the symplectic form,
+or that form with one mode's block negated for the partial transpose over
+that mode, so one factor serves every partial transpose: in closed form
+for two modes, by SVD for more.  :func:`evaluate_measures` checks the
+state once, factors it by LAPACK ``dpotrf`` and ``dgesdd``, and factors
+its ten mode pairs and four default triples as one stack each; steering
+reads the state's single-mode determinants and the pairs' ``det L``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg as sla
 
 from .errors import DomainError, PhysicalityError, SolverError
 from .model import MODE_INDEX, MODE_ORDER, OMEGA
@@ -77,16 +82,22 @@ def _quadratures(modes) -> list[int]:
     return [q for i in modes for q in (2 * i, 2 * i + 1)]
 
 
-def _block(cov, dim: int, name: str) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (dim, dim):
-        raise DomainError(f"{name} needs a {dim}x{dim} covariance matrix")
+def _checked(cov: np.ndarray, dims, need: str) -> np.ndarray:
+    """``cov`` after its one check: a :class:`DomainError` unless it is square
+    with a dimension in ``dims``, a :class:`SolverError` if an entry is not finite."""
+    dim = cov.shape[0] if cov.ndim == 2 and cov.shape[0] == cov.shape[1] else 0
+    if dim not in dims:
+        raise DomainError(f"{need}, got shape {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise SolverError("covariance has non-finite entries")
     return cov
 
 
-def _gather(cov: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Stack of the submatrices of ``cov`` on each row of quadrature indices."""
-    return cov[rows[:, :, None], rows[:, None, :]]
+def _submatrices(mode_sets, n_modes: int) -> np.ndarray:
+    """Flat indices of the blocks of each set of mode indices in an ``n_modes``
+    covariance: ``cov.take(table)`` is their stack."""
+    rows = np.array([_quadratures(modes) for modes in mode_sets])
+    return rows[:, :, None] * (2 * n_modes) + rows[:, None, :]
 
 
 def _snap_zero(values: np.ndarray) -> np.ndarray:
@@ -95,38 +106,69 @@ def _snap_zero(values: np.ndarray) -> np.ndarray:
     return np.where(values < ZERO_CLIP, 0.0, values)
 
 
-#: ``F Omega F`` (``F``: the first mode's momentum flip) negates Omega's first block;
-#: ``F V F`` has the Cholesky factor ``F L F``, so ``L^T (F Omega F) L`` has its spectrum.
-_OMEGA_PT = np.where(np.arange(len(OMEGA)) < 2, -1.0, 1.0)[:, None] * OMEGA
+def _flipped_forms(n_modes: int) -> np.ndarray:
+    """The ``n_modes`` symplectic form with mode ``i``'s block negated, for each ``i``.
 
-#: Maps a flat 4x4 kernel with upper entries a..f to u = (a+f, b-e, c+d), w = (a-f, b+e, c-d).
-_UW = np.eye(16)[:, (1, 2, 3) * 2] + np.eye(16)[:, (11, 13, 6) * 2] * np.repeat([1.0, -1.0], 3)
+    ``F_i Omega F_i`` (``F_i``: mode ``i``'s momentum flip); ``F_i V F_i`` has the
+    factor ``F_i L``, so ``L^T (F_i Omega F_i) L`` has the spectrum of the partial
+    transpose over mode ``i``.
+    """
+    dim = 2 * n_modes
+    signs = np.where(np.arange(dim) // 2 == np.arange(n_modes)[:, None], -1.0, 1.0)
+    return signs[:, :, None] * OMEGA[:dim, :dim]
+
+
+_PAIR_FORM = _flipped_forms(2)[0]
+_TRIPLE_FORMS = _flipped_forms(3)
+
+#: Maps a flat 4x4 kernel with upper entries a..f to u = (a+f, b-e, c+d), w = (a-f, b+e, c-d),
+#: interleaved as (u1, w1, u2, w2, u3, w3).
+_UW = (np.eye(16)[:, (1, 2, 3) * 2] + np.eye(16)[:, (11, 13, 6) * 2]
+       * np.repeat([1.0, -1.0], 3))[:, (0, 3, 1, 4, 2, 5)]
+
+_DPOTRF, _DGESDD = sla.get_lapack_funcs(("potrf", "gesdd"), (np.empty((1, 1)),))
+
+
+def _spectrum(cov: np.ndarray) -> np.ndarray:
+    """Singular values of ``L^T Omega L`` of one checked covariance, descending:
+    each symplectic eigenvalue twice (LAPACK ``dpotrf`` and ``dgesdd``)."""
+    factor, info = _DPOTRF(cov, lower=1)
+    if info > 0:
+        raise PhysicalityError(f"covariance is not positive definite (LAPACK dpotrf info {info})")
+    if info == 0:
+        _, values, _, info = _DGESDD(_kernel(factor, OMEGA[:len(cov), :len(cov)]), compute_uv=0)
+    if info != 0:  # an illegal argument to either routine, or an SVD that did not converge
+        raise SolverError(f"symplectic spectrum failed (LAPACK info {info})")
+    return values
 
 
 def _factor(stack: np.ndarray) -> np.ndarray:
-    """Cholesky factor ``L`` (``V = L L^T``) of each covariance of a stack."""
-    if not np.isfinite(stack).all():
-        raise SolverError("covariance block has non-finite entries")
+    """Cholesky factor ``L`` (``V = L L^T``) of each covariance of a checked stack."""
     try:
         return np.linalg.cholesky(stack)
     except np.linalg.LinAlgError as exc:
         raise PhysicalityError(f"covariance block is not positive definite ({exc})") from exc
 
 
-def _kernel(factor: np.ndarray, transpose: bool) -> np.ndarray:
+def _det_factor(factor: np.ndarray) -> np.ndarray:
+    """``det L`` of each Cholesky factor of a stack: ``det V`` is its square."""
+    return factor.diagonal(0, -2, -1).prod(-1)
+
+
+def _kernel(factor: np.ndarray, form: np.ndarray) -> np.ndarray:
     """``K = L^T J L``, whose singular values are the symplectic eigenvalues of
-    ``L L^T`` (of its partial transpose with ``transpose``), each twice."""
-    dim = factor.shape[-1]
-    return factor.swapaxes(-1, -2) @ (_OMEGA_PT if transpose else OMEGA)[:dim, :dim] @ factor
+    ``L L^T`` (of its partial transpose, for a flipped form ``J``), each twice."""
+    return factor.swapaxes(-1, -2) @ form @ factor
 
 
-def _pair_moduli(factor: np.ndarray):
+def _pair_moduli(factor: np.ndarray, det_l: np.ndarray):
     """Partially transposed symplectic eigenvalues (smaller, larger) of two-mode covariances
     from Cholesky factors: ``||u| -+ |w||/2`` (see :data:`_UW`), the smaller taken as their
     product ``det L`` (the kernel's Pfaffian) over the larger, free of cancellation."""
-    u1, u2, u3, w1, w2, w3 = (_kernel(factor, True).reshape(-1, 16) @ _UW).T
-    larger = (np.hypot(np.hypot(u1, u2), u3) + np.hypot(np.hypot(w1, w2), w3)) / 2.0
-    return np.prod(np.diagonal(factor, axis1=1, axis2=2), axis=1) / larger, larger
+    uw = (_kernel(factor, _PAIR_FORM).reshape(-1, 16) @ _UW).reshape(-1, 3, 2)
+    norms = np.hypot(np.hypot(uw[:, 0], uw[:, 1]), uw[:, 2])  # |u| and |w| of each pair
+    larger = (norms[:, 0] + norms[:, 1]) / 2.0
+    return det_l / larger, larger
 
 
 def _log_negativity(nu: np.ndarray) -> np.ndarray:
@@ -136,17 +178,21 @@ def _log_negativity(nu: np.ndarray) -> np.ndarray:
     return -np.log(2.0 * nu)
 
 
-def _pair_negativities(factor: np.ndarray) -> np.ndarray:
+def _pair_negativities(factor: np.ndarray, det_l: np.ndarray) -> np.ndarray:
     """Log-negativities of a stack of two-mode covariances from their Cholesky factors."""
-    return _snap_zero(_log_negativity(_pair_moduli(factor)[0]))
+    return _snap_zero(_log_negativity(_pair_moduli(factor, det_l)[0]))
 
 
-def _steerings(stack: np.ndarray, factor: np.ndarray) -> np.ndarray:
+def _mode_dets(cov: np.ndarray) -> np.ndarray:
+    """Determinant of each single-mode 2x2 block of a covariance."""
+    diag = cov.diagonal()
+    return diag[0::2] * diag[1::2] - cov.diagonal(-1)[0::2] ** 2
+
+
+def _steerings(det_s: np.ndarray, det_l: np.ndarray) -> np.ndarray:
     """Steering by the first and by the second mode of each two-mode covariance, shape
-    (k, 2): ``det V`` is the squared product of the Cholesky diagonal, ``det V_s`` closed-form."""
-    blocks = np.diagonal(stack.reshape(-1, 2, 2, 2, 2), axis1=1, axis2=3)
-    det_s = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 1, 0] ** 2
-    det_all = np.prod(np.diagonal(factor, axis1=1, axis2=2), axis=1)[:, None] ** 2
+    (k, 2), from its modes' determinants ``det_s`` (k, 2) and its factor's ``det L``."""
+    det_all = det_l[:, None] ** 2
     if not (det_s.min() > 0.0 and det_all.min() > 0.0):
         raise PhysicalityError("covariance determinant is nonpositive")
     return _snap_zero(0.5 * np.log(det_s / (4.0 * det_all)))
@@ -161,13 +207,9 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     positive definite raises :class:`PhysicalityError`, and one that is not
     square with an even dimension of 2 to 10 (one to five modes) :class:`DomainError`.
     """
-    cov = np.asarray(cov, dtype=float)
-    dim = cov.shape[0] if cov.ndim == 2 and cov.shape[0] == cov.shape[1] else 0
-    if dim not in range(2, len(OMEGA) + 1, 2):
-        raise DomainError(f"symplectic spectrum needs a square covariance of one to five modes, "
-                          f"got shape {cov.shape}")
-    factor = _factor(cov)
-    return np.linalg.svd(_kernel(factor, False), compute_uv=False)[::-1][::2]
+    cov = _checked(np.asarray(cov, dtype=float), range(2, len(OMEGA) + 1, 2),
+                   "symplectic spectrum needs a square covariance of one to five modes")
+    return _spectrum(cov)[::-1][::2]
 
 
 def is_physical(cov: np.ndarray) -> bool:
@@ -185,23 +227,26 @@ def is_physical(cov: np.ndarray) -> bool:
 def _contangle_plan(triples, n_modes):
     """Gather tables for the residual contangles of ascending mode-index triples.
 
-    Returns the quadrature rows of each one-versus-rest bipartition
-    (singled-out mode first, three per triple) and ``pair_of[t, i]``: the
-    positions, among the ``n_modes`` state's mode pairs in :data:`ALL_PAIRS`
-    order, of the two pairs of triple ``t`` that hold its ``i``-th mode.
+    Returns the :func:`_submatrices` table of the triples, whose covariances
+    are each factored once for their three one-versus-rest partial transposes,
+    and ``pair_of[t, i]``: the positions, among the ``n_modes`` state's mode
+    pairs in :data:`ALL_PAIRS` order, of the two pairs of triple ``t`` that
+    hold its ``i``-th mode.
     """
     pairs = list(itertools.combinations(range(n_modes), 2))
-    rest = [[mode, *(m for m in triple if m != mode)] for triple in triples for mode in triple]
-    pair_of = [[pairs.index(tuple(sorted((first, other)))) for other in others]
-               for first, *others in rest]
-    return np.array([_quadratures(modes) for modes in rest]), np.array(pair_of).reshape(-1, 3, 2)
+    pair_of = [[[pairs.index(tuple(sorted((mode, other)))) for other in triple if other != mode]
+                for mode in triple] for triple in triples]
+    return _submatrices(triples, n_modes), np.array(pair_of)
 
 
 # Gather tables of the measure kernel, fixed by the mode order.
-_ALL_PAIR_ROWS = np.array([_quadratures(_mode_indices(pair)) for pair in ALL_PAIRS])
-_THREE_PAIR_ROWS = np.array([_quadratures(pair) for pair in itertools.combinations(range(3), 2)])
-#: Rows of the indirect pairs in the all-pair stack (same mode orientation).
+_ALL_PAIR_TABLE = _submatrices(map(_mode_indices, ALL_PAIRS), len(MODE_ORDER))
+_THREE_PAIR_TABLE = _submatrices(itertools.combinations(range(3), 2), 3)
+#: Rows of the indirect pairs in the all-pair stack (same mode orientation), and their modes.
 _INDIRECT_OF_ALL = np.array([ALL_PAIRS.index(pair) for pair in INDIRECT_PAIRS])
+_INDIRECT_MODES = np.array([_mode_indices(pair) for pair in INDIRECT_PAIRS])
+#: The ordered pairs of the steering values, both directions of each indirect pair in turn.
+_STEERING_KEYS = tuple(pair for a, b in INDIRECT_PAIRS for pair in ((a, b), (b, a)))
 _TRIPLE_KEYS = tuple(_canonical(triple) for triple in DEFAULT_TRIPLES)
 _TRIPLE_PLAN = _contangle_plan([_mode_indices(key) for key in _TRIPLE_KEYS], len(MODE_ORDER))
 _ONE_TRIPLE = _contangle_plan([(0, 1, 2)], 3)
@@ -211,8 +256,7 @@ _ONE_TRIPLE = _contangle_plan([(0, 1, 2)], 3)
 #: report map, its attribute, the field names and the map keys they read.
 _RECORD_FIELDS = (
     ("pairwise_E", tuple(f"E_{a}{b}" for a, b in ALL_PAIRS), ALL_PAIRS),
-    ("steering", tuple(f"S_{s}_to_{t}" for a, b in INDIRECT_PAIRS for s, t in ((a, b), (b, a))),
-     tuple(pair for a, b in INDIRECT_PAIRS for pair in ((a, b), (b, a)))),
+    ("steering", tuple(f"S_{s}_to_{t}" for s, t in _STEERING_KEYS), _STEERING_KEYS),
     ("tripartite_R", tuple(f"R_{''.join(key)}" for key in _TRIPLE_KEYS), _TRIPLE_KEYS),
     ("phonon_occ", ("n_eff_b1", "n_eff_b2"), ("b1", "b2")),
 )
@@ -220,20 +264,19 @@ _RECORD_FIELDS = (
 MEASURE_FIELDS = tuple(name for _, names, _ in _RECORD_FIELDS for name in names)
 
 
-def _contangles(stack: np.ndarray) -> np.ndarray:
-    """Squared ``max(0, -ln(2 nu))`` per matrix, ``nu`` the smallest symplectic
-    eigenvalue after flipping the first mode's momentum (partial transpose)."""
-    nu = np.linalg.svd(_kernel(_factor(stack), True), compute_uv=False)[..., -1]
-    e = np.maximum(0.0, _log_negativity(nu))
-    return e * e
-
-
 def _residual_contangles(cov: np.ndarray, plan, negativities: np.ndarray) -> np.ndarray:
-    """Minimum residual contangle per triple of ``plan``, given the pair log-negativities."""
-    rest_rows, pair_of = plan
-    rest = _contangles(_gather(cov, rest_rows)).reshape(pair_of.shape[:2])
+    """Minimum residual contangle per triple of ``plan``, given the pair log-negativities.
+
+    Each one-versus-rest contangle is the squared ``max(0, -ln(2 nu))``, ``nu``
+    the smallest symplectic eigenvalue after flipping the singled-out mode's
+    momentum (partial transpose): one factor per triple serves its three kernels.
+    """
+    table, pair_of = plan
+    factor = _factor(cov.take(table))[:, None]
+    nu = np.linalg.svd(_kernel(factor, _TRIPLE_FORMS), compute_uv=False)[..., -1]
+    rest = np.maximum(0.0, _log_negativity(nu))
     pairs = (negativities * negativities)[pair_of]
-    return (rest - (pairs[..., 0] + pairs[..., 1])).min(axis=1)
+    return (rest * rest - (pairs[..., 0] + pairs[..., 1])).min(axis=1)
 
 
 def log_negativity(cov4: np.ndarray) -> float:
@@ -243,8 +286,9 @@ def log_negativity(cov4: np.ndarray) -> float:
     partial transpose: a closed-form singular value of ``L^T J L``.  A matrix
     not positive definite, or whose ``nu`` rounds to 0, raises :class:`PhysicalityError`.
     """
-    cov4 = _block(cov4, 4, "log_negativity")[None]
-    return float(_pair_negativities(_factor(cov4))[0])
+    cov4 = _checked(np.asarray(cov4, dtype=float), (4,), "log_negativity needs a 4x4 covariance")
+    factor = _factor(cov4[None])
+    return float(_pair_negativities(factor, _det_factor(factor))[0])
 
 
 def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
@@ -255,10 +299,11 @@ def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
     ``max(0, ln det(2 V_s)/2 - ln det(2 V)/2)`` and is directional by
     construction.
     """
-    cov4 = _block(cov4, 4, "gaussian_steering")
+    cov4 = _checked(np.asarray(cov4, dtype=float), (4,), "gaussian_steering needs a 4x4 covariance")
     if steering_mode not in (0, 1):
         raise DomainError("steering_mode must be 0 or 1")
-    return float(_steerings(cov4[None], _factor(cov4[None]))[0, steering_mode])
+    det_l = _det_factor(_factor(cov4[None]))
+    return float(_steerings(_mode_dets(cov4)[None], det_l)[0, steering_mode])
 
 
 def residual_contangle(cov6: np.ndarray) -> float:
@@ -270,8 +315,9 @@ def residual_contangle(cov6: np.ndarray) -> float:
     the minimum over bipartitions is returned.  Positive values witness
     genuine tripartite entanglement.
     """
-    cov6 = _block(cov6, 6, "residual_contangle")
-    negativities = _pair_negativities(_factor(_gather(cov6, _THREE_PAIR_ROWS)))
+    cov6 = _checked(np.asarray(cov6, dtype=float), (6,), "residual_contangle needs a 6x6 covariance")
+    factor = _factor(cov6.take(_THREE_PAIR_TABLE))
+    negativities = _pair_negativities(factor, _det_factor(factor))
     return float(_residual_contangles(cov6, _ONE_TRIPLE, negativities)[0])
 
 
@@ -288,18 +334,30 @@ def contrast_ratio(value_plus: float, value_minus: float) -> float:
     return abs(value_plus - value_minus) / total if total else 0.0
 
 
+def _occupation(cov: np.ndarray, idx: int) -> float:
+    value = (cov[2 * idx, 2 * idx] + cov[2 * idx + 1, 2 * idx + 1] - 1.0) / 2.0
+    if value < -1e-8:
+        raise PhysicalityError(f"effective occupation of mode {MODE_ORDER[idx]} is {value:.3e} < 0")
+    return max(0.0, float(value))
+
+
 def effective_phonon_number(cov: np.ndarray, mode) -> float:
     """Effective occupation (V_xx + V_yy - 1)/2 of one mode.
 
     Small negative rounding noise is clipped to zero; a genuinely
     negative value means the reduced state is below vacuum, which the
-    thermal reading of this number cannot represent.
+    thermal reading of this number cannot represent.  A covariance that is
+    not square or too small to hold the mode raises :class:`DomainError`,
+    a non-finite variance of the mode :class:`SolverError`.
     """
     (idx,) = _mode_indices([mode])
-    value = (cov[2 * idx, 2 * idx] + cov[2 * idx + 1, 2 * idx + 1] - 1.0) / 2.0
-    if value < -1e-8:
-        raise PhysicalityError(f"effective occupation of mode {MODE_ORDER[idx]} is {value:.3e} < 0")
-    return max(0.0, float(value))
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or len(cov) < 2 * idx + 2:
+        raise DomainError(f"effective_phonon_number of mode {MODE_ORDER[idx]} needs a square "
+                          f"covariance that holds it, got shape {cov.shape}")
+    if not np.isfinite(cov.diagonal()[2 * idx:2 * idx + 2]).all():
+        raise SolverError(f"variance of mode {MODE_ORDER[idx]} is not finite")
+    return _occupation(cov, idx)
 
 
 def tmsv_covariance(r: float) -> np.ndarray:
@@ -374,28 +432,34 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
     covariances that are not quantum states; their measures are still
     reported, flagged, and quantum-state theorems (such as steering implying
     entanglement) are only guaranteed where the flag is set.
+
+    ``cov`` is checked once: anything but a 10x10 numpy array raises
+    :class:`DomainError`, a non-finite entry :class:`SolverError`.
     """
-    nu_min = float(symplectic_eigenvalues(cov)[0])
+    if not isinstance(cov, np.ndarray):
+        raise DomainError(f"evaluate_measures needs the covariance as a numpy array, "
+                          f"got {type(cov).__name__}")
+    _checked(cov, (len(OMEGA),), "evaluate_measures needs a 10x10 covariance")
+    nu_min = float(_spectrum(cov)[-1])
     report = MeasureReport(stable=True, margin=margin, params=params,
                            physical=bool(nu_min >= 0.5 - PHYSICAL_TOL), min_symplectic=nu_min)
     if not {"entanglement", "steering", "contangle"}.isdisjoint(measures):
-        pairs = _gather(cov, _ALL_PAIR_ROWS)
-        factors = _factor(pairs)
+        factors = _factor(cov.take(_ALL_PAIR_TABLE))
+        det_l = _det_factor(factors)
     if "entanglement" in measures or "contangle" in measures:
-        negativities = _pair_negativities(factors)
+        negativities = _pair_negativities(factors, det_l)
     if "entanglement" in measures:
         report.pairwise_E = dict(zip(ALL_PAIRS, negativities.tolist()))
     if "steering" in measures:
-        values = _steerings(pairs, factors)[_INDIRECT_OF_ALL]
-        for (a, b), (a_to_b, b_to_a) in zip(INDIRECT_PAIRS, values.tolist()):
-            report.steering.update({(a, b): a_to_b, (b, a): b_to_a})
+        values = _steerings(_mode_dets(cov)[_INDIRECT_MODES], det_l[_INDIRECT_OF_ALL])
+        report.steering = dict(zip(_STEERING_KEYS, values.ravel().tolist()))
     if "contangle" in measures:
         values = _residual_contangles(cov, _TRIPLE_PLAN, negativities)
         report.tripartite_R = dict(zip(_TRIPLE_KEYS, values.tolist()))
     if "occupation" in measures:
         for mode in ("b1", "b2"):
             try:
-                report.phonon_occ[mode] = effective_phonon_number(cov, mode)
+                report.phonon_occ[mode] = _occupation(cov, MODE_INDEX[mode])
             except PhysicalityError:
                 report.phonon_occ[mode] = None
     return report

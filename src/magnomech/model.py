@@ -35,12 +35,13 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
     Evaluates the Bose factor 1/(exp(hbar*omega/kB*T) - 1).  Returns
     exactly 0 at zero temperature (or one so small that kB*T underflows)
     and underflows to 0 once the exponent exceeds ~700 (where the
-    occupation is below 1e-300 anyway).
+    occupation is below 1e-300 anyway).  A NaN or infinite ``omega`` or
+    ``temperature`` raises :class:`DomainError`.
     """
-    if omega <= 0:
-        raise DomainError("omega must be > 0")
-    if temperature < 0:
-        raise DomainError("temperature must be >= 0")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"omega must be a finite number > 0, got {omega!r}")
+    if not 0.0 <= temperature < math.inf:
+        raise DomainError(f"temperature must be a finite number >= 0, got {temperature!r}")
     thermal_energy = k_B * temperature
     if thermal_energy == 0.0:
         return 0.0

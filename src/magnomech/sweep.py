@@ -211,7 +211,7 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     complex effective couplings enter the drift matrix.  The dropped
     imaginary parts are not negligible: on ``configs/meanfield_point.cfg``
     ``|Im G_m / Re G_m|`` is 5.0% and ``|Im G_c / Re G_c|`` is 5.4%.
-    Using ``|G|`` instead (ROADMAP.md item 2) would change existing
+    Using ``|G|`` instead (ROADMAP.md item 4) would change existing
     sweep outputs.
     """
     _check_options((), coupling_mode)
@@ -354,14 +354,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     )
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12e}"
-    return str(value)
+def _line_template(types: tuple) -> tuple:
+    """The ``%`` template of a CSV line whose cells have these types, and the
+    positions of its ``bool`` cells, which it takes as ``true``/``false`` text.
+
+    A ``float`` (``np.float64`` included) is ``%.12e``, None is empty and
+    anything else is ``str()``.
+    """
+    slots = ["%.0s" if kind is type(None) else "%.12e" if issubclass(kind, float) else "%s"
+             for kind in types]
+    return ",".join(slots), [i for i, kind in enumerate(types) if kind is bool]
 
 
 def emit(table: ResultTable, fmt: str, destination) -> None:
@@ -375,8 +377,18 @@ def emit(table: ResultTable, fmt: str, destination) -> None:
         raise ValueError("refusing to emit an empty table")
     if fmt == "csv":
         lines = [",".join(table.columns)]
+        templates = {}
         for row in table.rows:
-            lines.append(",".join(_format_cell(v) for v in row))
+            types = tuple(map(type, row))
+            shape = templates.get(types)
+            if shape is None:
+                shape = templates[types] = _line_template(types)
+            template, flags = shape
+            if flags:
+                row = list(row)  # a copy: the table keeps its bools
+                for i in flags:
+                    row[i] = "true" if row[i] else "false"
+            lines.append(template % tuple(row))
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
         objects = [dict(zip(table.columns, row)) for row in table.rows]

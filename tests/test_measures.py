@@ -27,6 +27,7 @@ from magnomech import (
     symplectic_eigenvalues,
     tmsv_covariance,
 )
+from magnomech import measures as measures_module
 from magnomech.measures import MEASURE_FAMILIES
 
 
@@ -272,6 +273,18 @@ class TestEffectivePhononNumber:
         v = (0.5 - 5e-10) * np.eye(10)
         assert effective_phonon_number(v, "b1") == 0.0
 
+    def test_non_finite_variance_is_a_solver_error(self):
+        cov = 0.5 * np.eye(10)
+        cov[3, 3] = np.nan
+        with pytest.raises(SolverError):
+            effective_phonon_number(cov, "b2")
+        assert effective_phonon_number(cov, "b1") == 0.0
+
+    def test_covariance_without_the_mode_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="b2"):
+            effective_phonon_number(0.5 * np.eye(2), "b2")
+        assert effective_phonon_number(0.5 * np.eye(2), "b1") == 0.0
+
     def test_below_vacuum_raises(self):
         with pytest.raises(PhysicalityError):
             effective_phonon_number(0.3 * np.eye(10), "b1")
@@ -388,28 +401,30 @@ class TestMeasureKernel:
                     assert getattr(alone, other) == {}
 
     @pytest.mark.parametrize("measures, stacks", [
-        (("entanglement", "steering", "contangle", "occupation"), [(10, 10), (10, 4, 4), (12, 6, 6)]),
-        (("entanglement", "steering"), [(10, 10), (10, 4, 4)]),
+        (("entanglement", "steering", "contangle", "occupation"), [(10, 4, 4), (4, 6, 6)]),
+        (("entanglement", "steering"), [(10, 4, 4)]),
     ], ids=["full-report", "entanglement-steering"])
     def test_report_factors_each_stack_once(self, baseline, baseline_cov, monkeypatch,
                                             measures, stacks):
-        # one Cholesky factorization each for the 10x10 spectrum, the ten
-        # mode pairs (negativities and steering) and the 12 one-versus-rest
-        # bipartitions; no eigenvalue or determinant call
-        calls = {"cholesky": [], "eigvals": [], "det": []}
+        # the 10x10 spectrum goes through LAPACK dpotrf and dgesdd once each;
+        # one Cholesky stack each for the ten mode pairs (negativities and
+        # steering) and the four default triples (every partial transpose of
+        # a triple from its one factor); no eigenvalue or determinant call
+        calls = {"cholesky": [], "eigvals": [], "det": [], "_DPOTRF": [], "_DGESDD": []}
 
-        def counting(name):
-            function = getattr(np.linalg, name)
-
+        def counting(name, function):
             def wrapper(stack, *args, **kwargs):
                 calls[name].append(stack.shape)
                 return function(stack, *args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name))
+        for name in ("cholesky", "eigvals", "det"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for name in ("_DPOTRF", "_DGESDD"):
+            monkeypatch.setattr(measures_module, name, counting(name, getattr(measures_module, name)))
         evaluate_measures(baseline_cov, baseline, margin=-1.0, measures=measures)
-        assert calls == {"cholesky": stacks, "eigvals": [], "det": []}
+        assert calls == {"cholesky": stacks, "eigvals": [], "det": [],
+                         "_DPOTRF": [(10, 10)], "_DGESDD": [(10, 10)]}
 
     def test_contangles_match_the_eigenvalue_route(self):
         def contangle(cov, modes):
@@ -443,6 +458,14 @@ class TestMeasureKernel:
         cov[4, 4] = np.nan
         with pytest.raises(SolverError):
             evaluate_measures(cov, None, -1.0, ())
+
+    def test_state_of_the_wrong_shape_is_a_domain_error(self, baseline):
+        with pytest.raises(DomainError, match="10x10"):
+            evaluate_measures(0.5 * np.eye(4), baseline, -1.0)
+
+    def test_state_given_as_a_nested_list_is_a_domain_error(self, baseline, baseline_cov):
+        with pytest.raises(DomainError, match="numpy array"):
+            evaluate_measures(baseline_cov.tolist(), baseline, -1.0)
 
     @pytest.mark.parametrize("cov", [np.eye(3), np.eye(12), np.stack([0.5 * np.eye(4)] * 2)],
                              ids=["odd", "six-modes", "stack"])

@@ -42,6 +42,13 @@ class TestThermalOccupancy:
         # hbar*omega/kB*T around 1e6: must underflow to 0, not raise
         assert thermal_occupancy(2 * math.pi * 200e12, 0.010) == 0.0
 
+    @pytest.mark.parametrize("omega, temperature", [
+        (TWO_PI * 20e6, math.nan), (math.nan, 0.01), (TWO_PI * 20e6, math.inf), (math.inf, 0.01),
+    ], ids=["nan-temperature", "nan-omega", "inf-temperature", "inf-omega"])
+    def test_non_finite_input_is_a_domain_error(self, omega, temperature):
+        with pytest.raises(DomainError, match="finite"):
+            thermal_occupancy(omega, temperature)
+
     def test_monotone_in_temperature(self):
         omega = TWO_PI * 20e6
         temps = [0.001, 0.01, 0.1, 1.0]

@@ -26,7 +26,7 @@ from magnomech import (
     stability_check,
 )
 from magnomech.lyapunov import RESIDUAL_TOL
-from magnomech.measures import _kernel, _pair_moduli
+from magnomech.measures import _PAIR_FORM, _det_factor, _kernel, _pair_moduli
 
 W_B1, W_B2 = 20.15e6, 20.11e6
 
@@ -114,7 +114,7 @@ def test_pair_closed_form_matches_svd(entries, shift):
     # L^T J L against a general SVD of it, on random positive definite L L^T
     root = np.reshape(entries, (4, 4))
     factor = np.linalg.cholesky(root @ root.T + shift * np.eye(4))[None]
-    singular = np.linalg.svd(_kernel(factor, True)[0], compute_uv=False)
-    smaller, larger = _pair_moduli(factor)
+    singular = np.linalg.svd(_kernel(factor, _PAIR_FORM)[0], compute_uv=False)
+    smaller, larger = _pair_moduli(factor, _det_factor(factor))
     assert larger[0] == pytest.approx(singular[0], abs=1e-13 * singular[0])
     assert smaller[0] == pytest.approx(singular[3], abs=1e-13 * singular[0])

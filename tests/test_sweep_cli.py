@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -542,6 +543,36 @@ class TestEmit:
         cell = out.read_text().splitlines()[1].split(",")[idx]
         mantissa = cell.split("e")[0].replace("-", "").replace(".", "")
         assert len(mantissa) >= 10
+
+    def test_csv_matches_the_per_cell_rule_on_mixed_row_shapes(self):
+        def cell_text(value):
+            # the per-cell rule emit's line templates must reproduce byte for byte
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, float):
+                return f"{value:.12e}"
+            return str(value)
+
+        class Level(float):
+            pass
+
+        rows = [
+            [1.5, np.float64(-2.5e-300), 3, True, np.bool_(False), "a%sb", None, math.nan],
+            [None, -0.0, np.int64(-7), False, np.bool_(True), "", math.inf, Level(0.1)],
+            [2 ** 70, None, None, True, None, "%d", -math.inf, np.float32(1.25)],
+            [1.5, np.float64(-2.5e-300), 3, True, np.bool_(False), "a%sb", None, math.nan],
+            [5e-324, 1e308, 0, None, False, "true", 7.0, np.float64("nan")],
+        ]
+        table = sweep_module.ResultTable(columns=[f"c{i}" for i in range(8)],
+                                         rows=[list(row) for row in rows])
+        out = io.StringIO()
+        emit(table, "csv", out)
+        expected = [",".join(table.columns)] + [",".join(map(cell_text, row)) for row in rows]
+        assert out.getvalue() == "\n".join(expected) + "\n"
+        # the table keeps its cells: the bools are not replaced by their text
+        assert [list(map(type, row)) for row in table.rows] == [list(map(type, row)) for row in rows]
 
     def test_empty_table_rejected(self, tmp_path):
         table = run_sweep(_tiny_sweep())
