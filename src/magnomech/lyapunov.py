@@ -3,8 +3,8 @@
 The steady-state covariance matrix V of the linearized dynamics solves
 ``A V + V A^T + D = 0``.  Each distinct drift matrix is factored once:
 its real Schur form (LAPACK ``dgees``) and the stability verdict read off
-it are memoised on the matrix contents, two matrices at a time, so the
-``+`` and ``-`` rotation drifts of a contrast sweep both stay factored
+it form one gate result, memoised on the matrix contents, two at a time, so
+the ``+`` and ``-`` rotation drifts of a contrast sweep both stay factored
 along an axis that leaves the drift unchanged.  The one entry serves both
 the stability gate and the primary solver, the dense Bartels-Stewart
 algorithm (LAPACK ``dtrsyl`` for the solve and its refinement pass); an
@@ -16,12 +16,12 @@ symmetrized and verified against a residual bound before being returned.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import SolverError, StabilityError
+from .errors import DomainError, SolverError, StabilityError
 
 #: Relative Frobenius-norm bound accepted for ``A V + V A^T + D``.
 RESIDUAL_TOL = 1e-9
@@ -39,17 +39,20 @@ STABILITY_EPS = 1e-6
 
 @dataclass(frozen=True)
 class StabilityResult:
-    """Outcome of the stability gate: flag plus spectral abscissa."""
+    """Outcome of the stability gate: flag, spectral abscissa and the read-only real Schur
+    factors ``drift = basis schur basis^T`` (outside its repr, equality and hash)."""
 
     stable: bool
     margin: float  # max real part of the drift spectrum (rad/s)
+    schur: np.ndarray | None = field(default=None, repr=False, compare=False)
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 _DGEES = sla.get_lapack_funcs("gees", (np.empty((1, 1)),))
 
 
 @functools.lru_cache(maxsize=2)
-def _schur_of(shape: tuple, data: bytes):
+def _schur_of(shape: tuple, data: bytes) -> StabilityResult:
     drift = np.frombuffer(data).reshape(shape)
     if not np.isfinite(drift).all():
         raise SolverError("drift matrix has non-finite entries")
@@ -59,24 +62,8 @@ def _schur_of(shape: tuple, data: bytes):
     schur.flags.writeable = False
     basis.flags.writeable = False
     margin = float(schur.diagonal().max())
-    gate = StabilityResult(stable=margin < -STABILITY_EPS * float(np.abs(drift).max() or 1.0),
-                           margin=margin)
-    return schur, basis, gate
-
-
-def _real_schur(drift: np.ndarray):
-    """Read-only real Schur factors ``(T, U)`` of ``drift = U T U^T`` and its verdict.
-
-    Memoised on the matrix contents, two matrices at a time, so the gate and
-    the solve of one point share a single factorization, and so do the
-    points of an axis that leaves the drift unchanged; an array mutated in
-    place is factored afresh.  The real parts of all eigenvalues sit on
-    ``diag(T)``; the :class:`StabilityResult` is read off it once, when the
-    matrix is factored.
-    """
-    if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
-        raise ValueError("drift must be a square matrix")
-    return _schur_of(drift.shape, drift.tobytes())
+    return StabilityResult(stable=margin < -STABILITY_EPS * float(np.abs(drift).max() or 1.0),
+                           margin=margin, schur=schur, basis=basis)
 
 
 def stability_check(drift: np.ndarray) -> StabilityResult:
@@ -84,16 +71,30 @@ def stability_check(drift: np.ndarray) -> StabilityResult:
 
     Stable means every eigenvalue has real part below the (scale-relative)
     marginal tolerance; the margin is returned either way so callers can
-    report how far from the boundary a point sits.  The verdict is the
-    memoised one of the matrix's Schur factorization.
+    report how far from the boundary a point sits.  The memoised result
+    carries the Schur factors it was read off, so the gate and the solve of
+    one drift share one factorization; an array mutated in place is factored
+    afresh.  Anything but a real (bool, int or float dtype) square matrix is
+    a :class:`DomainError`, a non-finite entry a :class:`SolverError`.
     """
-    return _real_schur(np.asarray(drift, dtype=float))[2]
+    drift = np.asarray(drift)
+    if drift.dtype.kind not in "biuf" or drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
+        raise DomainError(f"drift must be a real square matrix, got {drift.dtype} {drift.shape}")
+    return _schur_of(drift.shape, drift.astype(float, copy=False).tobytes())
 
 
-def _require_stable(gate: StabilityResult, caller: str) -> float:
+def _stable_operands(drift, diffusion, caller: str):
+    """The gate result of ``drift`` and both matrices as float arrays: a :class:`DomainError`
+    unless ``diffusion`` is real with the drift's shape, a :class:`StabilityError`
+    unless the drift is stable."""
+    gate = stability_check(drift)
+    diffusion = np.asarray(diffusion)
+    if diffusion.dtype.kind not in "biuf" or diffusion.shape != gate.schur.shape:
+        raise DomainError(f"{caller} needs a real diffusion matrix of the drift's shape "
+                          f"{gate.schur.shape}, got {diffusion.dtype} shape {diffusion.shape}")
     if not gate.stable:
         raise StabilityError(f"{caller} called on unstable drift (margin {gate.margin:.3e})")
-    return gate.margin
+    return gate, np.asarray(drift, dtype=float), diffusion.astype(float, copy=False)
 
 
 def _refined(drift, diffusion, solve) -> np.ndarray:
@@ -117,19 +118,16 @@ def _refined(drift, diffusion, solve) -> np.ndarray:
 def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     """Steady-state covariance by the Bartels-Stewart algorithm.
 
-    One real Schur form ``A = U T U^T`` serves the stability guard (the
-    real parts of all eigenvalues sit on ``diag(T)``) and both triangular
-    Sylvester solves; it is memoised with its verdict, so a
-    :func:`stability_check` of the same matrix just before has already paid
-    for both, and the guard reads that verdict.  The refinement pass
-    matters because the model's rates span five orders of magnitude:
-    without it the backward error of the weakly damped subspace shows up
-    as spurious 1e-9-level correlations between uncoupled modes.
+    The guard and both triangular Sylvester solves read the one real Schur
+    form ``A = U T U^T`` that :func:`stability_check` returns with its
+    verdict, so a gate of the same matrix just before has already paid for
+    both.  The refinement pass matters because the model's rates span five
+    orders of magnitude: without it the backward error of the weakly damped
+    subspace shows up as spurious 1e-9-level correlations between uncoupled
+    modes.
     """
-    drift = np.asarray(drift, dtype=float)
-    diffusion = np.asarray(diffusion, dtype=float)
-    schur, basis, gate = _real_schur(drift)
-    _require_stable(gate, "solve_lyapunov")
+    gate, drift, diffusion = _stable_operands(drift, diffusion, "solve_lyapunov")
+    schur, basis = gate.schur, gate.basis
 
     def solve(rhs):
         # T Y + Y T^T = U^T rhs U, then X = U Y U^T
@@ -147,12 +145,10 @@ def solve_lyapunov_oracle(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarra
     factorization.  Kept deliberately separate from the Schur path so the
     two can verify each other; intended for small systems (<= 12 modes).
     """
-    drift = np.asarray(drift, dtype=float)
-    diffusion = np.asarray(diffusion, dtype=float)
+    _, drift, diffusion = _stable_operands(drift, diffusion, "oracle")
     n = drift.shape[0]
     if n > 24:
-        raise ValueError("oracle path is restricted to at most 12 modes")
-    _require_stable(stability_check(drift), "oracle")
+        raise DomainError(f"oracle path is restricted to at most 12 modes, got {n // 2}")
     eye = np.eye(n)
     try:
         lu_piv = sla.lu_factor(np.kron(eye, drift) + np.kron(drift, eye))
@@ -172,17 +168,15 @@ def integrate_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     """
     from scipy.integrate import solve_ivp  # slow to import; only this oracle needs it
 
-    drift = np.asarray(drift, dtype=float)
-    diffusion = np.asarray(diffusion, dtype=float)
-    margin = _require_stable(stability_check(drift), "integration oracle")
+    gate, drift, diffusion = _stable_operands(drift, diffusion, "integration oracle")
     n = drift.shape[0]
 
     def rhs(_t, y):
         v = y.reshape(n, n)
         return (drift @ v + v @ drift.T + diffusion).reshape(-1)
 
-    scale = float(np.abs(diffusion).max() / (2.0 * abs(margin)) or 1.0)
-    sol = solve_ivp(rhs, (0.0, INTEGRATION_HORIZON / abs(margin)), np.zeros(n * n),
+    scale = float(np.abs(diffusion).max() / (2.0 * abs(gate.margin)) or 1.0)
+    sol = solve_ivp(rhs, (0.0, INTEGRATION_HORIZON / abs(gate.margin)), np.zeros(n * n),
                     method="RK45", rtol=INTEGRATION_RTOL, atol=INTEGRATION_RTOL * scale)
     if not sol.success:
         raise SolverError(f"time integration failed: {sol.message}")

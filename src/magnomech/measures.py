@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import DomainError, PhysicalityError, SolverError
+from .errors import ConfigError, DomainError, PhysicalityError, SolverError
 from .model import MODE_INDEX, MODE_ORDER, OMEGA
 from .params import SystemParams
 
@@ -55,20 +55,28 @@ DEFAULT_TRIPLES = (("b1", "m", "c"), ("b2", "c", "a"), ("b2", "m", "c"), ("b1", 
 def _mode_indices(modes) -> list[int]:
     out = []
     for mode in modes:
-        idx = MODE_INDEX[mode] if isinstance(mode, str) else int(mode)
-        if not 0 <= idx < len(MODE_ORDER):
-            raise DomainError(f"mode index {mode!r} out of range")
-        if idx in out:
+        if not isinstance(mode, str) or mode not in MODE_INDEX:
+            raise DomainError(f"unknown mode {mode!r}; the modes are {', '.join(MODE_ORDER)}")
+        if MODE_INDEX[mode] in out:
             raise DomainError(f"duplicate mode {mode!r} in reduction")
-        out.append(idx)
+        out.append(MODE_INDEX[mode])
     return out
+
+
+def require_families(measures) -> None:
+    """A :class:`ConfigError` unless ``measures`` is a tuple or list of :data:`MEASURE_FAMILIES`."""
+    if not isinstance(measures, (tuple, list)):
+        raise ConfigError(f"measures must be a tuple of family names, got {measures!r}")
+    for name in measures:
+        if name not in MEASURE_FAMILIES:
+            raise ConfigError(f"unknown measure family {name!r} in measures")
 
 
 def reduce_modes(cov: np.ndarray, modes) -> np.ndarray:
     """Covariance of a subset of modes, in the requested order.
 
-    ``modes`` is a sequence of mode names or indices; the result is the
-    2k x 2k submatrix of their (X, Y) rows and columns.
+    ``modes`` is a sequence of distinct mode names (else :class:`DomainError`);
+    the result is the 2k x 2k submatrix of their (X, Y) rows and columns.
     """
     rows = _quadratures(_mode_indices(modes))
     return cov[np.ix_(rows, rows)]
@@ -82,12 +90,15 @@ def _quadratures(modes) -> list[int]:
     return [q for i in modes for q in (2 * i, 2 * i + 1)]
 
 
-def _checked(cov: np.ndarray, dims, need: str) -> np.ndarray:
-    """``cov`` after its one check: a :class:`DomainError` unless it is square
-    with a dimension in ``dims``, a :class:`SolverError` if an entry is not finite."""
+def _checked(cov, dims, need: str) -> np.ndarray:
+    """``cov`` as a float array after its one check: a :class:`DomainError` unless it is
+    real (bool, int or float dtype) and square with a dimension in ``dims``, a
+    :class:`SolverError` if an entry is not finite."""
+    cov = np.asarray(cov)
     dim = cov.shape[0] if cov.ndim == 2 and cov.shape[0] == cov.shape[1] else 0
-    if dim not in dims:
-        raise DomainError(f"{need}, got shape {cov.shape}")
+    if dim not in dims or cov.dtype.kind not in "biuf":
+        raise DomainError(f"{need}, got {cov.dtype} shape {cov.shape}")
+    cov = cov.astype(float, copy=False)
     if not np.isfinite(cov).all():
         raise SolverError("covariance has non-finite entries")
     return cov
@@ -120,11 +131,6 @@ def _flipped_forms(n_modes: int) -> np.ndarray:
 
 _PAIR_FORM = _flipped_forms(2)[0]
 _TRIPLE_FORMS = _flipped_forms(3)
-
-#: Maps a flat 4x4 kernel with upper entries a..f to u = (a+f, b-e, c+d), w = (a-f, b+e, c-d),
-#: interleaved as (u1, w1, u2, w2, u3, w3).
-_UW = (np.eye(16)[:, (1, 2, 3) * 2] + np.eye(16)[:, (11, 13, 6) * 2]
-       * np.repeat([1.0, -1.0], 3))[:, (0, 3, 1, 4, 2, 5)]
 
 _DPOTRF, _DGESDD = sla.get_lapack_funcs(("potrf", "gesdd"), (np.empty((1, 1)),))
 
@@ -163,11 +169,13 @@ def _kernel(factor: np.ndarray, form: np.ndarray) -> np.ndarray:
 
 def _pair_moduli(factor: np.ndarray, det_l: np.ndarray):
     """Partially transposed symplectic eigenvalues (smaller, larger) of two-mode covariances
-    from Cholesky factors: ``||u| -+ |w||/2`` (see :data:`_UW`), the smaller taken as their
-    product ``det L`` (the kernel's Pfaffian) over the larger, free of cancellation."""
-    uw = (_kernel(factor, _PAIR_FORM).reshape(-1, 16) @ _UW).reshape(-1, 3, 2)
-    norms = np.hypot(np.hypot(uw[:, 0], uw[:, 1]), uw[:, 2])  # |u| and |w| of each pair
-    larger = (norms[:, 0] + norms[:, 1]) / 2.0
+    from Cholesky factors: ``||u| -+ |w||/2``, with ``u = (a+f, b-e, c+d)`` and
+    ``w = (a-f, b+e, c-d)`` from the kernel's upper entries a..f in row order; the smaller
+    is their product ``det L`` (the kernel's Pfaffian) over the larger, free of cancellation."""
+    k = _kernel(factor, _PAIR_FORM)
+    a, b, c, d, e, f = k[:, 0, 1], k[:, 0, 2], k[:, 0, 3], k[:, 1, 2], k[:, 1, 3], k[:, 2, 3]
+    u, w = np.hypot(np.hypot(a + f, b - e), c + d), np.hypot(np.hypot(a - f, b + e), c - d)
+    larger = (u + w) / 2.0
     return det_l / larger, larger
 
 
@@ -207,7 +215,7 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     positive definite raises :class:`PhysicalityError`, and one that is not
     square with an even dimension of 2 to 10 (one to five modes) :class:`DomainError`.
     """
-    cov = _checked(np.asarray(cov, dtype=float), range(2, len(OMEGA) + 1, 2),
+    cov = _checked(cov, range(2, len(OMEGA) + 1, 2),
                    "symplectic spectrum needs a square covariance of one to five modes")
     return _spectrum(cov)[::-1][::2]
 
@@ -286,7 +294,7 @@ def log_negativity(cov4: np.ndarray) -> float:
     partial transpose: a closed-form singular value of ``L^T J L``.  A matrix
     not positive definite, or whose ``nu`` rounds to 0, raises :class:`PhysicalityError`.
     """
-    cov4 = _checked(np.asarray(cov4, dtype=float), (4,), "log_negativity needs a 4x4 covariance")
+    cov4 = _checked(cov4, (4,), "log_negativity needs a 4x4 covariance")
     factor = _factor(cov4[None])
     return float(_pair_negativities(factor, _det_factor(factor))[0])
 
@@ -299,7 +307,7 @@ def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
     ``max(0, ln det(2 V_s)/2 - ln det(2 V)/2)`` and is directional by
     construction.
     """
-    cov4 = _checked(np.asarray(cov4, dtype=float), (4,), "gaussian_steering needs a 4x4 covariance")
+    cov4 = _checked(cov4, (4,), "gaussian_steering needs a 4x4 covariance")
     if steering_mode not in (0, 1):
         raise DomainError("steering_mode must be 0 or 1")
     det_l = _det_factor(_factor(cov4[None]))
@@ -315,7 +323,7 @@ def residual_contangle(cov6: np.ndarray) -> float:
     the minimum over bipartitions is returned.  Positive values witness
     genuine tripartite entanglement.
     """
-    cov6 = _checked(np.asarray(cov6, dtype=float), (6,), "residual_contangle needs a 6x6 covariance")
+    cov6 = _checked(cov6, (6,), "residual_contangle needs a 6x6 covariance")
     factor = _factor(cov6.take(_THREE_PAIR_TABLE))
     negativities = _pair_negativities(factor, _det_factor(factor))
     return float(_residual_contangles(cov6, _ONE_TRIPLE, negativities)[0])
@@ -346,15 +354,16 @@ def effective_phonon_number(cov: np.ndarray, mode) -> float:
 
     Small negative rounding noise is clipped to zero; a genuinely
     negative value means the reduced state is below vacuum, which the
-    thermal reading of this number cannot represent.  A covariance that is
-    not square or too small to hold the mode raises :class:`DomainError`,
-    a non-finite variance of the mode :class:`SolverError`.
+    thermal reading of this number cannot represent.  An unknown mode name, or
+    a covariance that is not real and square or too small to hold the mode,
+    raises :class:`DomainError`, a non-finite variance of the mode :class:`SolverError`.
     """
     (idx,) = _mode_indices([mode])
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or len(cov) < 2 * idx + 2:
-        raise DomainError(f"effective_phonon_number of mode {MODE_ORDER[idx]} needs a square "
-                          f"covariance that holds it, got shape {cov.shape}")
+    cov = np.asarray(cov)
+    if (cov.dtype.kind not in "biuf" or cov.ndim != 2 or cov.shape[0] != cov.shape[1]
+            or len(cov) < 2 * idx + 2):
+        raise DomainError(f"effective_phonon_number of mode {MODE_ORDER[idx]} needs a real square "
+                          f"covariance that holds it, got {cov.dtype} shape {cov.shape}")
     if not np.isfinite(cov.diagonal()[2 * idx:2 * idx + 2]).all():
         raise SolverError(f"variance of mode {MODE_ORDER[idx]} is not finite")
     return _occupation(cov, idx)
@@ -433,13 +442,14 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
     reported, flagged, and quantum-state theorems (such as steering implying
     entanglement) are only guaranteed where the flag is set.
 
-    ``cov`` is checked once: anything but a 10x10 numpy array raises
-    :class:`DomainError`, a non-finite entry :class:`SolverError`.
+    ``cov`` is checked once: anything but a real (bool, int or float dtype)
+    10x10 numpy array raises :class:`DomainError`, a non-finite entry
+    :class:`SolverError`; unknown ``measures`` raise :class:`ConfigError`.
     """
+    require_families(measures)
     if not isinstance(cov, np.ndarray):
-        raise DomainError(f"evaluate_measures needs the covariance as a numpy array, "
-                          f"got {type(cov).__name__}")
-    _checked(cov, (len(OMEGA),), "evaluate_measures needs a 10x10 covariance")
+        raise DomainError(f"evaluate_measures needs a numpy array, got {type(cov).__name__}")
+    cov = _checked(cov, (len(OMEGA),), "evaluate_measures needs a real 10x10 covariance")
     nu_min = float(_spectrum(cov)[-1])
     report = MeasureReport(stable=True, margin=margin, params=params,
                            physical=bool(nu_min >= 0.5 - PHYSICAL_TOL), min_symplectic=nu_min)

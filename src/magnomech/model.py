@@ -36,7 +36,7 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
     exactly 0 at zero temperature (or one so small that kB*T underflows)
     and underflows to 0 once the exponent exceeds ~700 (where the
     occupation is below 1e-300 anyway).  A NaN or infinite ``omega`` or
-    ``temperature`` raises :class:`DomainError`.
+    ``temperature``, or an overflowing occupation, raises :class:`DomainError`.
     """
     if not 0.0 < omega < math.inf:
         raise DomainError(f"omega must be a finite number > 0, got {omega!r}")
@@ -48,7 +48,9 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
     x = hbar * omega / thermal_energy
     if x > 700.0:
         return 0.0
-    return 1.0 / math.expm1(x)
+    if not x or (occupancy := 1.0 / math.expm1(x)) == math.inf:
+        raise DomainError(f"thermal occupancy at {temperature!r} K overflows for omega {omega!r}")
+    return occupancy
 
 
 def build_drift(params: SystemParams) -> np.ndarray:

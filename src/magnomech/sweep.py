@@ -23,6 +23,7 @@ from .errors import (
     ConvergenceError,
     MagnomechError,
     SingularPointError,
+    SolverError,
     StabilityError,
 )
 from .lyapunov import solve_lyapunov, stability_check
@@ -32,6 +33,7 @@ from .measures import (
     MeasureReport,
     contrast_ratio,
     evaluate_measures,
+    require_families,
 )
 from .meanfield import solve_self_consistent
 from .model import build_diffusion, build_drift, drive_conversions
@@ -107,12 +109,12 @@ class SweepSpec:
             raise ConfigError("the two sweep axes must address distinct parameters")
         if not isinstance(self.nonreciprocity, bool):
             raise ConfigError(f"nonreciprocity must be true or false, got {self.nonreciprocity!r}")
-        _check_options(self.measures, self.coupling_mode)
+        require_families(self.measures)
         require_mapping(self.fixed, "fixed")
         _, drive, control = split_config(self.fixed)
         if control:
             raise ConfigError(f"fixed keys {sorted(control)} are not model or drive parameters")
-        _check_drive_keys(drive, self.coupling_mode)
+        _check_coupling(drive, self.coupling_mode)
         object.__setattr__(self, "fixed", dict(self.fixed))
 
 
@@ -140,33 +142,24 @@ def split_config(config: dict):
     return system, drive, control
 
 
-def _check_options(measures, coupling_mode) -> None:
-    if not isinstance(measures, (tuple, list)):
-        raise ConfigError(f"measures must be a tuple of family names, got {measures!r}")
-    for name in measures:
-        if name not in MEASURE_FAMILIES:
-            raise ConfigError(f"unknown measure family {name!r}")
+def _check_coupling(drive_keys, coupling_mode) -> None:
     if coupling_mode not in ("direct", "meanfield"):
         raise ConfigError("coupling_mode must be 'direct' or 'meanfield'")
-
-
-def _check_drive_keys(drive_keys, coupling_mode) -> None:
     if drive_keys and coupling_mode == "direct":
         raise ConfigError(f"drive keys {sorted(drive_keys)} need coupling_mode = meanfield")
 
 
 def _control_options(control: dict) -> tuple:
-    """The checked ``(measures, coupling_mode)`` of a config's control keys.
+    """The ``(measures, coupling_mode)`` of a config's control keys.
 
-    ``measures`` is a comma list of families, all of them when absent or
-    empty; ``coupling_mode`` defaults to ``direct``.
+    ``measures`` is a checked comma list of families, all of them when absent
+    or empty; ``coupling_mode`` (default ``direct``) is checked where it is used.
     """
     raw = control.get("measures")
     names = () if raw is None else tuple(part.strip() for part in str(raw).split(",") if part.strip())
     measures = names or MEASURE_FAMILIES
-    coupling_mode = str(control.get("coupling_mode", "direct"))
-    _check_options(measures, coupling_mode)
-    return measures, coupling_mode
+    require_families(measures)
+    return measures, str(control.get("coupling_mode", "direct"))
 
 
 def _parse_axis(control: dict, which: str) -> SweepAxis | None:
@@ -203,10 +196,11 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
 def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     """Resolve a config mapping to :class:`SystemParams`.
 
-    Drive keys apply only in ``meanfield`` mode; in ``direct`` mode they
-    are a :class:`ConfigError`.  In ``meanfield`` mode the drive block is
-    completed by :func:`drive_conversions`, and the effective couplings
-    and the displacement-shifted detunings are produced by the
+    Of the sweep control keys only ``measures`` and ``coupling_mode`` may
+    appear (neither is read here); any other one is a :class:`ConfigError`,
+    and so are drive keys in ``direct`` mode.  In ``meanfield`` mode the
+    drive block is completed by :func:`drive_conversions`, and the effective
+    couplings and the displacement-shifted detunings are produced by the
     self-consistent amplitude solve.  Only the real parts ``Re G`` of the
     complex effective couplings enter the drift matrix.  The dropped
     imaginary parts are not negligible: on ``configs/meanfield_point.cfg``
@@ -214,9 +208,11 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     Using ``|G|`` instead (ROADMAP.md item 4) would change existing
     sweep outputs.
     """
-    _check_options((), coupling_mode)
-    system, drive, _ = split_config(config)
-    _check_drive_keys(drive, coupling_mode)
+    system, drive, control = split_config(config)
+    sweep_only = sorted(control.keys() - {"measures", "coupling_mode"})
+    if sweep_only:
+        raise ConfigError(f"sweep keys {sweep_only} do not apply to a single point")
+    _check_coupling(drive, coupling_mode)
     params = resolve_system_params(system)
     if coupling_mode == "direct":
         return params
@@ -232,27 +228,28 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
 
 
 def evaluate_point(params: SystemParams, measures=MEASURE_FAMILIES) -> MeasureReport:
-    """Gate on stability, solve for the covariance, evaluate measures."""
-    drift = build_drift(params)
-    gate = stability_check(drift)
-    if not gate.stable:
-        return MeasureReport(
-            stable=False, margin=gate.margin, params=params, reason="unstable"
-        )
-    cov = solve_lyapunov(drift, build_diffusion(params))
-    return evaluate_measures(cov, params, gate.margin, measures)
+    """Gate on stability, solve for the covariance, evaluate measures; a floating-point
+    overflow or invalid operation on the way (at 1e100 K, say) is a :class:`SolverError`."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            drift = build_drift(params)
+            gate = stability_check(drift)
+            if not gate.stable:
+                return MeasureReport(stable=False, margin=gate.margin, params=params,
+                                     reason="unstable")
+            cov = solve_lyapunov(drift, build_diffusion(params))
+            return evaluate_measures(cov, params, gate.margin, measures)
+    except FloatingPointError as exc:
+        raise SolverError(f"floating-point failure: {exc}") from exc
 
 
 def run_point(config: dict) -> MeasureReport:
     """Full pipeline for one configuration mapping.
 
     Of the sweep control keys only ``measures`` and ``coupling_mode`` apply
-    to a single point; any other one (an axis, ``nonreciprocity``) is an error.
+    to a single point; :func:`resolve_point` rejects any other one.
     """
     _, _, control = split_config(config)
-    sweep_only = sorted(control.keys() - {"measures", "coupling_mode"})
-    if sweep_only:
-        raise ConfigError(f"sweep keys {sweep_only} do not apply to a single point")
     measures, coupling_mode = _control_options(control)
     return evaluate_point(resolve_point(config, coupling_mode), measures)
 
@@ -366,12 +363,13 @@ def _line_template(types: tuple) -> tuple:
     return ",".join(slots), [i for i, kind in enumerate(types) if kind is bool]
 
 
-def emit(table: ResultTable, fmt: str, destination) -> None:
-    """Write a result table as CSV or JSON.
+def emit(table: ResultTable, fmt: str, stream) -> None:
+    """Write a result table as CSV or JSON to the text stream ``stream``.
 
-    CSV uses '.' decimals, scientific notation with 13 significant
-    digits and newline-terminated rows; JSON is an array of flat
-    objects.  Identical tables produce byte-identical files.
+    The caller opens the stream, as ``cli._output`` opens ``--out``.  CSV uses
+    '.' decimals, scientific notation with 13 significant digits and
+    newline-terminated rows; JSON is an array of flat objects.  Identical
+    tables produce byte-identical files.
     """
     if not table.rows:
         raise ValueError("refusing to emit an empty table")
@@ -395,8 +393,4 @@ def emit(table: ResultTable, fmt: str, destination) -> None:
         payload = json.dumps(objects, indent=1) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+    stream.write(payload)

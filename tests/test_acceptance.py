@@ -236,8 +236,9 @@ def test_criterion_10_parallel_determinism(tmp_path):
     preset = PRESETS["temperature-baseline"]
     serial = tmp_path / "w1.csv"
     parallel = tmp_path / "w8.csv"
-    emit(run_sweep(preset.spec, workers=1), "csv", serial)
-    emit(run_sweep(preset.spec, workers=8), "csv", parallel)
+    for path, workers in ((serial, 1), (parallel, 8)):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            emit(run_sweep(preset.spec, workers=workers), "csv", fh)
     assert serial.read_bytes() == parallel.read_bytes()
     _passline(10, f"preset '{preset.name}' byte-identical with 1 and 8 workers "
                   f"({serial.stat().st_size} bytes)")

@@ -11,7 +11,9 @@ from scipy import linalg as sla
 
 import magnomech
 from magnomech import (
+    DomainError,
     SolverError,
+    StabilityResult,
     StabilityError,
     SweepAxis,
     SweepSpec,
@@ -57,6 +59,28 @@ class TestStabilityCheck:
         with pytest.raises(ValueError):
             stability_check(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("drift", [
+        np.zeros((2, 3)), "abc", -np.eye(3, dtype=complex), -np.eye(3).astype(object),
+        -np.ones((2, 2, 2)), [[-1.0]] * 2,
+    ], ids=["nonsquare", "text", "complex", "object", "three-d", "list-2x1"])
+    def test_anything_but_a_real_square_matrix_is_a_domain_error(self, drift):
+        with pytest.raises(DomainError, match="real square"):
+            stability_check(drift)
+
+    def test_real_dtypes_and_lists_give_the_float_verdict(self):
+        expected = stability_check(-np.eye(3))
+        for drift in (-np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.float32),
+                      (-np.eye(3)).tolist(), np.eye(3, dtype=bool)):
+            assert stability_check(drift).margin == stability_check(np.asarray(drift, float)).margin
+        assert stability_check(-np.eye(3, dtype=np.int64)) == expected
+
+    def test_result_compares_and_prints_as_its_verdict(self):
+        gate = stability_check(-np.eye(3))
+        assert gate.schur.shape == gate.basis.shape == (3, 3)
+        bare = StabilityResult(stable=True, margin=-1.0)
+        assert gate == bare and hash(gate) == hash(bare)
+        assert repr(gate) == repr(bare) == "StabilityResult(stable=True, margin=-1.0)"
+
 
 class TestSolve:
     def test_scalar_balance(self):
@@ -89,6 +113,18 @@ class TestSolve:
         for call in (stability_check, lambda a: solve_lyapunov(a, np.eye(3))):
             with pytest.raises(SolverError, match="dgees info 3"):
                 call(-np.eye(3))
+
+    @pytest.mark.parametrize("solver", [solve_lyapunov, solve_lyapunov_oracle, integrate_lyapunov])
+    @pytest.mark.parametrize("diffusion", [np.eye(10), np.eye(4)[:, :3], np.ones(4),
+                                           np.eye(4, dtype=complex)],
+                             ids=["larger", "nonsquare", "vector", "complex"])
+    def test_diffusion_unlike_the_drift_is_a_domain_error(self, solver, diffusion):
+        with pytest.raises(DomainError, match="diffusion"):
+            solver(-np.eye(4), diffusion)
+
+    def test_oracle_size_cap_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="12 modes"):
+            solve_lyapunov_oracle(-np.eye(26), np.eye(26))
 
     def test_unstable_input_is_contract_violation(self):
         a = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -221,8 +257,8 @@ class TestOneFactorization:
         assert lapack_calls["dgees"] == 2
 
     def test_factors_are_read_only(self):
-        schur, basis, _ = lyapunov._real_schur(-np.eye(3))
-        for factor in (schur, basis):
+        gate = stability_check(-np.eye(3))
+        for factor in (gate.schur, gate.basis):
             with pytest.raises(ValueError):
                 factor[0, 0] = 1.0
 

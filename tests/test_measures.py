@@ -481,3 +481,46 @@ class TestMeasureKernel:
         assert not is_physical(cov)
         with pytest.raises(PhysicalityError):
             symplectic_eigenvalues(cov)
+
+
+class TestTypedInputs:
+    @pytest.mark.parametrize("dtype", [complex, object, str])
+    @pytest.mark.parametrize("call, dim", [
+        (log_negativity, 4), (lambda c: gaussian_steering(c, 1), 4), (residual_contangle, 6),
+        (symplectic_eigenvalues, 10), (is_physical, 10),
+        (lambda c: effective_phonon_number(c, "b1"), 10),
+        (lambda c: evaluate_measures(c, None, -1.0), 10),
+    ], ids=["log-negativity", "steering", "contangle", "spectrum", "is-physical",
+            "occupation", "report"])
+    def test_covariance_that_is_not_real_is_a_domain_error(self, call, dim, dtype):
+        with pytest.raises(DomainError, match="real|float|int|bool|shape"):
+            call((0.5 * np.eye(dim)).astype(dtype))
+
+    @pytest.mark.parametrize("call, dim", [
+        (log_negativity, 4), (residual_contangle, 6), (lambda c: effective_phonon_number(c, "b2"), 10),
+        (lambda c: evaluate_measures(c, None, -1.0).min_symplectic, 10),
+    ], ids=["log-negativity", "contangle", "occupation", "report"])
+    def test_real_dtypes_give_the_float_values(self, call, dim):
+        cov = np.eye(dim, dtype=np.int64)
+        assert call(cov) == call(cov.astype(float))
+
+    @pytest.mark.parametrize("measures", ["entanglement", ("bogus",), ("entanglement", 3)],
+                             ids=["bare-string", "unknown-name", "not-a-name"])
+    def test_measure_families_outside_the_list_are_a_config_error(self, baseline, baseline_cov,
+                                                                 measures):
+        from magnomech import ConfigError, SweepAxis, SweepSpec
+
+        with pytest.raises(ConfigError, match="measures"):
+            evaluate_measures(baseline_cov, baseline, -1.0, measures)
+        with pytest.raises(ConfigError, match="measures"):
+            SweepSpec(SweepAxis("temperature", 0, 1, 2), measures=measures)
+
+    @pytest.mark.parametrize("modes", [("zz",), (0,), ("c", 3), (None,), ("b1", ["c"])])
+    def test_modes_are_names(self, baseline_cov, modes):
+        with pytest.raises(DomainError, match="unknown mode"):
+            reduce_modes(baseline_cov, modes)
+
+    @pytest.mark.parametrize("mode", ["zz", 0, "B1"])
+    def test_occupation_of_an_unknown_mode_is_a_domain_error(self, baseline_cov, mode):
+        with pytest.raises(DomainError, match="unknown mode"):
+            effective_phonon_number(baseline_cov, mode)

@@ -49,6 +49,12 @@ class TestThermalOccupancy:
         with pytest.raises(DomainError, match="finite"):
             thermal_occupancy(omega, temperature)
 
+    @pytest.mark.parametrize("omega, temperature", [(TWO_PI * 20e6, 1e308), (1e-300, 1.0)],
+                             ids=["huge-temperature", "tiny-omega"])
+    def test_overflowing_occupancy_is_a_domain_error(self, omega, temperature):
+        with pytest.raises(DomainError, match="overflows"):
+            thermal_occupancy(omega, temperature)
+
     def test_monotone_in_temperature(self):
         omega = TWO_PI * 20e6
         temps = [0.001, 0.01, 0.1, 1.0]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,12 @@ from magnomech.sweep import resolve_point
 from magnomech.params import BASELINE_CONFIG, DRIVE_KEYS, SYSTEM_KEYS, TWO_PI, echo_config
 
 RESOLVERS = ((resolve_system_params, SYSTEM_KEYS), (resolve_drive_params, DRIVE_KEYS))
+
+
+def _emit_file(table, fmt, path):
+    """``emit`` into ``path``, opened as the command line opens ``--out``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        emit(table, fmt, fh)
 
 
 class TestConfigParsing:
@@ -282,6 +289,35 @@ class TestRunPoint:
         with pytest.raises(ConfigError, match="coupling_mode = meanfield"):
             resolve_point({k: v for k, v in config.items() if k != "coupling_mode"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("axis1", "temperature"), ("axis1_count", 3.0), ("axis2_start", 0.0),
+        ("nonreciprocity", True),
+    ])
+    def test_resolve_point_rejects_sweep_keys(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            resolve_point({key: value})
+        assert resolve_point({"measures": "steering", "coupling_mode": "meanfield"}) == \
+            resolve_point({})
+
+    @pytest.mark.parametrize("temperature", [1e100, 1e200, 1e300, 1e308])
+    def test_huge_temperature_evaluates_or_fails_typed_without_warning(self, temperature):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = run_point({"temperature": temperature})
+            except MagnomechError:
+                return
+        assert report.stable and report.physical is not None
+
+    def test_huge_temperature_sweep_writes_an_error_row(self):
+        spec = SweepSpec(SweepAxis("temperature", 1.0, 1e100, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run_sweep(spec)
+        idx = {c: i for i, c in enumerate(table.columns)}
+        assert [row[idx["stable"]] for row in table.rows] == [True, False]
+        assert table.rows[1][idx["reason"]] == "nonphysical"
+
     def test_point_control_keys_accepted(self):
         report = run_point({"measures": "entanglement", "coupling_mode": "direct"})
         assert report.stable and report.pairwise_E
@@ -366,7 +402,7 @@ class TestRunSweep:
                     row[idx[c]] is None for c in table.columns if c.startswith("E_")
                 )
         out = tmp_path / "masked.csv"
-        emit(table, "csv", out)
+        _emit_file(table, "csv", out)
         lines = out.read_text().splitlines()
         e_ca_col = lines[0].split(",").index("E_ca")
         assert lines[3].split(",")[e_ca_col] == ""  # empty cell, not zero
@@ -402,7 +438,7 @@ class TestRunSweep:
             assert row[idx["E_b1m_minus"]] is not None
             assert all(row[idx[c]] is None for c in table.columns if c.startswith("C_"))
         out = tmp_path / "gated.csv"
-        emit(table, "csv", out)
+        _emit_file(table, "csv", out)
         cells = out.read_text().splitlines()[1].split(",")
         assert cells[idx["C_E_b1m"]] == "" and cells[idx["E_b1m_minus"]] != ""
 
@@ -431,8 +467,8 @@ class TestRunSweep:
         spec = _tiny_sweep()
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
-        emit(run_sweep(spec, workers=1), "csv", serial)
-        emit(run_sweep(spec, workers=2), "csv", parallel)
+        _emit_file(run_sweep(spec, workers=1), "csv", serial)
+        _emit_file(run_sweep(spec, workers=2), "csv", parallel)
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_worker_pool_is_capped_at_the_task_count(self, monkeypatch):
@@ -506,7 +542,7 @@ class TestEmit:
         table = run_sweep(_tiny_sweep(measures=("entanglement",)))
         table.rows = table.rows[:1]
         out = tmp_path / "one.csv"
-        emit(table, "csv", out)
+        _emit_file(table, "csv", out)
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == ",".join(PLAIN_HEADER)
@@ -514,15 +550,15 @@ class TestEmit:
     def test_repeat_emission_is_byte_identical(self, tmp_path):
         table = run_sweep(_tiny_sweep())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit(table, "csv", a)
-        emit(table, "csv", b)
+        _emit_file(table, "csv", a)
+        _emit_file(table, "csv", b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_json_value_agreement(self, tmp_path):
         table = run_sweep(_tiny_sweep())
         csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
-        emit(table, "csv", csv_path)
-        emit(table, "json", json_path)
+        _emit_file(table, "csv", csv_path)
+        _emit_file(table, "json", json_path)
         objects = json.loads(json_path.read_text())
         lines = csv_path.read_text().splitlines()
         header = lines[0].split(",")
@@ -538,7 +574,7 @@ class TestEmit:
     def test_csv_has_full_precision(self, tmp_path):
         table = run_sweep(SweepSpec(SweepAxis("temperature", 0.0, 0.1, 2)))
         out = tmp_path / "prec.csv"
-        emit(table, "csv", out)
+        _emit_file(table, "csv", out)
         idx = table.columns.index("E_ca")
         cell = out.read_text().splitlines()[1].split(",")[idx]
         mantissa = cell.split("e")[0].replace("-", "").replace(".", "")
