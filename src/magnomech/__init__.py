@@ -43,7 +43,6 @@ from .measures import (
 from .meanfield import (
     SteadyAmplitudes,
     amplitudes_once,
-    approx_amplitudes,
     solve_self_consistent,
 )
 from .model import (
@@ -103,7 +102,6 @@ __all__ = [
     "SweepSpec",
     "SystemParams",
     "amplitudes_once",
-    "approx_amplitudes",
     "build_diffusion",
     "build_drift",
     "contrast_ratio",

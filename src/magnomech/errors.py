@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the floating-point guard."""
+
+import numpy as np
 
 
 class MagnomechError(Exception):
@@ -38,6 +40,19 @@ class SolverError(MagnomechError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+class FloatGuard(np.errstate):
+    """``with FloatGuard():`` turns a floating-point overflow or invalid operation in
+    its block into a :class:`SolverError`."""
+
+    def __init__(self):
+        super().__init__(over="raise", invalid="raise")
+
+    def __exit__(self, exc_type, exc, tb):
+        super().__exit__(exc_type, exc, tb)
+        if isinstance(exc, FloatingPointError):
+            raise SolverError(f"floating-point failure: {exc}") from exc
 
 
 class PhysicalityError(MagnomechError):

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import DomainError, SolverError, StabilityError
+from .errors import DomainError, FloatGuard, SolverError, StabilityError
+from .params import real_matrix
 
 #: Relative Frobenius-norm bound accepted for ``A V + V A^T + D``.
 RESIDUAL_TOL = 1e-9
@@ -74,13 +75,11 @@ def stability_check(drift: np.ndarray) -> StabilityResult:
     report how far from the boundary a point sits.  The memoised result
     carries the Schur factors it was read off, so the gate and the solve of
     one drift share one factorization; an array mutated in place is factored
-    afresh.  Anything but a real (bool, int or float dtype) square matrix is
+    afresh.  Anything but a real, non-empty square matrix (``real_matrix``) is
     a :class:`DomainError`, a non-finite entry a :class:`SolverError`.
     """
-    drift = np.asarray(drift)
-    if drift.dtype.kind not in "biuf" or drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
-        raise DomainError(f"drift must be a real square matrix, got {drift.dtype} {drift.shape}")
-    return _schur_of(drift.shape, drift.astype(float, copy=False).tobytes())
+    drift = real_matrix(drift, "drift must be a real square matrix")
+    return _schur_of(drift.shape, drift.tobytes())
 
 
 def _stable_operands(drift, diffusion, caller: str):
@@ -88,27 +87,27 @@ def _stable_operands(drift, diffusion, caller: str):
     unless ``diffusion`` is real with the drift's shape, a :class:`StabilityError`
     unless the drift is stable."""
     gate = stability_check(drift)
-    diffusion = np.asarray(diffusion)
-    if diffusion.dtype.kind not in "biuf" or diffusion.shape != gate.schur.shape:
-        raise DomainError(f"{caller} needs a real diffusion matrix of the drift's shape "
-                          f"{gate.schur.shape}, got {diffusion.dtype} shape {diffusion.shape}")
+    n = len(gate.schur)  # an int: formatting the shape tuple costs a microsecond per call
+    diffusion = real_matrix(diffusion, f"{caller} needs a real diffusion matrix of the drift's "
+                            f"shape ({n}, {n})", (n,))
     if not gate.stable:
         raise StabilityError(f"{caller} called on unstable drift (margin {gate.margin:.3e})")
-    return gate, np.asarray(drift, dtype=float), diffusion.astype(float, copy=False)
+    return gate, np.asarray(drift, dtype=float), diffusion
 
 
 def _refined(drift, diffusion, solve) -> np.ndarray:
     """Solve, refine once, symmetrize and verify ``A V + V A^T + D = 0``.
 
     ``solve(rhs)`` returns X with ``A X + X A^T = rhs``.  The second call
-    corrects the first one's residual; explicit symmetrization keeps
-    residual asymmetry out of determinant-based measures.
+    corrects the first one's residual; explicit symmetrization keeps residual
+    asymmetry out of determinant-based measures.  An overflow is a :class:`SolverError`.
     """
-    cov = solve(-diffusion)
-    cov = cov + solve(-(drift @ cov + cov @ drift.T + diffusion))
-    cov = (cov + cov.T) / 2.0
-    residual = drift @ cov + cov @ drift.T + diffusion
-    rel = float(np.linalg.norm(residual) / (np.linalg.norm(diffusion) or 1.0))
+    with FloatGuard():
+        cov = solve(-diffusion)
+        cov = cov + solve(-(drift @ cov + cov @ drift.T + diffusion))
+        cov = (cov + cov.T) / 2.0
+        residual = drift @ cov + cov @ drift.T + diffusion
+        rel = float(np.linalg.norm(residual) / (np.linalg.norm(diffusion) or 1.0))
     if not rel <= RESIDUAL_TOL:  # also rejects a NaN residual
         raise SolverError(f"Lyapunov residual {rel:.3e} above tolerance {RESIDUAL_TOL:.0e}",
                           residual=rel)

@@ -116,30 +116,6 @@ def amplitudes_once(
     return _record(drives, _amplitude_map(params, drives)(*detunings), *detunings)
 
 
-def approx_amplitudes(
-    params: SystemParams,
-    drives: DriveParams,
-    detunings: tuple[float, float],
-) -> tuple[complex, complex]:
-    """Leading-order amplitudes valid when detunings dominate dampings.
-
-    Returns the pure-imaginary estimates
-    ``<m> ~ -i*rabi/(delta_m_eff - D_ma^2/delta_a)`` and
-    ``<c> ~ -i*psi*laser_coupling/delta_c_eff``, used as a cross-check
-    of :func:`amplitudes_once` and as a fallback description.
-    """
-    p, d = params, drives
-    delta_m_eff, delta_c_eff = detunings
-    if p.delta_a == 0 or delta_c_eff == 0:
-        raise SingularPointError("approximate amplitudes need nonzero detunings")
-    den_m = delta_m_eff - p.D_ma**2 / p.delta_a
-    if den_m == 0:
-        raise SingularPointError("approximate magnon denominator vanishes")
-    m_avg = -1j * d.rabi / den_m
-    c_avg = -1j * p.psi * d.laser_coupling / delta_c_eff
-    return m_avg, c_avg
-
-
 def solve_self_consistent(
     params: SystemParams, drives: DriveParams
 ) -> SteadyAmplitudes:

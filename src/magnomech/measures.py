@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import ConfigError, DomainError, PhysicalityError, SolverError
+from .errors import ConfigError, DomainError, FloatGuard, PhysicalityError, SolverError
 from .model import MODE_INDEX, MODE_ORDER, OMEGA
-from .params import SystemParams
+from .params import SystemParams, real_matrix
 
 #: The measure families :func:`evaluate_measures` can evaluate.
 MEASURE_FAMILIES = ("entanglement", "steering", "contangle", "occupation")
@@ -75,10 +75,14 @@ def require_families(measures) -> None:
 def reduce_modes(cov: np.ndarray, modes) -> np.ndarray:
     """Covariance of a subset of modes, in the requested order.
 
-    ``modes`` is a sequence of distinct mode names (else :class:`DomainError`);
-    the result is the 2k x 2k submatrix of their (X, Y) rows and columns.
+    ``modes`` is a sequence of distinct mode names, ``cov`` a real square covariance
+    that holds them in the canonical mode order (else :class:`DomainError`); the
+    result is the 2k x 2k submatrix of their (X, Y) rows and columns.
     """
-    rows = _quadratures(_mode_indices(modes))
+    indices = _mode_indices(modes)
+    cov = real_matrix(cov, f"reduce_modes needs a real square covariance that holds {modes}",
+                      range(2 * max(indices, default=0) + 2, len(OMEGA) + 1, 2))
+    rows = _quadratures(indices)
     return cov[np.ix_(rows, rows)]
 
 
@@ -91,14 +95,9 @@ def _quadratures(modes) -> list[int]:
 
 
 def _checked(cov, dims, need: str) -> np.ndarray:
-    """``cov`` as a float array after its one check: a :class:`DomainError` unless it is
-    real (bool, int or float dtype) and square with a dimension in ``dims``, a
-    :class:`SolverError` if an entry is not finite."""
-    cov = np.asarray(cov)
-    dim = cov.shape[0] if cov.ndim == 2 and cov.shape[0] == cov.shape[1] else 0
-    if dim not in dims or cov.dtype.kind not in "biuf":
-        raise DomainError(f"{need}, got {cov.dtype} shape {cov.shape}")
-    cov = cov.astype(float, copy=False)
+    """``cov`` as a float array after its one check: :func:`~magnomech.params.real_matrix`
+    with a dimension in ``dims``, then a :class:`SolverError` if an entry is not finite."""
+    cov = real_matrix(cov, need, dims)
     if not np.isfinite(cov).all():
         raise SolverError("covariance has non-finite entries")
     return cov
@@ -305,11 +304,12 @@ def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
     ``steering_mode`` selects which of the two modes (0 = first block,
     1 = second) acts as the steering party; the measure is
     ``max(0, ln det(2 V_s)/2 - ln det(2 V)/2)`` and is directional by
-    construction.
+    construction; any mode but the integer 0 or 1 is a :class:`DomainError`.
     """
     cov4 = _checked(cov4, (4,), "gaussian_steering needs a 4x4 covariance")
-    if steering_mode not in (0, 1):
-        raise DomainError("steering_mode must be 0 or 1")
+    if (isinstance(steering_mode, bool) or not isinstance(steering_mode, (int, np.integer))
+            or steering_mode not in (0, 1)):
+        raise DomainError(f"steering_mode must be the integer 0 or 1, got {steering_mode!r}")
     det_l = _det_factor(_factor(cov4[None]))
     return float(_steerings(_mode_dets(cov4)[None], det_l)[0, steering_mode])
 
@@ -355,15 +355,12 @@ def effective_phonon_number(cov: np.ndarray, mode) -> float:
     Small negative rounding noise is clipped to zero; a genuinely
     negative value means the reduced state is below vacuum, which the
     thermal reading of this number cannot represent.  An unknown mode name, or
-    a covariance that is not real and square or too small to hold the mode,
+    a covariance that does not hold the mode as :func:`reduce_modes` requires,
     raises :class:`DomainError`, a non-finite variance of the mode :class:`SolverError`.
     """
     (idx,) = _mode_indices([mode])
-    cov = np.asarray(cov)
-    if (cov.dtype.kind not in "biuf" or cov.ndim != 2 or cov.shape[0] != cov.shape[1]
-            or len(cov) < 2 * idx + 2):
-        raise DomainError(f"effective_phonon_number of mode {MODE_ORDER[idx]} needs a real square "
-                          f"covariance that holds it, got {cov.dtype} shape {cov.shape}")
+    cov = real_matrix(cov, f"effective_phonon_number of mode {MODE_ORDER[idx]} needs a real "
+                      "square covariance that holds it", range(2 * idx + 2, len(OMEGA) + 1, 2))
     if not np.isfinite(cov.diagonal()[2 * idx:2 * idx + 2]).all():
         raise SolverError(f"variance of mode {MODE_ORDER[idx]} is not finite")
     return _occupation(cov, idx)
@@ -444,32 +441,34 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
 
     ``cov`` is checked once: anything but a real (bool, int or float dtype)
     10x10 numpy array raises :class:`DomainError`, a non-finite entry
-    :class:`SolverError`; unknown ``measures`` raise :class:`ConfigError`.
+    :class:`SolverError`; unknown ``measures`` raise :class:`ConfigError`, and
+    an overflow in the measures (of a covariance near 1e150, say) a :class:`SolverError`.
     """
     require_families(measures)
     if not isinstance(cov, np.ndarray):
         raise DomainError(f"evaluate_measures needs a numpy array, got {type(cov).__name__}")
     cov = _checked(cov, (len(OMEGA),), "evaluate_measures needs a real 10x10 covariance")
-    nu_min = float(_spectrum(cov)[-1])
-    report = MeasureReport(stable=True, margin=margin, params=params,
-                           physical=bool(nu_min >= 0.5 - PHYSICAL_TOL), min_symplectic=nu_min)
-    if not {"entanglement", "steering", "contangle"}.isdisjoint(measures):
-        factors = _factor(cov.take(_ALL_PAIR_TABLE))
-        det_l = _det_factor(factors)
-    if "entanglement" in measures or "contangle" in measures:
-        negativities = _pair_negativities(factors, det_l)
-    if "entanglement" in measures:
-        report.pairwise_E = dict(zip(ALL_PAIRS, negativities.tolist()))
-    if "steering" in measures:
-        values = _steerings(_mode_dets(cov)[_INDIRECT_MODES], det_l[_INDIRECT_OF_ALL])
-        report.steering = dict(zip(_STEERING_KEYS, values.ravel().tolist()))
-    if "contangle" in measures:
-        values = _residual_contangles(cov, _TRIPLE_PLAN, negativities)
-        report.tripartite_R = dict(zip(_TRIPLE_KEYS, values.tolist()))
-    if "occupation" in measures:
-        for mode in ("b1", "b2"):
-            try:
-                report.phonon_occ[mode] = _occupation(cov, MODE_INDEX[mode])
-            except PhysicalityError:
-                report.phonon_occ[mode] = None
-    return report
+    with FloatGuard():
+        nu_min = float(_spectrum(cov)[-1])
+        report = MeasureReport(stable=True, margin=margin, params=params, min_symplectic=nu_min,
+                               physical=bool(nu_min >= 0.5 - PHYSICAL_TOL))
+        if not {"entanglement", "steering", "contangle"}.isdisjoint(measures):
+            factors = _factor(cov.take(_ALL_PAIR_TABLE))
+            det_l = _det_factor(factors)
+        if "entanglement" in measures or "contangle" in measures:
+            negativities = _pair_negativities(factors, det_l)
+        if "entanglement" in measures:
+            report.pairwise_E = dict(zip(ALL_PAIRS, negativities.tolist()))
+        if "steering" in measures:
+            values = _steerings(_mode_dets(cov)[_INDIRECT_MODES], det_l[_INDIRECT_OF_ALL])
+            report.steering = dict(zip(_STEERING_KEYS, values.ravel().tolist()))
+        if "contangle" in measures:
+            values = _residual_contangles(cov, _TRIPLE_PLAN, negativities)
+            report.tripartite_R = dict(zip(_TRIPLE_KEYS, values.tolist()))
+        if "occupation" in measures:
+            for mode in ("b1", "b2"):
+                try:
+                    report.phonon_occ[mode] = _occupation(cov, MODE_INDEX[mode])
+                except PhysicalityError:
+                    report.phonon_occ[mode] = None
+        return report

@@ -21,6 +21,7 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
+import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import ConfigError, DomainError
@@ -179,6 +180,20 @@ def require_mapping(config, what: str) -> None:
     # dict comes before the ABC, whose isinstance check is slow
     if not isinstance(config, (dict, Mapping)):
         raise ConfigError(f"{what} must be a mapping of keys to values, got {config!r}")
+
+
+def real_matrix(value, need: str, dims=None) -> np.ndarray:
+    """The one matrix rule: ``value`` as a float array, or a :class:`DomainError` saying
+    ``need`` unless it is a real (bool, int or float dtype), non-empty, square 2-D array
+    (a ragged nested list is none) whose dimension is in ``dims`` (any, when None)."""
+    try:
+        matrix = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DomainError(f"{need}, got a ragged nested sequence") from None
+    if (matrix.dtype.kind not in "biuf" or matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]
+            or not matrix.size or dims is not None and len(matrix) not in dims):
+        raise DomainError(f"{need}, got {matrix.dtype} shape {matrix.shape}")
+    return matrix.astype(float, copy=False)
 
 
 def _validated(config: dict, units: dict, what: str) -> dict:

@@ -23,7 +23,6 @@ from .errors import (
     ConvergenceError,
     MagnomechError,
     SingularPointError,
-    SolverError,
     StabilityError,
 )
 from .lyapunov import solve_lyapunov, stability_check
@@ -159,7 +158,7 @@ def _control_options(control: dict) -> tuple:
     names = () if raw is None else tuple(part.strip() for part in str(raw).split(",") if part.strip())
     measures = names or MEASURE_FAMILIES
     require_families(measures)
-    return measures, str(control.get("coupling_mode", "direct"))
+    return measures, control.get("coupling_mode", "direct")
 
 
 def _parse_axis(control: dict, which: str) -> SweepAxis | None:
@@ -196,9 +195,9 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
 def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     """Resolve a config mapping to :class:`SystemParams`.
 
-    Of the sweep control keys only ``measures`` and ``coupling_mode`` may
-    appear (neither is read here); any other one is a :class:`ConfigError`,
-    and so are drive keys in ``direct`` mode.  In ``meanfield`` mode the
+    Of the sweep control keys only ``measures`` and ``coupling_mode`` (which
+    must equal the argument) may appear; anything else, or drive keys in
+    ``direct`` mode, is a :class:`ConfigError`.  In ``meanfield`` mode the
     drive block is completed by :func:`drive_conversions`, and the effective
     couplings and the displacement-shifted detunings are produced by the
     self-consistent amplitude solve.  Only the real parts ``Re G`` of the
@@ -212,6 +211,9 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     sweep_only = sorted(control.keys() - {"measures", "coupling_mode"})
     if sweep_only:
         raise ConfigError(f"sweep keys {sweep_only} do not apply to a single point")
+    if control.get("coupling_mode", coupling_mode) != coupling_mode:
+        raise ConfigError(f"config key coupling_mode = {control['coupling_mode']!r} differs "
+                          f"from the coupling_mode argument {coupling_mode!r}")
     _check_coupling(drive, coupling_mode)
     params = resolve_system_params(system)
     if coupling_mode == "direct":
@@ -228,19 +230,14 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
 
 
 def evaluate_point(params: SystemParams, measures=MEASURE_FAMILIES) -> MeasureReport:
-    """Gate on stability, solve for the covariance, evaluate measures; a floating-point
-    overflow or invalid operation on the way (at 1e100 K, say) is a :class:`SolverError`."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            drift = build_drift(params)
-            gate = stability_check(drift)
-            if not gate.stable:
-                return MeasureReport(stable=False, margin=gate.margin, params=params,
-                                     reason="unstable")
-            cov = solve_lyapunov(drift, build_diffusion(params))
-            return evaluate_measures(cov, params, gate.margin, measures)
-    except FloatingPointError as exc:
-        raise SolverError(f"floating-point failure: {exc}") from exc
+    """Gate on stability, solve for the covariance, evaluate measures; the solve and
+    the measures turn a floating-point overflow (at 1e100 K, say) into a :class:`SolverError`."""
+    drift = build_drift(params)
+    gate = stability_check(drift)
+    if not gate.stable:
+        return MeasureReport(stable=False, margin=gate.margin, params=params, reason="unstable")
+    cov = solve_lyapunov(drift, build_diffusion(params))
+    return evaluate_measures(cov, params, gate.margin, measures)
 
 
 def run_point(config: dict) -> MeasureReport:

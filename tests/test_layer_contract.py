@@ -1,0 +1,80 @@
+"""The contract shared by the public layer functions: one matrix rule, and
+floating-point failures in the solve and the measures as typed errors."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from magnomech import (
+    DomainError,
+    SolverError,
+    build_diffusion,
+    build_drift,
+    effective_phonon_number,
+    evaluate_measures,
+    gaussian_steering,
+    integrate_lyapunov,
+    is_physical,
+    log_negativity,
+    reduce_modes,
+    residual_contangle,
+    resolve_system_params,
+    solve_lyapunov,
+    solve_lyapunov_oracle,
+    stability_check,
+    symplectic_eigenvalues,
+)
+
+#: Every public function that takes a matrix, called with that matrix.
+MATRIX_CALLS = {
+    "stability_check": stability_check,
+    "solve_lyapunov-drift": lambda m: solve_lyapunov(m, np.eye(2)),
+    "solve_lyapunov-diffusion": lambda m: solve_lyapunov(-np.eye(2), m),
+    "oracle-diffusion": lambda m: solve_lyapunov_oracle(-np.eye(2), m),
+    "integration-diffusion": lambda m: integrate_lyapunov(-np.eye(2), m),
+    "log_negativity": log_negativity,
+    "gaussian_steering": gaussian_steering,
+    "residual_contangle": residual_contangle,
+    "symplectic_eigenvalues": symplectic_eigenvalues,
+    "is_physical": is_physical,
+    "effective_phonon_number": lambda m: effective_phonon_number(m, "b1"),
+    "reduce_modes": lambda m: reduce_modes(m, ("b1",)),
+    "evaluate_measures": lambda m: evaluate_measures(m, None, -1.0),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_CALLS)
+@pytest.mark.parametrize("matrix", [[[1.0, 2.0], [3.0]], np.zeros((0, 0)), "abc"],
+                         ids=["ragged", "empty", "text"])
+def test_matrix_that_is_not_a_real_square_one_is_a_domain_error(name, matrix, capfd):
+    with pytest.raises(DomainError):
+        MATRIX_CALLS[name](matrix)
+    assert capfd.readouterr().err == ""  # no LAPACK complaint about an illegal argument
+
+
+@pytest.mark.parametrize("call", [lambda m: reduce_modes(m, ("a",)),
+                                  lambda m: reduce_modes(m, ("b1", "a")),
+                                  lambda m: effective_phonon_number(m, "a")],
+                         ids=["reduce-one", "reduce-two", "occupation"])
+def test_matrix_that_does_not_hold_the_modes_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="holds"):
+        call(0.5 * np.eye(4))
+
+
+def test_overflowing_solve_is_a_solver_error():
+    params = resolve_system_params({"temperature": 1e200})
+    drift, diffusion = build_drift(params), build_diffusion(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="floating-point"):
+            solve_lyapunov(drift, diffusion)
+
+
+def test_overflowing_measures_are_a_solver_error(baseline, baseline_cov):
+    settings = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="floating-point"):
+            evaluate_measures(baseline_cov * 1e100, baseline, -1.0)
+    assert np.geterr() == settings

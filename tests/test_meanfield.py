@@ -12,7 +12,6 @@ from magnomech import (
     DriveParams,
     SingularPointError,
     amplitudes_once,
-    approx_amplitudes,
     drive_conversions,
     resolve_system_params,
     run_point,
@@ -84,12 +83,8 @@ def test_one_sided_laser_drive(params):
     assert sa.b2_avg == pytest.approx(c2 * drives.bare_D_cb2 * z1 / den, rel=1e-12)
 
 
-def test_exact_matches_approximation_at_baseline(params, drives):
-    detunings = _baseline_detunings(params)
-    sa = amplitudes_once(params, drives, detunings)
-    m_approx, c_approx = approx_amplitudes(params, drives, detunings)
-    assert abs(sa.m_avg) == pytest.approx(abs(m_approx), rel=0.01)
-    assert abs(sa.c_avg) == pytest.approx(abs(c_approx), rel=0.01)
+def test_effective_couplings_mostly_real_at_baseline(params, drives):
+    sa = amplitudes_once(params, drives, _baseline_detunings(params))
     # the detuning-dominated regime makes the effective couplings mostly
     # real; the attainable ratio is set by delta/gamma, about 20 at the
     # baseline dampings
@@ -156,11 +151,6 @@ def test_singular_optical_denominator():
     )
     with pytest.raises(SingularPointError, match="optical"):
         amplitudes_once(params, DriveParams(laser_coupling=1.0), (params.delta_m_tilde, 0.0))
-
-
-def test_approximation_needs_detunings(params):
-    with pytest.raises(SingularPointError):
-        approx_amplitudes(params, DriveParams(), (params.delta_m_tilde, 0.0))
 
 
 def test_drive_field_sets_the_rabi_rate_however_the_laser_is_given(params):

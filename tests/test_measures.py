@@ -173,6 +173,14 @@ class TestSteering:
         with pytest.raises(DomainError):
             gaussian_steering(v4, 2)
 
+    @pytest.mark.parametrize("mode", [1.0, True, np.bool_(False), "1", None, -1],
+                             ids=["float", "bool", "numpy-bool", "text", "none", "negative"])
+    def test_direction_is_the_integer_0_or_1(self, mode):
+        v = tmsv_covariance(0.5)
+        with pytest.raises(DomainError, match="steering_mode"):
+            gaussian_steering(v, mode)
+        assert gaussian_steering(v, np.int64(1)) == gaussian_steering(v, 1)
+
     def test_nonpositive_determinant_raises(self):
         v = np.diag([0.5, -0.5, 0.5, 0.5])
         with pytest.raises(PhysicalityError):

@@ -296,8 +296,17 @@ class TestRunPoint:
     def test_resolve_point_rejects_sweep_keys(self, key, value):
         with pytest.raises(ConfigError, match=key):
             resolve_point({key: value})
-        assert resolve_point({"measures": "steering", "coupling_mode": "meanfield"}) == \
+        assert resolve_point({"measures": "steering", "coupling_mode": "direct"}) == \
             resolve_point({})
+
+    def test_resolve_point_coupling_mode_key_must_match_the_argument(self):
+        path = Path(__file__).parent.parent / "configs" / "meanfield_point.cfg"
+        config = magnomech.load_config(path)
+        with pytest.raises(ConfigError, match="coupling_mode = 'meanfield'.*'direct'"):
+            resolve_point(config)
+        assert resolve_point(config, "meanfield") != resolve_point({})
+        with pytest.raises(ConfigError, match="coupling_mode = 'direct'.*'meanfield'"):
+            resolve_point({"coupling_mode": "direct"}, "meanfield")
 
     @pytest.mark.parametrize("temperature", [1e100, 1e200, 1e300, 1e308])
     def test_huge_temperature_evaluates_or_fails_typed_without_warning(self, temperature):
