@@ -40,11 +40,7 @@ from .measures import (
     symplectic_eigenvalues,
     tmsv_covariance,
 )
-from .meanfield import (
-    SteadyAmplitudes,
-    amplitudes_once,
-    solve_self_consistent,
-)
+from .meanfield import SteadyAmplitudes, solve_self_consistent
 from .model import (
     MODE_INDEX,
     MODE_ORDER,
@@ -101,7 +97,6 @@ __all__ = [
     "SweepAxis",
     "SweepSpec",
     "SystemParams",
-    "amplitudes_once",
     "build_diffusion",
     "build_drift",
     "contrast_ratio",

@@ -44,14 +44,15 @@ class SolverError(MagnomechError):
 
 class FloatGuard(np.errstate):
     """``with FloatGuard():`` turns a floating-point overflow or invalid operation in
-    its block into a :class:`SolverError`."""
+    its block, numpy's or Python's (any ``ArithmeticError``, a float division by zero
+    included), into a :class:`SolverError`."""
 
     def __init__(self):
         super().__init__(over="raise", invalid="raise")
 
     def __exit__(self, exc_type, exc, tb):
         super().__exit__(exc_type, exc, tb)
-        if isinstance(exc, FloatingPointError):
+        if isinstance(exc, ArithmeticError):
             raise SolverError(f"floating-point failure: {exc}") from exc
 
 

@@ -163,7 +163,8 @@ def integrate_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
 
     Integrates from V = 0 to ``t = INTEGRATION_HORIZON / |max Re eig(A)|``, by
     which time the transient has decayed to numerical noise.  Slow, and
-    used only as an independent cross-check of the algebraic solvers.
+    used only as an independent cross-check of the algebraic solvers.  An
+    overflow is a :class:`SolverError`.
     """
     from scipy.integrate import solve_ivp  # slow to import; only this oracle needs it
 
@@ -174,9 +175,10 @@ def integrate_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
         v = y.reshape(n, n)
         return (drift @ v + v @ drift.T + diffusion).reshape(-1)
 
-    scale = float(np.abs(diffusion).max() / (2.0 * abs(gate.margin)) or 1.0)
-    sol = solve_ivp(rhs, (0.0, INTEGRATION_HORIZON / abs(gate.margin)), np.zeros(n * n),
-                    method="RK45", rtol=INTEGRATION_RTOL, atol=INTEGRATION_RTOL * scale)
+    with FloatGuard():
+        scale = float(np.abs(diffusion).max() / (2.0 * abs(gate.margin)) or 1.0)
+        sol = solve_ivp(rhs, (0.0, INTEGRATION_HORIZON / abs(gate.margin)), np.zeros(n * n),
+                        method="RK45", rtol=INTEGRATION_RTOL, atol=INTEGRATION_RTOL * scale)
     if not sol.success:
         raise SolverError(f"time integration failed: {sol.message}")
     cov = sol.y[:, -1].reshape(n, n)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.constants import hbar, k as k_B, mu_0, c as c_light
 
-from .errors import DomainError
+from .errors import DomainError, FloatGuard
 from .params import DriveParams, SystemParams
 
 MODE_ORDER = ("b1", "b2", "m", "c", "a")
@@ -139,19 +139,21 @@ def drive_conversions(drives: DriveParams, gamma_c: float) -> DriveParams:
     else the field (1/R)*sqrt(2*P0*mu0/(pi*c)) of ``drive_power``: the one
     conversion that needs ``sphere_radius``.  The optical amplitude is
     sqrt(2*gamma_c*P_L/(hbar*omega_laser)), with ``gamma_c`` the optical
-    damping of :class:`SystemParams`.
+    damping of :class:`SystemParams`.  An overflow or a division by zero (at
+    ``drive_freq_2 = 1e-300``, say) is a :class:`SolverError`.
     """
     d = drives
     rabi, laser_coupling = d.rabi, d.laser_coupling
-    if rabi == 0 and (d.drive_field > 0 or d.drive_power > 0):
-        field = d.drive_field
-        if field <= 0:
-            if d.sphere_radius <= 0:
-                raise DomainError("sphere_radius must be > 0 to convert drive_power")
-            field = math.sqrt(2.0 * d.drive_power * mu_0 / (math.pi * c_light)) / d.sphere_radius
-        rabi = (math.sqrt(5.0) / 4.0) * d.gyromagnetic_ratio * math.sqrt(d.spin_count) * field
-    if laser_coupling == 0 and d.laser_power > 0:
-        if d.drive_freq_2 <= 0:
-            raise DomainError("drive_freq_2 must be > 0 when laser_power > 0")
-        laser_coupling = math.sqrt(2.0 * gamma_c * d.laser_power / (hbar * d.drive_freq_2))
+    with FloatGuard():
+        if rabi == 0 and (d.drive_field > 0 or d.drive_power > 0):
+            field = d.drive_field
+            if field <= 0:
+                if d.sphere_radius <= 0:
+                    raise DomainError("sphere_radius must be > 0 to convert drive_power")
+                field = math.sqrt(2.0 * d.drive_power * mu_0 / (math.pi * c_light)) / d.sphere_radius
+            rabi = (math.sqrt(5.0) / 4.0) * d.gyromagnetic_ratio * math.sqrt(d.spin_count) * field
+        if laser_coupling == 0 and d.laser_power > 0:
+            if d.drive_freq_2 <= 0:
+                raise DomainError("drive_freq_2 must be > 0 when laser_power > 0")
+            laser_coupling = math.sqrt(2.0 * gamma_c * d.laser_power / (hbar * d.drive_freq_2))
     return dataclasses.replace(d, rabi=rabi, laser_coupling=laser_coupling)

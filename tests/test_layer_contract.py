@@ -1,5 +1,5 @@
 """The contract shared by the public layer functions: one matrix rule, and
-floating-point failures in the solve and the measures as typed errors."""
+floating-point failures in the solves and the measures as typed errors."""
 
 import warnings
 
@@ -62,13 +62,15 @@ def test_matrix_that_does_not_hold_the_modes_is_a_domain_error(call):
         call(0.5 * np.eye(4))
 
 
-def test_overflowing_solve_is_a_solver_error():
-    params = resolve_system_params({"temperature": 1e200})
+@pytest.mark.parametrize("solve, temperature", [(solve_lyapunov, 1e200), (integrate_lyapunov, 1e300)],
+                         ids=["schur", "integration"])
+def test_overflowing_solve_is_a_solver_error(solve, temperature):
+    params = resolve_system_params({"temperature": temperature})
     drift, diffusion = build_drift(params), build_diffusion(params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="floating-point"):
-            solve_lyapunov(drift, diffusion)
+            solve(drift, diffusion)
 
 
 def test_overflowing_measures_are_a_solver_error(baseline, baseline_cov):

@@ -11,14 +11,18 @@ from magnomech import (
     DomainError,
     DriveParams,
     SingularPointError,
-    amplitudes_once,
+    SolverError,
     drive_conversions,
     resolve_system_params,
     run_point,
+    run_sweep,
     solve_self_consistent,
+    sweep_spec_from_config,
 )
 from magnomech import meanfield
-from magnomech.meanfield import CONVERGENCE_TOL, DAMPING, MAX_ITERATIONS, SteadyAmplitudes
+from magnomech.meanfield import (
+    CONVERGENCE_TOL, DAMPING, MAX_ITERATIONS, MAX_SAVE_GAP, SteadyAmplitudes,
+)
 from magnomech.params import TWO_PI, load_config, resolve_drive_params
 from magnomech.sweep import split_config
 
@@ -32,6 +36,8 @@ NON_REPEATING = (-40.3e6, 5027500.0)
 #: A point of the same plane whose orbit enters an exact period-8 cycle at
 #: step 551, after step 512, the last power of two below MAX_ITERATIONS.
 LATE_CYCLING = (-28545833.333333332, 5027500.0)
+#: What the ConvergenceError of an orbit that repeats says.
+REPEATS = "repeats its displacement orbit"
 
 
 def _baseline_detunings(params):
@@ -61,7 +67,7 @@ def drives(params):
 
 
 def test_undriven_system_is_dark(params):
-    sa = amplitudes_once(params, DriveParams(), _baseline_detunings(params))
+    sa = _reference_amplitudes(params, DriveParams(), *_baseline_detunings(params))
     assert sa.m_avg == 0 and sa.c_avg == 0
     assert sa.b1_avg == 0 and sa.b2_avg == 0
     assert sa.g_m_eff == 0 and sa.g_c_eff == 0
@@ -70,7 +76,7 @@ def test_undriven_system_is_dark(params):
 def test_one_sided_laser_drive(params):
     drives = DriveParams(laser_coupling=1e10, bare_D_cb2=TWO_PI * 100.0)
     detunings = _baseline_detunings(params)
-    sa = amplitudes_once(params, drives, detunings)
+    sa = _reference_amplitudes(params, drives, *detunings)
     assert sa.m_avg == 0
     expected_c = params.psi * 1e10 / (1j * detunings[1] + params.gamma_c)
     assert sa.c_avg == pytest.approx(expected_c, rel=1e-12)
@@ -84,7 +90,7 @@ def test_one_sided_laser_drive(params):
 
 
 def test_effective_couplings_mostly_real_at_baseline(params, drives):
-    sa = amplitudes_once(params, drives, _baseline_detunings(params))
+    sa = _reference_amplitudes(params, drives, *_baseline_detunings(params))
     # the detuning-dominated regime makes the effective couplings mostly
     # real; the attainable ratio is set by delta/gamma, about 20 at the
     # baseline dampings
@@ -97,7 +103,7 @@ def test_couplings_essentially_real_at_narrow_linewidths(drives):
     params = resolve_system_params(
         {"gamma_m": 1e5, "gamma_c": 1e5, "gamma_a": 1e5}
     )
-    sa = amplitudes_once(params, drives, _baseline_detunings(params))
+    sa = _reference_amplitudes(params, drives, *_baseline_detunings(params))
     assert abs(sa.g_m_eff.real) > 100 * abs(sa.g_m_eff.imag)
     assert abs(sa.g_c_eff.real) > 100 * abs(sa.g_c_eff.imag)
 
@@ -114,7 +120,7 @@ def test_no_backaction_converges_immediately(params, drives):
     free = DriveParams(rabi=drives.rabi, laser_coupling=drives.laser_coupling)
     sa = solve_self_consistent(params, free)
     assert sa.iterations == 1
-    once = amplitudes_once(params, free, _baseline_detunings(params))
+    once = _reference_amplitudes(params, free, *_baseline_detunings(params))
     assert sa.m_avg == once.m_avg and sa.c_avg == once.c_avg
 
 
@@ -127,7 +133,7 @@ def test_zero_drive_fixed_point(params):
 
 def test_converged_point_is_self_consistent(params, drives):
     sa = solve_self_consistent(params, drives)
-    again = amplitudes_once(params, drives, (sa.delta_m_eff, sa.delta_c_eff))
+    again = _reference_amplitudes(params, drives, sa.delta_m_eff, sa.delta_c_eff)
     for attr in ("m_avg", "c_avg", "b1_avg", "b2_avg"):
         new, old = getattr(again, attr), getattr(sa, attr)
         assert abs(new - old) <= 1e-8 * (abs(old) + 1e-30)
@@ -137,8 +143,8 @@ def test_linearity_in_drive(params):
     base = DriveParams(rabi=1e12, laser_coupling=1e10)
     double = DriveParams(rabi=2e12, laser_coupling=2e10)
     detunings = _baseline_detunings(params)
-    sa1 = amplitudes_once(params, base, detunings)
-    sa2 = amplitudes_once(params, double, detunings)
+    sa1 = _reference_amplitudes(params, base, *detunings)
+    sa2 = _reference_amplitudes(params, double, *detunings)
     assert abs(sa2.m_avg) == pytest.approx(2 * abs(sa1.m_avg), rel=1e-12)
     assert abs(sa2.c_avg) == pytest.approx(2 * abs(sa1.c_avg), rel=1e-12)
 
@@ -150,7 +156,7 @@ def test_singular_optical_denominator():
         {"reflectivity": 0.5, "theta": 0.0, "delta_c_tilde": 0.0}
     )
     with pytest.raises(SingularPointError, match="optical"):
-        amplitudes_once(params, DriveParams(laser_coupling=1.0), (params.delta_m_tilde, 0.0))
+        _reference_amplitudes(params, DriveParams(laser_coupling=1.0), params.delta_m_tilde, 0.0)
 
 
 def test_drive_field_sets_the_rabi_rate_however_the_laser_is_given(params):
@@ -192,6 +198,26 @@ def test_sphere_radius_needed_only_to_derive_the_field_from_power(config):
     power_only = {k: v for k, v in config.items() if k not in ("rabi", "drive_field")}
     with pytest.raises(DomainError, match="sphere_radius"):
         run_point({**power_only, "drive_power": 4e-3})
+
+
+#: Finite values, one key at a time, at which the mean-field chain on
+#: configs/meanfield_point.cfg overflows or divides by zero.
+EXTREME_VALUES = [
+    ("rabi", 1e200), ("laser_coupling", 1e200), ("D_ma", 1e200), ("D_b1b2", 1e200),
+    ("drive_field", 1e200), ("gyromagnetic_ratio", 1e200), ("drive_power", 1e300),
+    ("sphere_radius", 1e-200), ("drive_freq_2", 1e-300),
+]
+
+
+@pytest.mark.parametrize("key, value", EXTREME_VALUES, ids=[key for key, _ in EXTREME_VALUES])
+def test_extreme_finite_value_is_a_solver_error_and_a_nonphysical_row(key, value):
+    config = {**load_config(MEANFIELD_POINT), key: value}
+    with pytest.raises(SolverError, match="floating-point"):
+        run_point(config)
+    axis = {"axis1": "temperature", "axis1_start": 0.01, "axis1_stop": 0.02, "axis1_count": 2}
+    table = run_sweep(sweep_spec_from_config({**config, **axis}))
+    reason = table.columns.index("reason")
+    assert [row[reason] for row in table.rows] == ["nonphysical", "nonphysical"]
 
 
 def _reference_amplitudes(p, d, delta_m_eff, delta_c_eff):
@@ -237,19 +263,19 @@ def _reference_solve(p, d):
     previous = _reference_amplitudes(p, d, delta_m0, delta_c0)
     x1 += DAMPING * (previous.b1_avg.real - x1)
     x2 += DAMPING * (previous.b2_avg.real - x2)
-    change = math.inf
     for iteration in range(1, MAX_ITERATIONS + 1):
         current = _reference_amplitudes(
             p, d, delta_m0 + 2.0 * d.bare_D_mb1 * x1, delta_c0 - 2.0 * d.bare_D_cb2 * x2
         )
         pairs = [(getattr(current, k), getattr(previous, k))
                  for k in ("m_avg", "c_avg", "b1_avg", "b2_avg")]
-        change = max(abs(a - b) / (abs(b) + 1e-30) for a, b in pairs)
-        if change < CONVERGENCE_TOL:
+        changes = [abs(a - b) / (abs(b) + 1e-30) for a, b in pairs]
+        if all(change < CONVERGENCE_TOL for change in changes):
             return dataclasses.replace(current, iterations=iteration)
         previous = current
         x1 += DAMPING * (current.b1_avg.real - x1)
         x2 += DAMPING * (current.b2_avg.real - x2)
+    change = math.nan if any(map(math.isnan, changes)) else max(changes)
     raise ConvergenceError(
         f"mean-field iteration did not converge in {MAX_ITERATIONS} steps "
         f"(last relative change {change:.3e})",
@@ -262,6 +288,23 @@ def _outcome(solve, *args):
         return solve(*args)
     except (ConvergenceError, SingularPointError) as exc:
         return type(exc), str(exc), getattr(exc, "residual", None)
+
+
+def _solve_matching_the_reference(params, drives):
+    """The solver's outcome, checked against the longhand reference's.
+
+    Both must be the same bit for bit, except on an orbit that repeats: the
+    solver stops on it with its own message, the reference runs on to
+    MAX_ITERATIONS, and both fail to converge.
+    """
+    got = _outcome(solve_self_consistent, params, drives)
+    expected = _outcome(_reference_solve, params, drives)
+    if isinstance(got, tuple) and REPEATS in got[1]:
+        assert got[0] is expected[0] is ConvergenceError
+    else:
+        # repr tells -0.0 from 0.0, which == does not
+        assert got == expected and repr(got) == repr(expected)
+    return got
 
 
 def _meanfield_point(delta_m_tilde, delta_c_tilde):
@@ -294,19 +337,18 @@ def _meanfield_cases():
 def test_iteration_is_bit_identical_to_the_longhand_reference():
     outcomes = []
     for params, drives in _meanfield_cases():
-        expected = _outcome(_reference_solve, params, drives)
-        got = _outcome(solve_self_consistent, params, drives)
-        # repr tells -0.0 from 0.0, which == does not
-        assert got == expected and repr(got) == repr(expected)
+        outcomes.append(_solve_matching_the_reference(params, drives))
         detunings = (params.delta_m_tilde, params.delta_c_tilde)
-        once = _outcome(amplitudes_once, params, drives, detunings)
-        assert repr(once) == repr(_outcome(_reference_amplitudes, params, drives, *detunings))
-        outcomes.append(expected)
+        once = _outcome(lambda: meanfield._amplitude_map(params, drives)(*detunings)[:4])
+        expected = _outcome(_reference_amplitudes, params, drives, *detunings)
+        if isinstance(expected, SteadyAmplitudes):
+            expected = (expected.m_avg, expected.c_avg, expected.b1_avg, expected.b2_avg)
+        assert repr(once) == repr(expected)
     # the draw covers every kind of outcome
     iterations = [o.iterations for o in outcomes if isinstance(o, SteadyAmplitudes)]
     assert max(iterations) > 1 and 1 in iterations
-    kinds = {o[0] for o in outcomes if isinstance(o, tuple)}
-    assert kinds == {ConvergenceError, SingularPointError}
+    kinds = {(o[0], REPEATS in o[1]) for o in outcomes if isinstance(o, tuple)}
+    assert kinds == {(ConvergenceError, True), (ConvergenceError, False), (SingularPointError, False)}
 
 
 @pytest.fixture
@@ -328,10 +370,24 @@ def step_calls(monkeypatch):
     return calls
 
 
+def _first_kept_repeat(calls):
+    """Index of the first step evaluated at the displacement pair that the
+    cycle detection keeps: the pair of step 1, then that of step k + 1 after
+    iterations k = 1, 2, 4, ..., 64 and every MAX_SAVE_GAP iterations on."""
+    kept, next_save = 1, 1
+    for index in range(2, len(calls)):
+        if calls[index] == calls[kept]:
+            return index
+        if index - 1 == next_save:
+            kept, next_save = index, next_save + min(next_save, MAX_SAVE_GAP)
+    return None
+
+
 def test_iteration_stops_once_its_orbit_repeats(step_calls):
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=REPEATS):
         solve_self_consistent(*_meanfield_point(*CYCLING))
-    assert len(step_calls) < 100
+    # the step at the repeated pair is the last one: it completes one period
+    assert len(step_calls) == _first_kept_repeat(step_calls) + 1
     assert step_calls[-1] == step_calls[-3] != step_calls[-2]
     step_calls.clear()
     with pytest.raises(ConvergenceError):
@@ -345,10 +401,9 @@ def test_iteration_stops_on_a_cycle_entered_late(step_calls):
     assert len(step_calls) < MAX_ITERATIONS + 1
 
 
-@pytest.mark.parametrize("nan_at, converges", [(0, False), (1, True)])
-def test_nan_changes_count_as_max_counts_them(monkeypatch, params, nan_at, converges):
-    # constant amplitudes except one NaN: max() keeps a NaN first argument and
-    # passes over a later one, so only a NaN magnon change blocks convergence
+@pytest.mark.parametrize("nan_at", range(4), ids=["m", "c", "b1", "b2"])
+def test_a_nan_change_never_converges(monkeypatch, params, nan_at):
+    # constant amplitudes except one NaN: every change but that one is 0
     def constant_map(_params, _drives):
         amplitudes = [1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j]
         amplitudes[nan_at] = complex(math.nan, 0.0)
@@ -359,13 +414,9 @@ def test_nan_changes_count_as_max_counts_them(monkeypatch, params, nan_at, conve
         return step
 
     monkeypatch.setattr(meanfield, "_amplitude_map", constant_map)
-    drives = DriveParams(bare_D_mb1=1.0, bare_D_cb2=1.0)
-    if converges:
-        assert solve_self_consistent(params, drives).iterations == 1
-    else:
-        with pytest.raises(ConvergenceError, match="last relative change nan") as caught:
-            solve_self_consistent(params, drives)
-        assert math.isnan(caught.value.residual)
+    with pytest.raises(ConvergenceError, match="last relative change nan") as caught:
+        solve_self_consistent(params, DriveParams(bare_D_mb1=1.0, bare_D_cb2=1.0))
+    assert math.isnan(caught.value.residual)
 
 
 def test_detuning_plane_outcomes_match_the_longhand_reference(step_calls):
@@ -380,10 +431,12 @@ def test_detuning_plane_outcomes_match_the_longhand_reference(step_calls):
         for j in columns:
             params, drives = _meanfield_point(float(grid_m[i]), float(grid_c[j]))
             step_calls.clear()
-            got = _outcome(solve_self_consistent, params, drives)
-            assert repr(got) == repr(_outcome(_reference_solve, params, drives))
+            got = _solve_matching_the_reference(params, drives)
             if isinstance(got, SteadyAmplitudes):
                 kinds.add("converged")
+            elif len(step_calls) > MAX_ITERATIONS:
+                kinds.add("non-repeating")
             else:
-                kinds.add("non-repeating" if len(step_calls) > MAX_ITERATIONS else "cycling")
+                assert REPEATS in got[1]
+                kinds.add("cycling")
     assert kinds == {"converged", "cycling", "non-repeating"}
