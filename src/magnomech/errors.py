@@ -43,17 +43,20 @@ class SolverError(MagnomechError):
 
 
 class FloatGuard(np.errstate):
-    """``with FloatGuard():`` turns a floating-point overflow or invalid operation in
-    its block, numpy's or Python's (any ``ArithmeticError``, a float division by zero
-    included), into a :class:`SolverError`."""
+    """``with FloatGuard("mean-field solve"):`` turns a floating-point overflow or invalid
+    operation in its block, numpy's or Python's (any ``ArithmeticError``, a float division
+    by zero included), into a :class:`SolverError` that names the computation and the
+    exception type."""
 
-    def __init__(self):
+    def __init__(self, computation: str):
         super().__init__(over="raise", invalid="raise")
+        self.computation = computation
 
     def __exit__(self, exc_type, exc, tb):
         super().__exit__(exc_type, exc, tb)
         if isinstance(exc, ArithmeticError):
-            raise SolverError(f"floating-point failure: {exc}") from exc
+            raise SolverError(f"floating-point failure in the {self.computation}: "
+                              f"{type(exc).__name__}: {exc}") from exc
 
 
 class PhysicalityError(MagnomechError):

@@ -84,12 +84,14 @@ def stability_check(drift: np.ndarray) -> StabilityResult:
 
 def _stable_operands(drift, diffusion, caller: str):
     """The gate result of ``drift`` and both matrices as float arrays: a :class:`DomainError`
-    unless ``diffusion`` is real with the drift's shape, a :class:`StabilityError`
-    unless the drift is stable."""
+    unless ``diffusion`` is real with the drift's shape, a :class:`SolverError` if it has a
+    non-finite entry (as for the drift), a :class:`StabilityError` unless the drift is stable."""
     gate = stability_check(drift)
     n = len(gate.schur)  # an int: formatting the shape tuple costs a microsecond per call
     diffusion = real_matrix(diffusion, f"{caller} needs a real diffusion matrix of the drift's "
                             f"shape ({n}, {n})", (n,))
+    if not np.isfinite(diffusion).all():
+        raise SolverError("diffusion matrix has non-finite entries")
     if not gate.stable:
         raise StabilityError(f"{caller} called on unstable drift (margin {gate.margin:.3e})")
     return gate, np.asarray(drift, dtype=float), diffusion
@@ -102,7 +104,7 @@ def _refined(drift, diffusion, solve) -> np.ndarray:
     corrects the first one's residual; explicit symmetrization keeps residual
     asymmetry out of determinant-based measures.  An overflow is a :class:`SolverError`.
     """
-    with FloatGuard():
+    with FloatGuard("Lyapunov refinement"):
         cov = solve(-diffusion)
         cov = cov + solve(-(drift @ cov + cov @ drift.T + diffusion))
         cov = (cov + cov.T) / 2.0
@@ -175,7 +177,7 @@ def integrate_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
         v = y.reshape(n, n)
         return (drift @ v + v @ drift.T + diffusion).reshape(-1)
 
-    with FloatGuard():
+    with FloatGuard("time integration"):
         scale = float(np.abs(diffusion).max() / (2.0 * abs(gate.margin)) or 1.0)
         sol = solve_ivp(rhs, (0.0, INTEGRATION_HORIZON / abs(gate.margin)), np.zeros(n * n),
                         method="RK45", rtol=INTEGRATION_RTOL, atol=INTEGRATION_RTOL * scale)

@@ -10,6 +10,7 @@ small fixed-point iteration over the two real displacements.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -60,7 +61,9 @@ def _amplitude_map(params: SystemParams, drives: DriveParams):
     exact hoists are made, so the results match the formula evaluated
     in full bit for bit.  The microwave and magnon denominators have the
     real parts ``gamma_a`` and at least ``gamma_m``, both positive, so of
-    the four only the optical and the mechanical one can vanish.
+    the four only the optical and the mechanical one can vanish.  A
+    mechanical denominator that overflows raises ``OverflowError``, which
+    the caller's guard turns into a :class:`SolverError`.
     """
     p, d = params, drives
     microwave_load = p.D_ma**2 / (1j * p.delta_a + p.gamma_a)
@@ -70,6 +73,8 @@ def _amplitude_map(params: SystemParams, drives: DriveParams):
     den_b = p.D_b1b2**2 - z1 * z2
     if den_b == 0:
         raise SingularPointError("mechanical amplitude denominator vanishes")
+    if not cmath.isfinite(den_b):  # Python's complex product overflows without raising
+        raise OverflowError("mechanical amplitude denominator overflows")
     rabi, gamma_m, gamma_c_fb = d.rabi, p.gamma_m, p.gamma_c_fb
     d_b1b2, d_mb1, d_cb2 = p.D_b1b2, d.bare_D_mb1, d.bare_D_cb2
 
@@ -115,7 +120,7 @@ def solve_self_consistent(
     ``MAX_SAVE_GAP`` steps, so a cycle entered late is caught too.  An
     overflow (at a 1e200 Hz drive, say) is a :class:`SolverError`.
     """
-    with FloatGuard():
+    with FloatGuard("mean-field solve"):
         delta_m0 = params.delta_m_tilde + params.barnett_shift
         delta_c0 = params.delta_c_tilde + params.fb_shift
         step = _amplitude_map(params, drives)

@@ -76,12 +76,13 @@ def reduce_modes(cov: np.ndarray, modes) -> np.ndarray:
     """Covariance of a subset of modes, in the requested order.
 
     ``modes`` is a sequence of distinct mode names, ``cov`` a real square covariance
-    that holds them in the canonical mode order (else :class:`DomainError`); the
-    result is the 2k x 2k submatrix of their (X, Y) rows and columns.
+    that holds them in the canonical mode order (else :class:`DomainError`) with finite
+    entries (else :class:`SolverError`); the result is the 2k x 2k submatrix of their
+    (X, Y) rows and columns.
     """
     indices = _mode_indices(modes)
-    cov = real_matrix(cov, f"reduce_modes needs a real square covariance that holds {modes}",
-                      range(2 * max(indices, default=0) + 2, len(OMEGA) + 1, 2))
+    cov = _checked(cov, range(2 * max(indices, default=0) + 2, len(OMEGA) + 1, 2),
+                   f"reduce_modes needs a real square covariance that holds {modes}")
     rows = _quadratures(indices)
     return cov[np.ix_(rows, rows)]
 
@@ -294,8 +295,9 @@ def log_negativity(cov4: np.ndarray) -> float:
     not positive definite, or whose ``nu`` rounds to 0, raises :class:`PhysicalityError`.
     """
     cov4 = _checked(cov4, (4,), "log_negativity needs a 4x4 covariance")
-    factor = _factor(cov4[None])
-    return float(_pair_negativities(factor, _det_factor(factor))[0])
+    with FloatGuard("logarithmic negativity"):
+        factor = _factor(cov4[None])
+        return float(_pair_negativities(factor, _det_factor(factor))[0])
 
 
 def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
@@ -310,8 +312,9 @@ def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
     if (isinstance(steering_mode, bool) or not isinstance(steering_mode, (int, np.integer))
             or steering_mode not in (0, 1)):
         raise DomainError(f"steering_mode must be the integer 0 or 1, got {steering_mode!r}")
-    det_l = _det_factor(_factor(cov4[None]))
-    return float(_steerings(_mode_dets(cov4)[None], det_l)[0, steering_mode])
+    with FloatGuard("Gaussian steering"):
+        det_l = _det_factor(_factor(cov4[None]))
+        return float(_steerings(_mode_dets(cov4)[None], det_l)[0, steering_mode])
 
 
 def residual_contangle(cov6: np.ndarray) -> float:
@@ -324,9 +327,10 @@ def residual_contangle(cov6: np.ndarray) -> float:
     genuine tripartite entanglement.
     """
     cov6 = _checked(cov6, (6,), "residual_contangle needs a 6x6 covariance")
-    factor = _factor(cov6.take(_THREE_PAIR_TABLE))
-    negativities = _pair_negativities(factor, _det_factor(factor))
-    return float(_residual_contangles(cov6, _ONE_TRIPLE, negativities)[0])
+    with FloatGuard("residual contangle"):
+        factor = _factor(cov6.take(_THREE_PAIR_TABLE))
+        negativities = _pair_negativities(factor, _det_factor(factor))
+        return float(_residual_contangles(cov6, _ONE_TRIPLE, negativities)[0])
 
 
 def contrast_ratio(value_plus: float, value_minus: float) -> float:
@@ -336,8 +340,8 @@ def contrast_ratio(value_plus: float, value_minus: float) -> float:
     two rotation directions; 1 means the measure survives in only one
     of them.
     """
-    if value_plus < 0.0 or value_minus < 0.0:
-        raise DomainError("contrast_ratio requires nonnegative inputs")
+    if not (0.0 <= value_plus < math.inf and 0.0 <= value_minus < math.inf):  # NaN fails too
+        raise DomainError("contrast_ratio requires finite nonnegative inputs")
     total = value_plus + value_minus
     return abs(value_plus - value_minus) / total if total else 0.0
 
@@ -363,7 +367,8 @@ def effective_phonon_number(cov: np.ndarray, mode) -> float:
                       "square covariance that holds it", range(2 * idx + 2, len(OMEGA) + 1, 2))
     if not np.isfinite(cov.diagonal()[2 * idx:2 * idx + 2]).all():
         raise SolverError(f"variance of mode {MODE_ORDER[idx]} is not finite")
-    return _occupation(cov, idx)
+    with FloatGuard("effective occupation"):
+        return _occupation(cov, idx)
 
 
 def tmsv_covariance(r: float) -> np.ndarray:
@@ -373,7 +378,8 @@ def tmsv_covariance(r: float) -> np.ndarray:
     logarithmic negativity is ``2 r`` and its steering is
     ``ln cosh(2 r)`` in both directions.
     """
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    with FloatGuard("squeezed-vacuum covariance"):
+        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
     eye, z = np.eye(2), np.diag([1.0, -1.0])
     return 0.5 * np.block([[ch * eye, sh * z], [sh * z, ch * eye]])
 
@@ -448,7 +454,7 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
     if not isinstance(cov, np.ndarray):
         raise DomainError(f"evaluate_measures needs a numpy array, got {type(cov).__name__}")
     cov = _checked(cov, (len(OMEGA),), "evaluate_measures needs a real 10x10 covariance")
-    with FloatGuard():
+    with FloatGuard("measures"):
         nu_min = float(_spectrum(cov)[-1])
         report = MeasureReport(stable=True, margin=margin, params=params, min_symplectic=nu_min,
                                physical=bool(nu_min >= 0.5 - PHYSICAL_TOL))

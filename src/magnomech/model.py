@@ -144,7 +144,7 @@ def drive_conversions(drives: DriveParams, gamma_c: float) -> DriveParams:
     """
     d = drives
     rabi, laser_coupling = d.rabi, d.laser_coupling
-    with FloatGuard():
+    with FloatGuard("drive conversion"):
         if rabi == 0 and (d.drive_field > 0 or d.drive_power > 0):
             field = d.drive_field
             if field <= 0:

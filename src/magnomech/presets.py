@@ -1,5 +1,8 @@
 """Shipped sweep presets covering the standard operating regimes.
 
+Each preset is the flat sweep configuration a ``.cfg`` file holds, read by
+``sweep_spec_from_config``, as ``magnomech sweep --config`` reads a file.
+
 Every preset fixes the parameters it does not sweep to the baseline
 operating point.  Where the coherent feedback loop is active the phase
 is set to theta = pi: under this package's sign convention for the
@@ -17,14 +20,19 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .params import BASELINE_CONFIG
-from .sweep import SweepAxis, SweepSpec
+from .sweep import SweepSpec, sweep_spec_from_config
 
 _W_B1 = BASELINE_CONFIG["omega_b1"]  # Hz, config convention
 _W_B2 = BASELINE_CONFIG["omega_b2"]
 
+# Shared pieces: detuning plane, loop at theta = pi, rotation shift, temperature scan.
+_DETUNING_PLANE = {
+    "axis1": "delta_m_tilde", "axis1_start": -2.0 * _W_B1, "axis1_stop": 0.0, "axis1_count": 33,
+    "axis2": "delta_c_tilde", "axis2_start": 0.0, "axis2_stop": 2.0 * _W_B2, "axis2_count": 33,
+}
 _FB = {"reflectivity": 0.9, "theta": math.pi}
 _BE = {"barnett_shift": 0.2 * _W_B1}
-_DETUNING_COUNT = 33  # points per axis of the detuning-plane presets
+_TEMPERATURE = {"axis1": "temperature", "axis1_start": 0.0, "axis1_stop": 1.0, "axis1_count": 41}
 
 
 @dataclass(frozen=True)
@@ -34,144 +42,71 @@ class Preset:
     spec: SweepSpec
 
 
-def _detuning_axes():
-    return (
-        SweepAxis("delta_m_tilde", -2.0 * _W_B1, 0.0, _DETUNING_COUNT),
-        SweepAxis("delta_c_tilde", 0.0, 2.0 * _W_B2, _DETUNING_COUNT),
-    )
-
-
-def _build_presets() -> dict:
-    presets = {}
-
-    def add(name, description, spec):
-        presets[name] = Preset(name, description, spec)
-
-    ax_m, ax_c = _detuning_axes()
-    add(
-        "detuning-grid",
-        "Pairwise entanglement and steering over the magnon/optical detuning plane, no feedback, non-rotating sphere.",
-        SweepSpec(ax_m, ax_c, fixed={}, measures=("entanglement", "steering")),
-    )
-    add(
-        "detuning-grid-fb",
+#: Each preset's description and flat sweep configuration, in listing order.
+_CONFIGS = {
+    "detuning-grid": (
+        "Pairwise entanglement and steering over the magnon/optical detuning plane, no feedback, "
+        "non-rotating sphere.",
+        {**_DETUNING_PLANE, "measures": "entanglement,steering"}),
+    "detuning-grid-fb": (
         "Detuning plane with the feedback loop at reflectivity 0.9.",
-        SweepSpec(ax_m, ax_c, fixed=dict(_FB), measures=("entanglement", "steering")),
-    )
-    add(
-        "detuning-grid-fb-be",
+        {**_DETUNING_PLANE, **_FB, "measures": "entanglement,steering"}),
+    "detuning-grid-fb-be": (
         "Detuning plane with feedback and a +0.2*omega_b1 rotation shift.",
-        SweepSpec(ax_m, ax_c, fixed={**_FB, **_BE}, measures=("entanglement", "steering")),
-    )
-    add(
-        "phase-reflectivity-grid",
+        {**_DETUNING_PLANE, **_FB, **_BE, "measures": "entanglement,steering"}),
+    "phase-reflectivity-grid": (
         "Feedback phase versus reflectivity at the standard operating detunings.",
-        SweepSpec(
-            SweepAxis("theta", -math.pi, math.pi, 33),
-            SweepAxis("reflectivity", 0.0, 0.95, 33),
-            fixed=dict(_BE),
-            measures=("entanglement", "steering"),
-        ),
-    )
-    add(
-        "coupling-grid",
+        {"axis1": "theta", "axis1_start": -math.pi, "axis1_stop": math.pi, "axis1_count": 33,
+         "axis2": "reflectivity", "axis2_start": 0.0, "axis2_stop": 0.95, "axis2_count": 33,
+         **_BE, "measures": "entanglement,steering"}),
+    "coupling-grid": (
         "Magnon-microwave versus phonon-phonon coupling plane, no feedback.",
-        SweepSpec(
-            SweepAxis("D_ma", 0.0, 3.0e6, 33),
-            SweepAxis("D_b1b2", 0.0, 3.0e6, 33),
-            fixed={},
-            measures=("entanglement", "steering"),
-        ),
-    )
-    add(
-        "coupling-grid-fb-be",
+        {"axis1": "D_ma", "axis1_start": 0.0, "axis1_stop": 3.0e6, "axis1_count": 33,
+         "axis2": "D_b1b2", "axis2_start": 0.0, "axis2_stop": 3.0e6, "axis2_count": 33,
+         "measures": "entanglement,steering"}),
+    "coupling-grid-fb-be": (
         "Coupling plane with feedback (0.9) and the rotation shift.",
-        SweepSpec(
-            SweepAxis("D_ma", 0.0, 3.0e6, 33),
-            SweepAxis("D_b1b2", 0.0, 3.0e6, 33),
-            fixed={**_FB, **_BE},
-            measures=("entanglement", "steering"),
-        ),
-    )
-    add(
-        "temperature-baseline",
+        {"axis1": "D_ma", "axis1_start": 0.0, "axis1_stop": 3.0e6, "axis1_count": 33,
+         "axis2": "D_b1b2", "axis2_start": 0.0, "axis2_stop": 3.0e6, "axis2_count": 33,
+         **_FB, **_BE, "measures": "entanglement,steering"}),
+    "temperature-baseline": (
         "All measures against bath temperature, no feedback, non-rotating.",
-        SweepSpec(SweepAxis("temperature", 0.0, 0.5, 41), fixed={}),
-    )
-    add(
-        "temperature-fb",
+        {"axis1": "temperature", "axis1_start": 0.0, "axis1_stop": 0.5, "axis1_count": 41}),
+    "temperature-fb": (
         "Temperature scan with the feedback loop at reflectivity 0.9.",
-        SweepSpec(SweepAxis("temperature", 0.0, 1.0, 41), fixed=dict(_FB)),
-    )
-    add(
-        "temperature-fb-be",
+        {**_TEMPERATURE, **_FB}),
+    "temperature-fb-be": (
         "Temperature scan with feedback and the rotation shift.",
-        SweepSpec(SweepAxis("temperature", 0.0, 1.0, 41), fixed={**_FB, **_BE}),
-    )
-    add(
-        "barnett-temperature-grid",
+        {**_TEMPERATURE, **_FB, **_BE}),
+    "barnett-temperature-grid": (
         "Temperature scan repeated across rotation shifts of both signs.",
-        SweepSpec(
-            SweepAxis("barnett_shift", -0.3 * _W_B1, 0.3 * _W_B1, 7),
-            SweepAxis("temperature", 0.0, 1.0, 31),
-            fixed=dict(_FB),
-            measures=("entanglement",),
-        ),
-    )
-    add(
-        "contrast-detuning",
+        {"axis1": "barnett_shift", "axis1_start": -0.3 * _W_B1, "axis1_stop": 0.3 * _W_B1,
+         "axis1_count": 7,
+         "axis2": "temperature", "axis2_start": 0.0, "axis2_stop": 1.0, "axis2_count": 31,
+         **_FB, "measures": "entanglement"}),
+    "contrast-detuning": (
         "Nonreciprocity contrast of every pair along the magnon detuning, reflectivity 0.6.",
-        SweepSpec(
-            SweepAxis("delta_m_tilde", -2.0 * _W_B1, 0.0, 41),
-            fixed={"reflectivity": 0.6, "theta": math.pi, **_BE},
-            measures=("entanglement",),
-            nonreciprocity=True,
-        ),
-    )
-    add(
-        "contrast-detuning-high-reflectivity",
+        {"axis1": "delta_m_tilde", "axis1_start": -2.0 * _W_B1, "axis1_stop": 0.0,
+         "axis1_count": 41, "reflectivity": 0.6, "theta": math.pi, **_BE,
+         "measures": "entanglement", "nonreciprocity": True}),
+    "contrast-detuning-high-reflectivity": (
         "Contrast along the magnon detuning at reflectivity 0.9.",
-        SweepSpec(
-            SweepAxis("delta_m_tilde", -2.0 * _W_B1, 0.0, 41),
-            fixed={**_FB, **_BE},
-            measures=("entanglement",),
-            nonreciprocity=True,
-        ),
-    )
-    add(
-        "contrast-temperature",
+        {"axis1": "delta_m_tilde", "axis1_start": -2.0 * _W_B1, "axis1_stop": 0.0,
+         "axis1_count": 41, **_FB, **_BE, "measures": "entanglement", "nonreciprocity": True}),
+    "contrast-temperature": (
         "Contrast of every pair against temperature at reflectivity 0.9.",
-        SweepSpec(
-            SweepAxis("temperature", 0.0, 1.0, 41),
-            fixed={**_FB, **_BE},
-            measures=("entanglement",),
-            nonreciprocity=True,
-        ),
-    )
-    add(
-        "contrast-tripartite-temperature",
+        {**_TEMPERATURE, **_FB, **_BE, "measures": "entanglement", "nonreciprocity": True}),
+    "contrast-tripartite-temperature": (
         "Tripartite contrast against temperature without feedback.",
-        SweepSpec(
-            SweepAxis("temperature", 0.0, 1.0, 41),
-            fixed=dict(_BE),
-            measures=("entanglement", "contangle"),
-            nonreciprocity=True,
-        ),
-    )
-    add(
-        "contrast-tripartite-temperature-fb",
+        {**_TEMPERATURE, **_BE, "measures": "entanglement,contangle", "nonreciprocity": True}),
+    "contrast-tripartite-temperature-fb": (
         "Tripartite contrast against temperature with a weak loop (0.1).",
-        SweepSpec(
-            SweepAxis("temperature", 0.0, 1.0, 41),
-            fixed={"reflectivity": 0.1, "theta": math.pi, **_BE},
-            measures=("entanglement", "contangle"),
-            nonreciprocity=True,
-        ),
-    )
-    return presets
+        {**_TEMPERATURE, "reflectivity": 0.1, "theta": math.pi, **_BE,
+         "measures": "entanglement,contangle", "nonreciprocity": True}),
+}
 
-
-PRESETS = _build_presets()
+PRESETS = {name: Preset(name, description, sweep_spec_from_config(config))
+           for name, (description, config) in _CONFIGS.items()}
 
 
 def get_preset(name: str) -> Preset:

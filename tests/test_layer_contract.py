@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from magnomech import (
     DomainError,
@@ -24,6 +25,7 @@ from magnomech import (
     solve_lyapunov_oracle,
     stability_check,
     symplectic_eigenvalues,
+    tmsv_covariance,
 )
 
 #: Every public function that takes a matrix, called with that matrix.
@@ -53,6 +55,24 @@ def test_matrix_that_is_not_a_real_square_one_is_a_domain_error(name, matrix, ca
     assert capfd.readouterr().err == ""  # no LAPACK complaint about an illegal argument
 
 
+#: The matrix dimension each call takes where it is not 2.
+DIMENSION = {"log_negativity": 4, "gaussian_steering": 4, "residual_contangle": 6,
+             "evaluate_measures": 10}
+
+
+@pytest.mark.parametrize("name", MATRIX_CALLS)
+def test_nan_entry_is_a_solver_error(name, monkeypatch):
+    def integrate(*_args, **_kwargs):
+        raise AssertionError("a NaN diffusion reached the integrator")
+
+    # integrate_lyapunov imports solve_ivp per call; a NaN tolerance would never finish
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", integrate)
+    matrix = 0.5 * np.eye(DIMENSION.get(name, 2))
+    matrix[0, 0] = np.nan
+    with pytest.raises(SolverError, match="finite"):
+        MATRIX_CALLS[name](matrix)
+
+
 @pytest.mark.parametrize("call", [lambda m: reduce_modes(m, ("a",)),
                                   lambda m: reduce_modes(m, ("b1", "a")),
                                   lambda m: effective_phonon_number(m, "a")],
@@ -80,3 +100,17 @@ def test_overflowing_measures_are_a_solver_error(baseline, baseline_cov):
         with pytest.raises(SolverError, match="floating-point"):
             evaluate_measures(baseline_cov * 1e100, baseline, -1.0)
     assert np.geterr() == settings
+
+
+@pytest.mark.parametrize("call", [lambda: log_negativity(np.eye(4) * 1e200),
+                                  lambda: gaussian_steering(np.eye(4) * 1e200, 0),
+                                  lambda: residual_contangle(np.eye(6) * 1e200),
+                                  lambda: effective_phonon_number(np.eye(10) * 1.5e308, "b1"),
+                                  lambda: tmsv_covariance(1e3)],
+                         ids=["log_negativity", "gaussian_steering", "residual_contangle",
+                              "effective_phonon_number", "tmsv_covariance"])
+def test_overflowing_scalar_measure_is_a_solver_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="floating-point"):
+            call()

@@ -206,6 +206,7 @@ EXTREME_VALUES = [
     ("rabi", 1e200), ("laser_coupling", 1e200), ("D_ma", 1e200), ("D_b1b2", 1e200),
     ("drive_field", 1e200), ("gyromagnetic_ratio", 1e200), ("drive_power", 1e300),
     ("sphere_radius", 1e-200), ("drive_freq_2", 1e-300),
+    ("omega_b1", 1e300), ("gamma_b1", 1e300), ("omega_b2", 1e300), ("gamma_b2", 1e300),
 ]
 
 
@@ -218,6 +219,13 @@ def test_extreme_finite_value_is_a_solver_error_and_a_nonphysical_row(key, value
     table = run_sweep(sweep_spec_from_config({**config, **axis}))
     reason = table.columns.index("reason")
     assert [row[reason] for row in table.rows] == ["nonphysical", "nonphysical"]
+
+
+def test_overflow_message_names_the_computation_and_the_exception():
+    config = {**load_config(MEANFIELD_POINT), "rabi": 1e200}
+    with pytest.raises(SolverError, match="floating-point failure in the mean-field solve: "
+                                          "OverflowError"):
+        run_point(config)
 
 
 def _reference_amplitudes(p, d, delta_m_eff, delta_c_eff):

@@ -643,12 +643,10 @@ class TestShippedConfigs:
         assert resolve_system_params(system) == resolve_system_params({})
 
     def test_detuning_sweep_file_parses(self):
-        from magnomech import load_config
+        from magnomech import get_preset, load_config
 
         spec = sweep_spec_from_config(load_config(self.CONFIG_DIR / "detuning_sweep.cfg"))
-        assert spec.axis1.name == "delta_m_tilde"
-        assert spec.axis2.count == 33
-        assert spec.measures == ("entanglement", "steering")
+        assert spec == get_preset("detuning-grid").spec  # the file and the preset are one sweep
 
     def test_meanfield_point_runs(self):
         from magnomech import load_config
