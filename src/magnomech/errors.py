@@ -4,7 +4,9 @@ import numpy as np
 
 
 class MagnomechError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; ``reason`` is the row code of a point that raises one."""
+
+    reason = "nonphysical"
 
 
 class DomainError(MagnomechError, ValueError):
@@ -18,6 +20,8 @@ class ConfigError(MagnomechError, ValueError):
 class StabilityError(MagnomechError):
     """An operation requiring a stable drift matrix was called on an unstable one."""
 
+    reason = "unstable"
+
 
 class SingularPointError(MagnomechError):
     """A closed-form steady-state expression has a vanishing denominator.
@@ -25,9 +29,13 @@ class SingularPointError(MagnomechError):
     The message names the expression whose denominator vanished.
     """
 
+    reason = "singular"
+
 
 class ConvergenceError(MagnomechError):
     """The self-consistent mean-field iteration did not converge."""
+
+    reason = "singular"
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -28,7 +28,7 @@ from scipy import linalg as sla
 
 from .errors import ConfigError, DomainError, FloatGuard, PhysicalityError, SolverError
 from .model import MODE_INDEX, MODE_ORDER, OMEGA
-from .params import SystemParams, real_matrix
+from .params import SystemParams, finite_number, real_matrix
 
 #: The measure families :func:`evaluate_measures` can evaluate.
 MEASURE_FAMILIES = ("entanglement", "steering", "contangle", "occupation")
@@ -343,6 +343,8 @@ def contrast_ratio(value_plus: float, value_minus: float) -> float:
     if not (0.0 <= value_plus < math.inf and 0.0 <= value_minus < math.inf):  # NaN fails too
         raise DomainError("contrast_ratio requires finite nonnegative inputs")
     total = value_plus + value_minus
+    if total == math.inf:  # halving is exact, so the ratio of the halves is the same
+        return contrast_ratio(value_plus / 2.0, value_minus / 2.0)
     return abs(value_plus - value_minus) / total if total else 0.0
 
 
@@ -376,8 +378,10 @@ def tmsv_covariance(r: float) -> np.ndarray:
 
     The canonical analytic family used as a measure oracle: its
     logarithmic negativity is ``2 r`` and its steering is
-    ``ln cosh(2 r)`` in both directions.
+    ``ln cosh(2 r)`` in both directions.  ``r`` must be a finite real number.
     """
+    if finite_number(r, "") is None:
+        raise DomainError(f"tmsv_covariance needs a finite real squeezing r, got {r!r}")
     with FloatGuard("squeezed-vacuum covariance"):
         ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
     eye, z = np.eye(2), np.diag([1.0, -1.0])

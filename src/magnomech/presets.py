@@ -112,6 +112,6 @@ PRESETS = {name: Preset(name, description, sweep_spec_from_config(config))
 def get_preset(name: str) -> Preset:
     try:
         return PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r}; available: {known}") from None

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    MagnomechError,
-    SingularPointError,
-    StabilityError,
-)
+from .errors import ConfigError, MagnomechError, StabilityError
 from .lyapunov import solve_lyapunov, stability_check
 from .measures import (
     MEASURE_FAMILIES,
@@ -46,11 +40,14 @@ from .params import (
     resolve_system_params,
 )
 
-_SWEEP_ONLY_KEYS = {
+#: The control keys of a config: each axis's name and bounds, then the options.
+_CONTROL_KEYS = (
     "axis1", "axis1_start", "axis1_stop", "axis1_count",
     "axis2", "axis2_start", "axis2_stop", "axis2_count",
     "nonreciprocity", "measures", "coupling_mode",
-}
+)
+
+_FROM_CONFIG = object()  # split_config's default coupling_mode: the config's, else direct
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,7 @@ class SweepAxis:
     count: int
 
     def __post_init__(self):
-        if self.name not in SYSTEM_KEYS:
+        if not isinstance(self.name, str) or self.name not in SYSTEM_KEYS:
             raise ConfigError(f"axis parameter {self.name!r} is not a model parameter")
         for bound in ("start", "stop"):
             value = getattr(self, bound)
@@ -109,11 +106,7 @@ class SweepSpec:
         if not isinstance(self.nonreciprocity, bool):
             raise ConfigError(f"nonreciprocity must be true or false, got {self.nonreciprocity!r}")
         require_families(self.measures)
-        require_mapping(self.fixed, "fixed")
-        _, drive, control = split_config(self.fixed)
-        if control:
-            raise ConfigError(f"fixed keys {sorted(control)} are not model or drive parameters")
-        _check_coupling(drive, self.coupling_mode)
+        split_config(self.fixed, (), self.coupling_mode)
         object.__setattr__(self, "fixed", dict(self.fixed))
 
 
@@ -125,8 +118,15 @@ class ResultTable:
     rows: list
 
 
-def split_config(config: dict):
-    """Partition a parsed config mapping into system/drive/sweep parts."""
+def split_config(config: dict, allowed: tuple = _CONTROL_KEYS, coupling_mode=_FROM_CONFIG):
+    """The one config reader: ``(system, drive, control)`` parts of a checked config mapping.
+
+    An unknown key, or a control key outside ``allowed``, is a :class:`ConfigError`.
+    ``control["coupling_mode"]`` is the config's key, else the argument, else
+    ``direct``; it must be ``direct`` or ``meanfield``, equal any argument given and
+    be ``meanfield`` with drive keys.  ``control["measures"]`` is the checked tuple
+    of families of the comma list, all of them when it is absent or empty.
+    """
     require_mapping(config, "a config")
     system, drive, control = {}, {}, {}
     for key, value in config.items():
@@ -134,46 +134,40 @@ def split_config(config: dict):
             system[key] = value
         elif key in DRIVE_KEYS:
             drive[key] = value
-        elif key in _SWEEP_ONLY_KEYS:
-            control[key] = value
-        else:
+        elif key not in _CONTROL_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
+        elif key not in allowed:
+            raise ConfigError(f"control key {key!r} does not apply here; "
+                              f"allowed: {', '.join(allowed) or 'none'}")
+        else:
+            control[key] = value
+    mode = control.setdefault("coupling_mode", "direct" if coupling_mode is _FROM_CONFIG else coupling_mode)
+    if mode not in ("direct", "meanfield"):
+        raise ConfigError(f"coupling_mode must be 'direct' or 'meanfield', got {mode!r}")
+    if coupling_mode is not _FROM_CONFIG and mode != coupling_mode:
+        raise ConfigError(f"config key coupling_mode = {mode!r} differs "
+                          f"from the coupling_mode argument {coupling_mode!r}")
+    if drive and mode == "direct":
+        raise ConfigError(f"drive keys {sorted(drive)} need coupling_mode = meanfield")
+    raw = control.get("measures")
+    names = () if raw is None else tuple(part.strip() for part in str(raw).split(",") if part.strip())
+    control["measures"] = names or MEASURE_FAMILIES
+    require_families(control["measures"])
     return system, drive, control
 
 
-def _check_coupling(drive_keys, coupling_mode) -> None:
-    if coupling_mode not in ("direct", "meanfield"):
-        raise ConfigError("coupling_mode must be 'direct' or 'meanfield'")
-    if drive_keys and coupling_mode == "direct":
-        raise ConfigError(f"drive keys {sorted(drive_keys)} need coupling_mode = meanfield")
-
-
-def _control_options(control: dict) -> tuple:
-    """The ``(measures, coupling_mode)`` of a config's control keys.
-
-    ``measures`` is a checked comma list of families, all of them when absent
-    or empty; ``coupling_mode`` (default ``direct``) is checked where it is used.
-    """
-    raw = control.get("measures")
-    names = () if raw is None else tuple(part.strip() for part in str(raw).split(",") if part.strip())
-    measures = names or MEASURE_FAMILIES
-    require_families(measures)
-    return measures, control.get("coupling_mode", "direct")
-
-
-def _parse_axis(control: dict, which: str) -> SweepAxis | None:
-    name = control.get(which)
-    if name is None:
-        for part in ("start", "stop", "count"):
-            if f"{which}_{part}" in control:
-                raise ConfigError(f"{which}_{part} given without {which}")
+def _parse_axis(control: dict, keys: tuple) -> SweepAxis | None:
+    """The axis of ``keys``, its name key and three bound keys, or None if it has no name."""
+    which, *bound_keys = keys
+    given = [key for key in bound_keys if key in control]
+    if control.get(which) is None:
+        if given:
+            raise ConfigError(f"{given[0]} given without {which}")
         return None
+    if len(given) < len(bound_keys):
+        raise ConfigError(f"{which} needs {which}_start/_stop/_count")
     try:
-        bounds = [control[f"{which}_{part}"] for part in ("start", "stop", "count")]
-    except KeyError as exc:
-        raise ConfigError(f"{which} needs {which}_start/_stop/_count") from exc
-    try:
-        return SweepAxis(str(name), *bounds)
+        return SweepAxis(str(control[which]), *(control[key] for key in bound_keys))
     except ConfigError as exc:
         raise ConfigError(f"{which}: {exc}") from exc
 
@@ -181,40 +175,30 @@ def _parse_axis(control: dict, which: str) -> SweepAxis | None:
 def sweep_spec_from_config(config: dict) -> SweepSpec:
     """Build a :class:`SweepSpec` from a parsed configuration mapping."""
     system, drive, control = split_config(config)
-    measures, coupling_mode = _control_options(control)
     return SweepSpec(
-        axis1=_parse_axis(control, "axis1"),
-        axis2=_parse_axis(control, "axis2"),
+        axis1=_parse_axis(control, _CONTROL_KEYS[:4]),
+        axis2=_parse_axis(control, _CONTROL_KEYS[4:8]),
         fixed={**system, **drive},
-        measures=measures,
+        measures=control["measures"],
         nonreciprocity=control.get("nonreciprocity", False),
-        coupling_mode=coupling_mode,
+        coupling_mode=control["coupling_mode"],
     )
 
 
 def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     """Resolve a config mapping to :class:`SystemParams`.
 
-    Of the sweep control keys only ``measures`` and ``coupling_mode`` (which
-    must equal the argument) may appear; anything else, or drive keys in
-    ``direct`` mode, is a :class:`ConfigError`.  In ``meanfield`` mode the
-    drive block is completed by :func:`drive_conversions`, and the effective
-    couplings and the displacement-shifted detunings are produced by the
-    self-consistent amplitude solve.  Only the real parts ``Re G`` of the
-    complex effective couplings enter the drift matrix.  The dropped
-    imaginary parts are not negligible: on ``configs/meanfield_point.cfg``
-    ``|Im G_m / Re G_m|`` is 5.0% and ``|Im G_c / Re G_c|`` is 5.4%.
-    Using ``|G|`` instead (ROADMAP.md item 4) would change existing
-    sweep outputs.
+    :func:`split_config` checks the config; of the control keys only ``measures``
+    (a checked list) and ``coupling_mode`` (equal to the argument) may appear.
+    In ``meanfield`` mode the drive block is completed by :func:`drive_conversions`,
+    and the effective couplings and the displacement-shifted detunings are produced
+    by the self-consistent amplitude solve.  Only the real parts ``Re G`` of the
+    complex effective couplings enter the drift matrix.  The dropped imaginary
+    parts are not negligible: on ``configs/meanfield_point.cfg`` ``|Im G_m / Re G_m|``
+    is 5.0% and ``|Im G_c / Re G_c|`` is 5.4%.  Using ``|G|`` instead (ROADMAP.md
+    item 4) would change existing sweep outputs.
     """
-    system, drive, control = split_config(config)
-    sweep_only = sorted(control.keys() - {"measures", "coupling_mode"})
-    if sweep_only:
-        raise ConfigError(f"sweep keys {sweep_only} do not apply to a single point")
-    if control.get("coupling_mode", coupling_mode) != coupling_mode:
-        raise ConfigError(f"config key coupling_mode = {control['coupling_mode']!r} differs "
-                          f"from the coupling_mode argument {coupling_mode!r}")
-    _check_coupling(drive, coupling_mode)
+    system, drive, _ = split_config(config, ("measures", "coupling_mode"), coupling_mode)
     params = resolve_system_params(system)
     if coupling_mode == "direct":
         return params
@@ -235,7 +219,7 @@ def evaluate_point(params: SystemParams, measures=MEASURE_FAMILIES) -> MeasureRe
     drift = build_drift(params)
     gate = stability_check(drift)
     if not gate.stable:
-        return MeasureReport(stable=False, margin=gate.margin, params=params, reason="unstable")
+        return MeasureReport(stable=False, margin=gate.margin, params=params, reason=StabilityError.reason)
     cov = solve_lyapunov(drift, build_diffusion(params))
     return evaluate_measures(cov, params, gate.margin, measures)
 
@@ -243,20 +227,11 @@ def evaluate_point(params: SystemParams, measures=MEASURE_FAMILIES) -> MeasureRe
 def run_point(config: dict) -> MeasureReport:
     """Full pipeline for one configuration mapping.
 
-    Of the sweep control keys only ``measures`` and ``coupling_mode`` apply
-    to a single point; :func:`resolve_point` rejects any other one.
+    Of the control keys only ``measures`` and ``coupling_mode`` apply to a
+    single point; :func:`split_config` rejects any other one.
     """
-    _, _, control = split_config(config)
-    measures, coupling_mode = _control_options(control)
-    return evaluate_point(resolve_point(config, coupling_mode), measures)
-
-
-def _reason_code(exc: MagnomechError) -> str:
-    if isinstance(exc, StabilityError):
-        return "unstable"
-    if isinstance(exc, (SingularPointError, ConvergenceError)):
-        return "singular"
-    return "nonphysical"
+    _, _, control = split_config(config, ("measures", "coupling_mode"))
+    return evaluate_point(resolve_point(config, control["coupling_mode"]), control["measures"])
 
 
 def _evaluate_task(task):
@@ -272,7 +247,7 @@ def _evaluate_task(task):
             for config in configs
         ]
     except MagnomechError as exc:
-        failed = MeasureReport(stable=False, margin=None, params=None, reason=_reason_code(exc))
+        failed = MeasureReport(stable=False, margin=None, params=None, reason=exc.reason)
         return [failed.to_record() for _ in configs]
 
 

@@ -114,3 +114,9 @@ def test_overflowing_scalar_measure_is_a_solver_error(call):
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="floating-point"):
             call()
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf, "x", 1j, None])
+def test_squeezing_that_is_not_a_finite_real_is_a_domain_error(r):
+    with pytest.raises(DomainError, match="tmsv_covariance"):
+        tmsv_covariance(r)

@@ -221,6 +221,21 @@ def test_extreme_finite_value_is_a_solver_error_and_a_nonphysical_row(key, value
     assert [row[reason] for row in table.rows] == ["nonphysical", "nonphysical"]
 
 
+def test_singular_and_unconverged_points_are_singular_rows():
+    config = {**load_config(MEANFIELD_POINT), "delta_m_tilde": CYCLING[0], "measures": "entanglement"}
+    for error, cell in ((SingularPointError, {"reflectivity": 0.5, "delta_c_tilde": 0.0}),
+                        (ConvergenceError, {"reflectivity": 0.0, "delta_c_tilde": CYCLING[1]})):
+        with pytest.raises(error):
+            run_point({**config, **cell})
+    axes = {"axis1": "reflectivity", "axis1_start": 0.0, "axis1_stop": 0.5, "axis1_count": 2,
+            "axis2": "delta_c_tilde", "axis2_start": 0.0, "axis2_stop": CYCLING[1], "axis2_count": 2}
+    table = run_sweep(sweep_spec_from_config({**config, **axes}))
+    reason = table.columns.index("reason")
+    # cells (R, delta_c): (0, 0) fails the gate, (0, cycling) and (0.5, cycling)
+    # do not converge, (0.5, 0) has a vanishing optical denominator
+    assert [row[reason] for row in table.rows] == ["unstable", "singular", "singular", "singular"]
+
+
 def test_overflow_message_names_the_computation_and_the_exception():
     config = {**load_config(MEANFIELD_POINT), "rabi": 1e200}
     with pytest.raises(SolverError, match="floating-point failure in the mean-field solve: "
@@ -317,9 +332,7 @@ def _solve_matching_the_reference(params, drives):
 
 def _meanfield_point(delta_m_tilde, delta_c_tilde):
     """``(params, drives)`` of configs/meanfield_point.cfg at the given detunings (Hz)."""
-    config = load_config(MEANFIELD_POINT)
-    config.pop("coupling_mode")
-    system, drive, _ = split_config(config)
+    system, drive, _ = split_config(load_config(MEANFIELD_POINT))
     params = resolve_system_params(
         {**system, "delta_m_tilde": delta_m_tilde, "delta_c_tilde": delta_c_tilde}
     )

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -252,6 +253,14 @@ class TestContrastRatio:
 
     def test_defined_zero_limit(self):
         assert contrast_ratio(0.0, 0.0) == 0.0
+
+    def test_sum_beyond_float_range(self, rng):
+        big = sys.float_info.max
+        assert contrast_ratio(1.5e308, 1e308) == pytest.approx(0.2, rel=1e-15)
+        assert contrast_ratio(big, big) == 0.0 and contrast_ratio(big, 0.0) == 1.0
+        # halving is exact, so the halves' ratio is the ratio bit for bit
+        for a, b in rng.uniform(0, 5, size=(50, 2)):
+            assert contrast_ratio(a / 2, b / 2) == contrast_ratio(a, b)
 
     def test_bounds_on_random_inputs(self, rng):
         for _ in range(200):

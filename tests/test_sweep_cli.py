@@ -80,6 +80,8 @@ class TestConfigParsing:
         config = {"axis1": "bogus", "axis1_start": 0, "axis1_stop": 1, "axis1_count": 3}
         with pytest.raises(ConfigError):
             sweep_spec_from_config(config)
+        with pytest.raises(ConfigError, match="model parameter"):
+            SweepAxis(["temperature"], 0, 1, 2)
 
     def test_axis_needs_bounds(self):
         with pytest.raises(ConfigError, match="axis1_start"):
@@ -266,12 +268,20 @@ class TestRunPoint:
         report = run_point({"measures": "entanglement"})
         assert report.pairwise_E and not report.steering and not report.tripartite_R
 
-    @pytest.mark.parametrize("mode", ["Direct", "meanfeld", ""])
+    @pytest.mark.parametrize("mode", ["Direct", "meanfeld", "", None])
     def test_unknown_coupling_mode_rejected(self, mode):
         with pytest.raises(ConfigError, match="coupling_mode"):
             run_point({"coupling_mode": mode})
         with pytest.raises(ConfigError, match="coupling_mode"):
             resolve_point({}, mode)
+        with pytest.raises(ConfigError, match="coupling_mode"):
+            SweepSpec(SweepAxis("temperature", 0, 1, 2), coupling_mode=mode)
+
+    @pytest.mark.parametrize("measures", ["bogus", "entanglement, bogus", 5])
+    def test_unknown_measure_family_rejected(self, measures):
+        for call in (run_point, resolve_point):
+            with pytest.raises(ConfigError, match="measures"):
+                call({"measures": measures})
 
     @pytest.mark.parametrize("key, value", [
         ("axis1", "temperature"), ("axis1_count", 3.0), ("axis2_start", 0.0),
@@ -326,6 +336,16 @@ class TestRunPoint:
         idx = {c: i for i, c in enumerate(table.columns)}
         assert [row[idx["stable"]] for row in table.rows] == [True, False]
         assert table.rows[1][idx["reason"]] == "nonphysical"
+
+    @pytest.mark.parametrize("error, reason", [
+        (magnomech.MagnomechError, "nonphysical"), (magnomech.DomainError, "nonphysical"),
+        (magnomech.ConfigError, "nonphysical"), (magnomech.StabilityError, "unstable"),
+        (magnomech.SingularPointError, "singular"), (magnomech.ConvergenceError, "singular"),
+        (magnomech.SolverError, "nonphysical"), (magnomech.PhysicalityError, "nonphysical"),
+    ], ids=lambda value: value if isinstance(value, str) else value.__name__)
+    def test_each_error_class_carries_its_row_reason(self, error, reason):
+        assert error.reason == reason
+        assert error("message").reason == reason
 
     def test_point_control_keys_accepted(self):
         report = run_point({"measures": "entanglement", "coupling_mode": "direct"})
@@ -760,6 +780,8 @@ class TestCli:
             ["presets", "--preset", "nope", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 1
+        with pytest.raises(ConfigError, match="unknown preset"):
+            magnomech.get_preset(["detuning-grid"])
 
     def test_preset_run(self, tmp_path):
         out = tmp_path / "preset.csv"
