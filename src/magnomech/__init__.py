@@ -30,14 +30,9 @@ from .measures import (
     INDIRECT_PAIRS,
     MeasureReport,
     contrast_ratio,
-    effective_phonon_number,
     evaluate_measures,
     gaussian_steering,
-    is_physical,
     log_negativity,
-    reduce_modes,
-    residual_contangle,
-    symplectic_eigenvalues,
     tmsv_covariance,
 )
 from .meanfield import SteadyAmplitudes, solve_self_consistent
@@ -101,19 +96,15 @@ __all__ = [
     "build_drift",
     "contrast_ratio",
     "drive_conversions",
-    "effective_phonon_number",
     "emit",
     "evaluate_measures",
     "evaluate_point",
     "gaussian_steering",
     "get_preset",
     "integrate_lyapunov",
-    "is_physical",
     "load_config",
     "log_negativity",
     "parse_config",
-    "reduce_modes",
-    "residual_contangle",
     "resolve_drive_params",
     "resolve_point",
     "resolve_system_params",
@@ -124,7 +115,6 @@ __all__ = [
     "solve_self_consistent",
     "stability_check",
     "sweep_spec_from_config",
-    "symplectic_eigenvalues",
     "thermal_occupancy",
     "tmsv_covariance",
 ]

@@ -6,7 +6,8 @@ negativity from the partially transposed two-mode covariance, steering
 is the Renyi-2 measure, and tripartite entanglement the minimum residual
 contangle (a squared one-versus-rest log-negativity less the squared pair
 log-negativities).  One batched kernel serves :func:`evaluate_measures`
-and the scalar functions alike: a covariance is factored once,
+and the two-mode functions :func:`log_negativity` and
+:func:`gaussian_steering` alike: a covariance is factored once,
 ``V = L L^T`` (Cholesky), and the singular values of ``L^T J L`` are its
 symplectic eigenvalues (Williamson's theorem), ``J`` the symplectic form,
 or that form with one mode's block negated for the partial transpose over
@@ -52,17 +53,6 @@ ALL_PAIRS = tuple(itertools.combinations(MODE_ORDER, 2))
 DEFAULT_TRIPLES = (("b1", "m", "c"), ("b2", "c", "a"), ("b2", "m", "c"), ("b1", "c", "a"))
 
 
-def _mode_indices(modes) -> list[int]:
-    out = []
-    for mode in modes:
-        if not isinstance(mode, str) or mode not in MODE_INDEX:
-            raise DomainError(f"unknown mode {mode!r}; the modes are {', '.join(MODE_ORDER)}")
-        if MODE_INDEX[mode] in out:
-            raise DomainError(f"duplicate mode {mode!r} in reduction")
-        out.append(MODE_INDEX[mode])
-    return out
-
-
 def require_families(measures) -> None:
     """A :class:`ConfigError` unless ``measures`` is a tuple or list of :data:`MEASURE_FAMILIES`."""
     if not isinstance(measures, (tuple, list)):
@@ -72,27 +62,8 @@ def require_families(measures) -> None:
             raise ConfigError(f"unknown measure family {name!r} in measures")
 
 
-def reduce_modes(cov: np.ndarray, modes) -> np.ndarray:
-    """Covariance of a subset of modes, in the requested order.
-
-    ``modes`` is a sequence of distinct mode names, ``cov`` a real square covariance
-    that holds them in the canonical mode order (else :class:`DomainError`) with finite
-    entries (else :class:`SolverError`); the result is the 2k x 2k submatrix of their
-    (X, Y) rows and columns.
-    """
-    indices = _mode_indices(modes)
-    cov = _checked(cov, range(2 * max(indices, default=0) + 2, len(OMEGA) + 1, 2),
-                   f"reduce_modes needs a real square covariance that holds {modes}")
-    rows = _quadratures(indices)
-    return cov[np.ix_(rows, rows)]
-
-
 def _canonical(modes) -> tuple:
     return tuple(sorted(modes, key=MODE_INDEX.__getitem__))
-
-
-def _quadratures(modes) -> list[int]:
-    return [q for i in modes for q in (2 * i, 2 * i + 1)]
 
 
 def _checked(cov, dims, need: str) -> np.ndarray:
@@ -104,11 +75,11 @@ def _checked(cov, dims, need: str) -> np.ndarray:
     return cov
 
 
-def _submatrices(mode_sets, n_modes: int) -> np.ndarray:
-    """Flat indices of the blocks of each set of mode indices in an ``n_modes``
+def _submatrices(mode_sets) -> np.ndarray:
+    """Flat indices of the blocks of each set of mode names in the state's
     covariance: ``cov.take(table)`` is their stack."""
-    rows = np.array([_quadratures(modes) for modes in mode_sets])
-    return rows[:, :, None] * (2 * n_modes) + rows[:, None, :]
+    rows = np.array([[2 * MODE_INDEX[mode] + q for mode in modes for q in (0, 1)] for modes in mode_sets])
+    return rows[:, :, None] * len(OMEGA) + rows[:, None, :]
 
 
 def _snap_zero(values: np.ndarray) -> np.ndarray:
@@ -136,13 +107,13 @@ _DPOTRF, _DGESDD = sla.get_lapack_funcs(("potrf", "gesdd"), (np.empty((1, 1)),))
 
 
 def _spectrum(cov: np.ndarray) -> np.ndarray:
-    """Singular values of ``L^T Omega L`` of one checked covariance, descending:
+    """Singular values of ``L^T Omega L`` of the checked 10x10 state, descending:
     each symplectic eigenvalue twice (LAPACK ``dpotrf`` and ``dgesdd``)."""
     factor, info = _DPOTRF(cov, lower=1)
     if info > 0:
         raise PhysicalityError(f"covariance is not positive definite (LAPACK dpotrf info {info})")
     if info == 0:
-        _, values, _, info = _DGESDD(_kernel(factor, OMEGA[:len(cov), :len(cov)]), compute_uv=0)
+        _, values, _, info = _DGESDD(_kernel(factor, OMEGA), compute_uv=0)
     if info != 0:  # an illegal argument to either routine, or an SVD that did not converge
         raise SolverError(f"symplectic spectrum failed (LAPACK info {info})")
     return values
@@ -206,58 +177,28 @@ def _steerings(det_s: np.ndarray, det_l: np.ndarray) -> np.ndarray:
     return _snap_zero(0.5 * np.log(det_s / (4.0 * det_all)))
 
 
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix, sorted ascending.
-
-    The singular values of ``L^T Omega L``, ``V = L L^T`` (Cholesky), are the
-    symplectic eigenvalues, each twice; the result holds each once.  Physical
-    states (vacuum variance 1/2) have every nu >= 1/2; a matrix that is not
-    positive definite raises :class:`PhysicalityError`, and one that is not
-    square with an even dimension of 2 to 10 (one to five modes) :class:`DomainError`.
-    """
-    cov = _checked(cov, range(2, len(OMEGA) + 1, 2),
-                   "symplectic spectrum needs a square covariance of one to five modes")
-    return _spectrum(cov)[::-1][::2]
-
-
-def is_physical(cov: np.ndarray) -> bool:
-    """Whether ``cov`` is positive definite with symplectic spectrum >= 1/2 - PHYSICAL_TOL.
-
-    A matrix of the wrong shape raises :class:`DomainError`, as in
-    :func:`symplectic_eigenvalues`.
-    """
-    try:
-        return bool(symplectic_eigenvalues(cov)[0] >= 0.5 - PHYSICAL_TOL)
-    except PhysicalityError:
-        return False
-
-
-def _contangle_plan(triples, n_modes):
-    """Gather tables for the residual contangles of ascending mode-index triples.
+def _contangle_plan(triples):
+    """Gather tables for the residual contangles of canonical mode triples.
 
     Returns the :func:`_submatrices` table of the triples, whose covariances
     are each factored once for their three one-versus-rest partial transposes,
-    and ``pair_of[t, i]``: the positions, among the ``n_modes`` state's mode
-    pairs in :data:`ALL_PAIRS` order, of the two pairs of triple ``t`` that
-    hold its ``i``-th mode.
+    and ``pair_of[t, i]``: the positions in :data:`ALL_PAIRS` of the two pairs
+    of triple ``t`` that hold its ``i``-th mode.
     """
-    pairs = list(itertools.combinations(range(n_modes), 2))
-    pair_of = [[[pairs.index(tuple(sorted((mode, other)))) for other in triple if other != mode]
+    pair_of = [[[ALL_PAIRS.index(_canonical((mode, other))) for other in triple if other != mode]
                 for mode in triple] for triple in triples]
-    return _submatrices(triples, n_modes), np.array(pair_of)
+    return _submatrices(triples), np.array(pair_of)
 
 
 # Gather tables of the measure kernel, fixed by the mode order.
-_ALL_PAIR_TABLE = _submatrices(map(_mode_indices, ALL_PAIRS), len(MODE_ORDER))
-_THREE_PAIR_TABLE = _submatrices(itertools.combinations(range(3), 2), 3)
+_ALL_PAIR_TABLE = _submatrices(ALL_PAIRS)
 #: Rows of the indirect pairs in the all-pair stack (same mode orientation), and their modes.
 _INDIRECT_OF_ALL = np.array([ALL_PAIRS.index(pair) for pair in INDIRECT_PAIRS])
-_INDIRECT_MODES = np.array([_mode_indices(pair) for pair in INDIRECT_PAIRS])
+_INDIRECT_MODES = np.array([[MODE_INDEX[mode] for mode in pair] for pair in INDIRECT_PAIRS])
 #: The ordered pairs of the steering values, both directions of each indirect pair in turn.
 _STEERING_KEYS = tuple(pair for a, b in INDIRECT_PAIRS for pair in ((a, b), (b, a)))
 _TRIPLE_KEYS = tuple(_canonical(triple) for triple in DEFAULT_TRIPLES)
-_TRIPLE_PLAN = _contangle_plan([_mode_indices(key) for key in _TRIPLE_KEYS], len(MODE_ORDER))
-_ONE_TRIPLE = _contangle_plan([(0, 1, 2)], 3)
+_TRIPLE_PLAN = _contangle_plan(_TRIPLE_KEYS)
 
 
 #: The measure fields of :meth:`MeasureReport.to_record`, in record order: for each
@@ -272,14 +213,14 @@ _RECORD_FIELDS = (
 MEASURE_FIELDS = tuple(name for _, names, _ in _RECORD_FIELDS for name in names)
 
 
-def _residual_contangles(cov: np.ndarray, plan, negativities: np.ndarray) -> np.ndarray:
-    """Minimum residual contangle per triple of ``plan``, given the pair log-negativities.
+def _triple_contangles(cov: np.ndarray, negativities: np.ndarray) -> np.ndarray:
+    """Minimum residual contangle per default triple, given the pair log-negativities.
 
     Each one-versus-rest contangle is the squared ``max(0, -ln(2 nu))``, ``nu``
     the smallest symplectic eigenvalue after flipping the singled-out mode's
     momentum (partial transpose): one factor per triple serves its three kernels.
     """
-    table, pair_of = plan
+    table, pair_of = _TRIPLE_PLAN
     factor = _factor(cov.take(table))[:, None]
     nu = np.linalg.svd(_kernel(factor, _TRIPLE_FORMS), compute_uv=False)[..., -1]
     rest = np.maximum(0.0, _log_negativity(nu))
@@ -317,29 +258,22 @@ def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
         return float(_steerings(_mode_dets(cov4)[None], det_l)[0, steering_mode])
 
 
-def residual_contangle(cov6: np.ndarray) -> float:
-    """Minimum residual contangle of a three-mode covariance matrix.
-
-    For each of the three one-versus-two bipartitions, the residual is
-    the one-versus-rest contangle minus the one-versus-one contangles of
-    the singled-out mode, the squared log-negativities of its two pairs;
-    the minimum over bipartitions is returned.  Positive values witness
-    genuine tripartite entanglement.
-    """
-    cov6 = _checked(cov6, (6,), "residual_contangle needs a 6x6 covariance")
-    with FloatGuard("residual contangle"):
-        factor = _factor(cov6.take(_THREE_PAIR_TABLE))
-        negativities = _pair_negativities(factor, _det_factor(factor))
-        return float(_residual_contangles(cov6, _ONE_TRIPLE, negativities)[0])
-
-
 def contrast_ratio(value_plus: float, value_minus: float) -> float:
     """Bidirectional contrast |v+ - v-| / (v+ + v-), with 0/0 -> 0.
 
     Quantifies how nonreciprocal a nonnegative measure is between the
     two rotation directions; 1 means the measure survives in only one
-    of them.
+    of them.  Each value must be a finite nonnegative real number (numpy
+    scalars included, a bool not), else a :class:`DomainError`.
     """
+    if type(value_plus) is not float or type(value_minus) is not float:
+        # anything but a Python float goes through the one numeric rule, so the
+        # arithmetic below never runs on numpy scalars, whose overflow warns
+        plus, minus = finite_number(value_plus, ""), finite_number(value_minus, "")
+        if plus is None or minus is None:
+            raise DomainError(f"contrast_ratio requires finite nonnegative real numbers, "
+                              f"got {value_plus!r} and {value_minus!r}")
+        return contrast_ratio(plus, minus)
     if not (0.0 <= value_plus < math.inf and 0.0 <= value_minus < math.inf):  # NaN fails too
         raise DomainError("contrast_ratio requires finite nonnegative inputs")
     total = value_plus + value_minus
@@ -348,29 +282,11 @@ def contrast_ratio(value_plus: float, value_minus: float) -> float:
     return abs(value_plus - value_minus) / total if total else 0.0
 
 
-def _occupation(cov: np.ndarray, idx: int) -> float:
+def _occupation(cov: np.ndarray, idx: int) -> float | None:
+    """Effective occupation ``(V_xx + V_yy - 1)/2`` of one mode, rounding noise
+    below zero clipped; None below vacuum, where it has no thermal reading."""
     value = (cov[2 * idx, 2 * idx] + cov[2 * idx + 1, 2 * idx + 1] - 1.0) / 2.0
-    if value < -1e-8:
-        raise PhysicalityError(f"effective occupation of mode {MODE_ORDER[idx]} is {value:.3e} < 0")
-    return max(0.0, float(value))
-
-
-def effective_phonon_number(cov: np.ndarray, mode) -> float:
-    """Effective occupation (V_xx + V_yy - 1)/2 of one mode.
-
-    Small negative rounding noise is clipped to zero; a genuinely
-    negative value means the reduced state is below vacuum, which the
-    thermal reading of this number cannot represent.  An unknown mode name, or
-    a covariance that does not hold the mode as :func:`reduce_modes` requires,
-    raises :class:`DomainError`, a non-finite variance of the mode :class:`SolverError`.
-    """
-    (idx,) = _mode_indices([mode])
-    cov = real_matrix(cov, f"effective_phonon_number of mode {MODE_ORDER[idx]} needs a real "
-                      "square covariance that holds it", range(2 * idx + 2, len(OMEGA) + 1, 2))
-    if not np.isfinite(cov.diagonal()[2 * idx:2 * idx + 2]).all():
-        raise SolverError(f"variance of mode {MODE_ORDER[idx]} is not finite")
-    with FloatGuard("effective occupation"):
-        return _occupation(cov, idx)
+    return None if value < -1e-8 else max(0.0, float(value))
 
 
 def tmsv_covariance(r: float) -> np.ndarray:
@@ -473,12 +389,9 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
             values = _steerings(_mode_dets(cov)[_INDIRECT_MODES], det_l[_INDIRECT_OF_ALL])
             report.steering = dict(zip(_STEERING_KEYS, values.ravel().tolist()))
         if "contangle" in measures:
-            values = _residual_contangles(cov, _TRIPLE_PLAN, negativities)
+            values = _triple_contangles(cov, negativities)
             report.tripartite_R = dict(zip(_TRIPLE_KEYS, values.tolist()))
         if "occupation" in measures:
             for mode in ("b1", "b2"):
-                try:
-                    report.phonon_occ[mode] = _occupation(cov, MODE_INDEX[mode])
-                except PhysicalityError:
-                    report.phonon_occ[mode] = None
+                report.phonon_occ[mode] = _occupation(cov, MODE_INDEX[mode])
         return report

@@ -288,8 +288,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     With ``nonreciprocity`` each grid cell is evaluated at both signs of
     the Barnett shift and emitted as one contrast row.  Any point-level
     numerical failure becomes an error row carrying a machine-readable
-    reason code; it never aborts the sweep.
+    reason code; it never aborts the sweep.  ``workers`` must be a whole
+    number, else a :class:`ConfigError`; at most 1 runs serially.
     """
+    if finite_number(workers, "") is None or not float(workers).is_integer():
+        raise ConfigError(f"workers must be a whole number, got {workers!r}")
     axes = [axis for axis in (spec.axis1, spec.axis2) if axis is not None]
     names = [axis.name for axis in axes]
     tasks, axis_values = [], []
@@ -308,7 +311,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
         axis_values.append(values)
 
     # the pool starts all its workers at once; more than one per task is waste
-    workers = min(workers, len(tasks))
+    workers = min(int(workers), len(tasks))
     if workers <= 1:
         outcomes = [_evaluate_task(task) for task in tasks]
     else:
@@ -341,10 +344,9 @@ def emit(table: ResultTable, fmt: str, stream) -> None:
     The caller opens the stream, as ``cli._output`` opens ``--out``.  CSV uses
     '.' decimals, scientific notation with 13 significant digits and
     newline-terminated rows; JSON is an array of flat objects.  Identical
-    tables produce byte-identical files.
+    tables produce byte-identical files; a table without rows is its header
+    line as CSV and ``[]`` as JSON.
     """
-    if not table.rows:
-        raise ValueError("refusing to emit an empty table")
     if fmt == "csv":
         lines = [",".join(table.columns)]
         templates = {}

@@ -12,21 +12,17 @@ from magnomech import (
     SolverError,
     build_diffusion,
     build_drift,
-    effective_phonon_number,
     evaluate_measures,
     gaussian_steering,
     integrate_lyapunov,
-    is_physical,
     log_negativity,
-    reduce_modes,
-    residual_contangle,
     resolve_system_params,
     solve_lyapunov,
     solve_lyapunov_oracle,
     stability_check,
-    symplectic_eigenvalues,
     tmsv_covariance,
 )
+from magnomech.measures import MEASURE_FAMILIES
 
 #: Every public function that takes a matrix, called with that matrix.
 MATRIX_CALLS = {
@@ -37,11 +33,6 @@ MATRIX_CALLS = {
     "integration-diffusion": lambda m: integrate_lyapunov(-np.eye(2), m),
     "log_negativity": log_negativity,
     "gaussian_steering": gaussian_steering,
-    "residual_contangle": residual_contangle,
-    "symplectic_eigenvalues": symplectic_eigenvalues,
-    "is_physical": is_physical,
-    "effective_phonon_number": lambda m: effective_phonon_number(m, "b1"),
-    "reduce_modes": lambda m: reduce_modes(m, ("b1",)),
     "evaluate_measures": lambda m: evaluate_measures(m, None, -1.0),
 }
 
@@ -56,8 +47,7 @@ def test_matrix_that_is_not_a_real_square_one_is_a_domain_error(name, matrix, ca
 
 
 #: The matrix dimension each call takes where it is not 2.
-DIMENSION = {"log_negativity": 4, "gaussian_steering": 4, "residual_contangle": 6,
-             "evaluate_measures": 10}
+DIMENSION = {"log_negativity": 4, "gaussian_steering": 4, "evaluate_measures": 10}
 
 
 @pytest.mark.parametrize("name", MATRIX_CALLS)
@@ -73,13 +63,17 @@ def test_nan_entry_is_a_solver_error(name, monkeypatch):
         MATRIX_CALLS[name](matrix)
 
 
-@pytest.mark.parametrize("call", [lambda m: reduce_modes(m, ("a",)),
-                                  lambda m: reduce_modes(m, ("b1", "a")),
-                                  lambda m: effective_phonon_number(m, "a")],
-                         ids=["reduce-one", "reduce-two", "occupation"])
-def test_matrix_that_does_not_hold_the_modes_is_a_domain_error(call):
-    with pytest.raises(DomainError, match="holds"):
-        call(0.5 * np.eye(4))
+@pytest.mark.parametrize("measures", [(), *((family,) for family in MEASURE_FAMILIES)],
+                         ids=["spectrum", *MEASURE_FAMILIES])
+@pytest.mark.parametrize("matrix, error", [
+    ([[1.0, 2.0], [3.0]], DomainError), (np.zeros((0, 0)), DomainError), ("abc", DomainError),
+    (np.where(np.eye(10) > 0, np.nan, 0.0), SolverError),
+], ids=["ragged", "empty", "text", "nan"])
+def test_each_measure_family_alone_keeps_the_matrix_rule(measures, matrix, error, capfd):
+    # each family gathers its own blocks, so the one check must precede them all
+    with pytest.raises(error):
+        evaluate_measures(matrix, None, -1.0, measures)
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("solve, temperature", [(solve_lyapunov, 1e200), (integrate_lyapunov, 1e300)],
@@ -102,13 +96,20 @@ def test_overflowing_measures_are_a_solver_error(baseline, baseline_cov):
     assert np.geterr() == settings
 
 
+@pytest.mark.parametrize("family, scale", [("entanglement", 1e200), ("steering", 1e200),
+                                           ("contangle", 1e200), ("occupation", 1.5e308)])
+def test_overflowing_family_alone_is_a_solver_error(family, scale):
+    # a pair factor's det L is 1e400 at 1e200; a variance sum overflows only near 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="floating-point"):
+            evaluate_measures(np.eye(10) * scale, None, -1.0, (family,))
+
+
 @pytest.mark.parametrize("call", [lambda: log_negativity(np.eye(4) * 1e200),
                                   lambda: gaussian_steering(np.eye(4) * 1e200, 0),
-                                  lambda: residual_contangle(np.eye(6) * 1e200),
-                                  lambda: effective_phonon_number(np.eye(10) * 1.5e308, "b1"),
                                   lambda: tmsv_covariance(1e3)],
-                         ids=["log_negativity", "gaussian_steering", "residual_contangle",
-                              "effective_phonon_number", "tmsv_covariance"])
+                         ids=["log_negativity", "gaussian_steering", "tmsv_covariance"])
 def test_overflowing_scalar_measure_is_a_solver_error(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

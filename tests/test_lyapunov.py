@@ -20,13 +20,12 @@ from magnomech import (
     build_diffusion,
     build_drift,
     emit,
+    evaluate_measures,
     integrate_lyapunov,
-    is_physical,
     run_sweep,
     solve_lyapunov,
     solve_lyapunov_oracle,
     stability_check,
-    symplectic_eigenvalues,
 )
 from magnomech import lyapunov
 from magnomech.lyapunov import RESIDUAL_TOL
@@ -168,14 +167,22 @@ class TestSolve:
 
 
 class TestPhysicality:
-    def test_baseline_covariance_is_physical(self, baseline_cov):
-        nus = symplectic_eigenvalues(baseline_cov)
-        assert nus[0] >= 0.5 - 1e-8
-        assert is_physical(baseline_cov)
+    def test_baseline_covariance_is_a_physical_state(self, baseline, baseline_cov):
+        report = evaluate_measures(baseline_cov, baseline, -1.0, ())
+        assert report.physical and report.min_symplectic >= 0.5 - 1e-8
 
     def test_vacuum_spectrum(self):
-        nus = symplectic_eigenvalues(0.5 * np.eye(10))
-        assert np.allclose(nus, 0.5, rtol=1e-12)
+        report = evaluate_measures(0.5 * np.eye(10), None, -1.0, ())
+        assert report.min_symplectic == pytest.approx(0.5, rel=1e-12)
+        assert report.physical
+
+    @pytest.mark.parametrize("diagonal, nu", [([0.3] * 10, 0.3), ([0.2, 1.0] + [0.5] * 8, 0.2 ** 0.5)],
+                             ids=["below-vacuum", "squeezed-past-the-bound"])
+    def test_positive_definite_state_below_the_bound_is_not_physical(self, diagonal, nu):
+        # positive definite, so the spectrum exists; it is flagged, not raised
+        report = evaluate_measures(np.diag(diagonal), None, -1.0, ())
+        assert report.min_symplectic == pytest.approx(nu, rel=1e-12)
+        assert report.physical is False
 
     def test_model_points_without_feedback_stay_physical(self, rng):
         from magnomech import resolve_system_params
@@ -194,7 +201,7 @@ class TestPhysicality:
             if not stability_check(drift).stable:
                 continue
             cov = solve_lyapunov(drift, build_diffusion(params))
-            assert symplectic_eigenvalues(cov)[0] >= 0.5 - 1e-8
+            assert evaluate_measures(cov, params, -1.0, ()).physical
 
 
 def _two_pass_reference(drift, diffusion):

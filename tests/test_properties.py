@@ -15,12 +15,11 @@ from hypothesis import assume, given, settings, strategies as st
 from magnomech import (
     ALL_PAIRS,
     INDIRECT_PAIRS,
+    MODE_INDEX,
     build_diffusion,
     build_drift,
     evaluate_measures,
-    is_physical,
     log_negativity,
-    reduce_modes,
     resolve_system_params,
     solve_lyapunov,
     stability_check,
@@ -59,6 +58,12 @@ def _steady_state(config):
     return params, drift, diffusion, solve_lyapunov(drift, diffusion), gate.margin
 
 
+def _gather(cov, modes):
+    """The covariance of the named modes, in the given order."""
+    q = [k for mode in modes for k in (2 * MODE_INDEX[mode], 2 * MODE_INDEX[mode] + 1)]
+    return cov[np.ix_(q, q)]
+
+
 def _local_rotation(phi_1, phi_2):
     rotation = np.zeros((4, 4))
     for i, phi in enumerate((phi_1, phi_2)):
@@ -79,7 +84,6 @@ def test_stable_point_meets_the_residual_bound(config):
 @given(POINTS)
 def test_no_feedback_gives_a_physical_state(config):
     params, _, _, cov, margin = _steady_state({**config, "reflectivity": 0.0})
-    assert is_physical(cov)
     assert evaluate_measures(cov, params, margin, ()).physical
 
 
@@ -87,10 +91,10 @@ def test_no_feedback_gives_a_physical_state(config):
 @given(POINTS, st.sampled_from(ALL_PAIRS), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
 def test_log_negativity_ignores_mode_order_and_local_rotations(config, pair, phi_1, phi_2):
     cov = _steady_state(config)[3]
-    cov4 = reduce_modes(cov, pair)
+    cov4 = _gather(cov, pair)
     rotation = _local_rotation(phi_1, phi_2)
     expected = pytest.approx(log_negativity(cov4), rel=1e-12, abs=1e-13)
-    assert log_negativity(reduce_modes(cov, pair[::-1])) == expected
+    assert log_negativity(_gather(cov, pair[::-1])) == expected
     assert log_negativity(rotation @ cov4 @ rotation.T) == expected
 
 

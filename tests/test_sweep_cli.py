@@ -520,9 +520,15 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
         spec = SweepSpec(SweepAxis("temperature", 0, 0.1, 2), measures=())
-        for workers in (2, 3, 100_000):
+        # whole numbers of any type are counts; one or fewer builds no pool
+        for workers in (2, 3, 100_000, 3.0, np.int64(2), 1, 0, -3):
             assert run_sweep(spec, workers=workers).rows == run_sweep(spec).rows
-        assert sizes == [2, 2, 2]
+        assert sizes == [2] * 5
+
+    @pytest.mark.parametrize("workers", ["2", None, 2.5], ids=["text", "none", "fraction"])
+    def test_worker_count_that_is_not_a_whole_number_is_a_config_error(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_sweep(_tiny_sweep(), workers=workers)
 
     def test_detuning_grid_peaks_at_cooling_point(self):
         # microwave-optical entanglement is maximal where the magnon
@@ -639,11 +645,15 @@ class TestEmit:
         # the table keeps its cells: the bools are not replaced by their text
         assert [list(map(type, row)) for row in table.rows] == [list(map(type, row)) for row in rows]
 
-    def test_empty_table_rejected(self, tmp_path):
+    def test_empty_table_writes_its_header_or_an_empty_array(self):
         table = run_sweep(_tiny_sweep())
         table.rows = []
-        with pytest.raises(ValueError):
-            emit(table, "csv", tmp_path / "x.csv")
+        for fmt, expected in (("csv", ",".join(table.columns) + "\n"), ("json", "[]\n")):
+            out = io.StringIO()
+            emit(table, fmt, out)
+            assert out.getvalue() == expected
+        with pytest.raises(ConfigError):
+            emit(table, "yaml", io.StringIO())
 
     def test_unknown_format(self, tmp_path):
         table = run_sweep(_tiny_sweep())
