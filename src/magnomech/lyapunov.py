@@ -9,8 +9,10 @@ along an axis that leaves the drift unchanged.  The one entry serves both
 the stability gate and the primary solver, the dense Bartels-Stewart
 algorithm (LAPACK ``dtrsyl`` for the solve and its refinement pass); an
 independent Kronecker-vectorized solve and a direct time-integration
-serve as cross-check oracles.  Every algebraic solve is refined once,
-symmetrized and verified against a residual bound before being returned.
+serve as cross-check oracles.  Every algebraic solve is refined once (for
+the last digits of a near-degenerate measure; the first solve already meets
+the bound), symmetrized and verified against a residual bound before being
+returned.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ _DGEES = sla.get_lapack_funcs("gees", (np.empty((1, 1)),))
 @functools.lru_cache(maxsize=2)
 def _schur_of(shape: tuple, data: bytes) -> StabilityResult:
     drift = np.frombuffer(data).reshape(shape)
-    if not np.isfinite(drift).all():
-        raise SolverError("drift matrix has non-finite entries")
     schur, _, _, _, basis, _, info = _DGEES(lambda *_: None, drift)  # unsorted
     if info != 0:
         raise SolverError(f"Schur decomposition failed (LAPACK dgees info {info})")
@@ -75,23 +75,21 @@ def stability_check(drift: np.ndarray) -> StabilityResult:
     report how far from the boundary a point sits.  The memoised result
     carries the Schur factors it was read off, so the gate and the solve of
     one drift share one factorization; an array mutated in place is factored
-    afresh.  Anything but a real, non-empty square matrix (``real_matrix``) is
-    a :class:`DomainError`, a non-finite entry a :class:`SolverError`.
+    afresh.  Every call, a memo hit too, applies the matrix rule (``real_matrix``):
+    a :class:`DomainError`, or a :class:`SolverError` for a non-finite entry.
     """
-    drift = real_matrix(drift, "drift must be a real square matrix")
+    drift = real_matrix(drift, "drift must be a finite real square matrix")
     return _schur_of(drift.shape, drift.tobytes())
 
 
 def _stable_operands(drift, diffusion, caller: str):
-    """The gate result of ``drift`` and both matrices as float arrays: a :class:`DomainError`
-    unless ``diffusion`` is real with the drift's shape, a :class:`SolverError` if it has a
-    non-finite entry (as for the drift), a :class:`StabilityError` unless the drift is stable."""
+    """The gate result of ``drift`` and both matrices as float arrays, both checked by the
+    matrix rule (``diffusion`` with the drift's shape), or a :class:`StabilityError` unless
+    the drift is stable."""
     gate = stability_check(drift)
     n = len(gate.schur)  # an int: formatting the shape tuple costs a microsecond per call
-    diffusion = real_matrix(diffusion, f"{caller} needs a real diffusion matrix of the drift's "
-                            f"shape ({n}, {n})", (n,))
-    if not np.isfinite(diffusion).all():
-        raise SolverError("diffusion matrix has non-finite entries")
+    diffusion = real_matrix(diffusion, f"{caller} needs a finite real diffusion matrix of the "
+                            f"drift's shape ({n}, {n})", (n,))
     if not gate.stable:
         raise StabilityError(f"{caller} called on unstable drift (margin {gate.margin:.3e})")
     return gate, np.asarray(drift, dtype=float), diffusion
@@ -122,10 +120,12 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     The guard and both triangular Sylvester solves read the one real Schur
     form ``A = U T U^T`` that :func:`stability_check` returns with its
     verdict, so a gate of the same matrix just before has already paid for
-    both.  The refinement pass matters because the model's rates span five
-    orders of magnitude: without it the backward error of the weakly damped
-    subspace shows up as spurious 1e-9-level correlations between uncoupled
-    modes.
+    both.  The refinement pass (one more ``dtrsyl``, four basis transforms and
+    one residual) buys the last digits, not the residual bound, which the first
+    solve already meets: at the near-degenerate (b1, m) point pinned in the
+    tests the pair's log-negativity is 1.8e-13 off its 50-digit value without
+    it and within 1e-16 with it, and on the shipped presets it moves no cell
+    by more than 1e-11.
     """
     gate, drift, diffusion = _stable_operands(drift, diffusion, "solve_lyapunov")
     schur, basis = gate.schur, gate.basis

@@ -66,15 +66,6 @@ def _canonical(modes) -> tuple:
     return tuple(sorted(modes, key=MODE_INDEX.__getitem__))
 
 
-def _checked(cov, dims, need: str) -> np.ndarray:
-    """``cov`` as a float array after its one check: :func:`~magnomech.params.real_matrix`
-    with a dimension in ``dims``, then a :class:`SolverError` if an entry is not finite."""
-    cov = real_matrix(cov, need, dims)
-    if not np.isfinite(cov).all():
-        raise SolverError("covariance has non-finite entries")
-    return cov
-
-
 def _submatrices(mode_sets) -> np.ndarray:
     """Flat indices of the blocks of each set of mode names in the state's
     covariance: ``cov.take(table)`` is their stack."""
@@ -234,8 +225,9 @@ def log_negativity(cov4: np.ndarray) -> float:
     ``max(0, -ln(2 nu))``, ``nu`` the smaller symplectic eigenvalue of the
     partial transpose: a closed-form singular value of ``L^T J L``.  A matrix
     not positive definite, or whose ``nu`` rounds to 0, raises :class:`PhysicalityError`.
+    Only the diagonal and the lower triangle of ``cov4`` are read.
     """
-    cov4 = _checked(cov4, (4,), "log_negativity needs a 4x4 covariance")
+    cov4 = real_matrix(cov4, "log_negativity needs a finite real 4x4 covariance", (4,))
     with FloatGuard("logarithmic negativity"):
         factor = _factor(cov4[None])
         return float(_pair_negativities(factor, _det_factor(factor))[0])
@@ -248,8 +240,9 @@ def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
     1 = second) acts as the steering party; the measure is
     ``max(0, ln det(2 V_s)/2 - ln det(2 V)/2)`` and is directional by
     construction; any mode but the integer 0 or 1 is a :class:`DomainError`.
+    Only the diagonal and the lower triangle of ``cov4`` are read.
     """
-    cov4 = _checked(cov4, (4,), "gaussian_steering needs a 4x4 covariance")
+    cov4 = real_matrix(cov4, "gaussian_steering needs a finite real 4x4 covariance", (4,))
     if (isinstance(steering_mode, bool) or not isinstance(steering_mode, (int, np.integer))
             or steering_mode not in (0, 1)):
         raise DomainError(f"steering_mode must be the integer 0 or 1, got {steering_mode!r}")
@@ -369,11 +362,12 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
     10x10 numpy array raises :class:`DomainError`, a non-finite entry
     :class:`SolverError`; unknown ``measures`` raise :class:`ConfigError`, and
     an overflow in the measures (of a covariance near 1e150, say) a :class:`SolverError`.
+    Symmetry is not checked: only the diagonal and the lower triangle of ``cov`` are read.
     """
     require_families(measures)
     if not isinstance(cov, np.ndarray):
         raise DomainError(f"evaluate_measures needs a numpy array, got {type(cov).__name__}")
-    cov = _checked(cov, (len(OMEGA),), "evaluate_measures needs a real 10x10 covariance")
+    cov = real_matrix(cov, "evaluate_measures needs a finite real 10x10 covariance", (len(OMEGA),))
     with FloatGuard("measures"):
         nu_min = float(_spectrum(cov)[-1])
         report = MeasureReport(stable=True, margin=margin, params=params, min_symplectic=nu_min,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.constants import hbar, k as k_B, mu_0, c as c_light
 
 from .errors import DomainError, FloatGuard
-from .params import DriveParams, SystemParams
+from .params import DriveParams, SystemParams, finite_number
 
 MODE_ORDER = ("b1", "b2", "m", "c", "a")
 MODE_INDEX = {name: i for i, name in enumerate(MODE_ORDER)}
@@ -35,17 +35,19 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
     Evaluates the Bose factor 1/(exp(hbar*omega/kB*T) - 1).  Returns
     exactly 0 at zero temperature (or one so small that kB*T underflows)
     and underflows to 0 once the exponent exceeds ~700 (where the
-    occupation is below 1e-300 anyway).  A NaN or infinite ``omega`` or
-    ``temperature``, or an overflowing occupation, raises :class:`DomainError`.
+    occupation is below 1e-300 anyway).  Each argument must be a real number
+    (``params.finite_number``: numpy scalars too, a bool not); anything else,
+    a NaN, an infinity or an overflowing occupation is a :class:`DomainError`.
     """
-    if not 0.0 < omega < math.inf:
+    frequency, kelvin = finite_number(omega, ""), finite_number(temperature, "")
+    if frequency is None or not frequency > 0.0:
         raise DomainError(f"omega must be a finite number > 0, got {omega!r}")
-    if not 0.0 <= temperature < math.inf:
+    if kelvin is None or not kelvin >= 0.0:
         raise DomainError(f"temperature must be a finite number >= 0, got {temperature!r}")
-    thermal_energy = k_B * temperature
+    thermal_energy = k_B * kelvin
     if thermal_energy == 0.0:
         return 0.0
-    x = hbar * omega / thermal_energy
+    x = hbar * frequency / thermal_energy
     if x > 700.0:
         return 0.0
     if not x or (occupancy := 1.0 / math.expm1(x)) == math.inf:

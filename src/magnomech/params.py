@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SolverError
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,7 +185,8 @@ def require_mapping(config, what: str) -> None:
 def real_matrix(value, need: str, dims=None) -> np.ndarray:
     """The one matrix rule: ``value`` as a float array, or a :class:`DomainError` saying
     ``need`` unless it is a real (bool, int or float dtype), non-empty, square 2-D array
-    (a ragged nested list is none) whose dimension is in ``dims`` (any, when None)."""
+    (a ragged nested list is none) whose dimension is in ``dims`` (any, when None), and a
+    :class:`SolverError` saying ``need`` if an entry is not finite."""
     try:
         matrix = np.asarray(value)
     except ValueError:  # numpy's "inhomogeneous shape"
@@ -193,6 +194,8 @@ def real_matrix(value, need: str, dims=None) -> np.ndarray:
     if (matrix.dtype.kind not in "biuf" or matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]
             or not matrix.size or dims is not None and len(matrix) not in dims):
         raise DomainError(f"{need}, got {matrix.dtype} shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise SolverError(f"{need}, got a non-finite entry")
     return matrix.astype(float, copy=False)
 
 

@@ -1,6 +1,7 @@
 """The contract shared by the public layer functions: one matrix rule, and
 floating-point failures in the solves and the measures as typed errors."""
 
+import re
 import warnings
 
 import numpy as np
@@ -29,7 +30,9 @@ MATRIX_CALLS = {
     "stability_check": stability_check,
     "solve_lyapunov-drift": lambda m: solve_lyapunov(m, np.eye(2)),
     "solve_lyapunov-diffusion": lambda m: solve_lyapunov(-np.eye(2), m),
+    "oracle-drift": lambda m: solve_lyapunov_oracle(m, np.eye(2)),
     "oracle-diffusion": lambda m: solve_lyapunov_oracle(-np.eye(2), m),
+    "integration-drift": lambda m: integrate_lyapunov(m, np.eye(2)),
     "integration-diffusion": lambda m: integrate_lyapunov(-np.eye(2), m),
     "log_negativity": log_negativity,
     "gaussian_steering": gaussian_steering,
@@ -49,18 +52,41 @@ def test_matrix_that_is_not_a_real_square_one_is_a_domain_error(name, matrix, ca
 #: The matrix dimension each call takes where it is not 2.
 DIMENSION = {"log_negativity": 4, "gaussian_steering": 4, "evaluate_measures": 10}
 
+#: What each call's error says its matrix needs.
+DRIFT_NEED = "drift must be a finite real square matrix"
+NEED = {
+    "stability_check": DRIFT_NEED,
+    "solve_lyapunov-drift": DRIFT_NEED,
+    "solve_lyapunov-diffusion":
+        "solve_lyapunov needs a finite real diffusion matrix of the drift's shape (2, 2)",
+    "oracle-drift": DRIFT_NEED,
+    "oracle-diffusion": "oracle needs a finite real diffusion matrix of the drift's shape (2, 2)",
+    "integration-drift": DRIFT_NEED,
+    "integration-diffusion":
+        "integration oracle needs a finite real diffusion matrix of the drift's shape (2, 2)",
+    "log_negativity": "log_negativity needs a finite real 4x4 covariance",
+    "gaussian_steering": "gaussian_steering needs a finite real 4x4 covariance",
+    "evaluate_measures": "evaluate_measures needs a finite real 10x10 covariance",
+}
+
 
 @pytest.mark.parametrize("name", MATRIX_CALLS)
-def test_nan_entry_is_a_solver_error(name, monkeypatch):
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_entry_is_a_solver_error_that_says_what_is_needed(name, bad, monkeypatch):
     def integrate(*_args, **_kwargs):
-        raise AssertionError("a NaN diffusion reached the integrator")
+        raise AssertionError("a non-finite matrix reached the integrator")
 
     # integrate_lyapunov imports solve_ivp per call; a NaN tolerance would never finish
     monkeypatch.setattr(scipy.integrate, "solve_ivp", integrate)
-    matrix = 0.5 * np.eye(DIMENSION.get(name, 2))
-    matrix[0, 0] = np.nan
-    with pytest.raises(SolverError, match="finite"):
-        MATRIX_CALLS[name](matrix)
+    dim = DIMENSION.get(name, 2)
+    message = re.escape(f"{NEED[name]}, got a non-finite entry")
+    for entry in np.ndindex(dim, dim):
+        matrix = 0.5 * np.eye(dim)
+        matrix[entry] = bad
+        # twice on the same array: a memoised gate must not serve the second call
+        for _ in range(2):
+            with pytest.raises(SolverError, match=message):
+                MATRIX_CALLS[name](matrix)
 
 
 @pytest.mark.parametrize("measures", [(), *((family,) for family in MEASURE_FAMILIES)],

@@ -452,6 +452,20 @@ class TestMeasureKernel:
         assert calls == {"cholesky": stacks, "eigvals": [], "det": [],
                          "_DPOTRF": [(10, 10)], "_DGESDD": [(10, 10)]}
 
+    def test_strict_upper_triangle_is_never_read(self):
+        # every kernel reads the diagonal and the lower triangle only, so an
+        # asymmetric state is read as its lower triangle: no cell may move
+        rng = np.random.default_rng(31)
+        for params, cov in list(_kernel_points())[:4]:
+            skewed = cov + np.triu(rng.uniform(-0.3, 0.3, cov.shape), 1)
+            assert (evaluate_measures(skewed, params, -1.0).to_record()
+                    == evaluate_measures(cov, params, -1.0).to_record())
+            for pair in ALL_PAIRS:
+                cov4, skewed4 = _gather(cov, pair), _gather(skewed, pair)
+                assert log_negativity(skewed4) == log_negativity(cov4)
+                for mode in (0, 1):
+                    assert gaussian_steering(skewed4, mode) == gaussian_steering(cov4, mode)
+
     def test_nonphysical_block_raises_physicality_error(self):
         cov = 0.5 * np.eye(10)
         cov[2:4, 2:4] = 0.3 * np.eye(2)

@@ -49,6 +49,18 @@ class TestThermalOccupancy:
         with pytest.raises(DomainError, match="finite"):
             thermal_occupancy(omega, temperature)
 
+    @pytest.mark.parametrize("omega, temperature", [
+        (1e9, True), (True, 0.01), ("1e9", 0.01), (1e9, "0.01"), (None, 0.01), (1e9, None),
+    ], ids=["bool-temperature", "bool-omega", "text-omega", "text-temperature",
+            "none-omega", "none-temperature"])
+    def test_input_that_is_not_a_real_number_is_a_domain_error(self, omega, temperature):
+        with pytest.raises(DomainError, match="finite number"):
+            thermal_occupancy(omega, temperature)
+
+    def test_numpy_scalars_give_the_float_value(self):
+        value = thermal_occupancy(np.float64(TWO_PI * 20.15e6), np.float32(0.01))
+        assert value == thermal_occupancy(TWO_PI * 20.15e6, float(np.float32(0.01)))
+
     @pytest.mark.parametrize("omega, temperature", [(TWO_PI * 20e6, 1e308), (1e-300, 1.0)],
                              ids=["huge-temperature", "tiny-omega"])
     def test_overflowing_occupancy_is_a_domain_error(self, omega, temperature):
