@@ -25,9 +25,6 @@ from .lyapunov import (
     stability_check,
 )
 from .measures import (
-    ALL_PAIRS,
-    DEFAULT_TRIPLES,
-    INDIRECT_PAIRS,
     MeasureReport,
     contrast_ratio,
     evaluate_measures,
@@ -35,22 +32,13 @@ from .measures import (
     log_negativity,
     tmsv_covariance,
 )
-from .meanfield import SteadyAmplitudes, solve_self_consistent
-from .model import (
-    MODE_INDEX,
-    MODE_ORDER,
-    build_diffusion,
-    build_drift,
-    drive_conversions,
-    thermal_occupancy,
-)
+from .meanfield import solve_self_consistent
+from .model import build_diffusion, build_drift, drive_conversions
 from .params import (
     BASELINE_CONFIG,
     DriveParams,
     SystemParams,
     load_config,
-    parse_config,
-    resolve_drive_params,
     resolve_system_params,
 )
 from .presets import PRESETS, get_preset
@@ -69,16 +57,11 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_PAIRS",
     "BASELINE_CONFIG",
     "ConfigError",
     "ConvergenceError",
-    "DEFAULT_TRIPLES",
     "DomainError",
     "DriveParams",
-    "INDIRECT_PAIRS",
-    "MODE_INDEX",
-    "MODE_ORDER",
     "MagnomechError",
     "MeasureReport",
     "PRESETS",
@@ -88,7 +71,6 @@ __all__ = [
     "SolverError",
     "StabilityError",
     "StabilityResult",
-    "SteadyAmplitudes",
     "SweepAxis",
     "SweepSpec",
     "SystemParams",
@@ -104,8 +86,6 @@ __all__ = [
     "integrate_lyapunov",
     "load_config",
     "log_negativity",
-    "parse_config",
-    "resolve_drive_params",
     "resolve_point",
     "resolve_system_params",
     "run_point",
@@ -115,6 +95,5 @@ __all__ = [
     "solve_self_consistent",
     "stability_check",
     "sweep_spec_from_config",
-    "thermal_occupancy",
     "tmsv_covariance",
 ]

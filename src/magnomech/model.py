@@ -16,7 +16,7 @@ import numpy as np
 from scipy.constants import hbar, k as k_B, mu_0, c as c_light
 
 from .errors import DomainError, FloatGuard
-from .params import DriveParams, SystemParams, finite_number
+from .params import DriveParams, SystemParams
 
 MODE_ORDER = ("b1", "b2", "m", "c", "a")
 MODE_INDEX = {name: i for i, name in enumerate(MODE_ORDER)}
@@ -29,25 +29,12 @@ OMEGA = np.kron(np.eye(N_MODES), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 _SQRT2 = math.sqrt(2.0)
 
 
-def thermal_occupancy(omega: float, temperature: float) -> float:
-    """Mean thermal occupation of a mode at angular frequency ``omega``.
-
-    Evaluates the Bose factor 1/(exp(hbar*omega/kB*T) - 1).  Returns
-    exactly 0 at zero temperature (or one so small that kB*T underflows)
-    and underflows to 0 once the exponent exceeds ~700 (where the
-    occupation is below 1e-300 anyway).  Each argument must be a real number
-    (``params.finite_number``: numpy scalars too, a bool not); anything else,
-    a NaN, an infinity or an overflowing occupation is a :class:`DomainError`.
-    """
-    frequency, kelvin = finite_number(omega, ""), finite_number(temperature, "")
-    if frequency is None or not frequency > 0.0:
-        raise DomainError(f"omega must be a finite number > 0, got {omega!r}")
-    if kelvin is None or not kelvin >= 0.0:
-        raise DomainError(f"temperature must be a finite number >= 0, got {temperature!r}")
-    thermal_energy = k_B * kelvin
+def _bose(omega: float, temperature: float) -> float:
+    """The Bose factor of :func:`build_diffusion`, of fields that :class:`SystemParams` checked."""
+    thermal_energy = k_B * temperature
     if thermal_energy == 0.0:
         return 0.0
-    x = hbar * frequency / thermal_energy
+    x = hbar * omega / thermal_energy
     if x > 700.0:
         return 0.0
     if not x or (occupancy := 1.0 / math.expm1(x)) == math.inf:
@@ -114,20 +101,22 @@ def build_diffusion(params: SystemParams) -> np.ndarray:
     """Assemble the diagonal 10x10 diffusion matrix.
 
     Each mode contributes gamma*(2*nbar + 1) on both of its quadratures,
-    with nbar evaluated at the mode's own resonance frequency; the
-    optical entries additionally carry the feedback noise factor.
+    with nbar = 1/(exp(hbar*omega/kB*T) - 1) at the mode's own resonance
+    frequency, read unchecked from the fields :class:`SystemParams` checked;
+    the optical entries additionally carry the feedback noise factor.  nbar
+    is exactly 0 when kB*T is (or underflows to) 0 and once the exponent
+    exceeds 700; an nbar that overflows (at 1e308 K) is a :class:`DomainError`.
     """
     p = params
-    occupations = (
-        thermal_occupancy(p.omega_b1, p.temperature),
-        thermal_occupancy(p.omega_b2, p.temperature),
-        thermal_occupancy(p.omega_m, p.temperature),
-        thermal_occupancy(p.omega_c, p.temperature),
-        thermal_occupancy(p.omega_a, p.temperature),
+    rates = (
+        (p.gamma_b1, _bose(p.omega_b1, p.temperature)),
+        (p.gamma_b2, _bose(p.omega_b2, p.temperature)),
+        (p.gamma_m, _bose(p.omega_m, p.temperature)),
+        (p.gamma_c * p.fb_noise_factor, _bose(p.omega_c, p.temperature)),
+        (p.gamma_a, _bose(p.omega_a, p.temperature)),
     )
-    rates = (p.gamma_b1, p.gamma_b2, p.gamma_m, p.gamma_c * p.fb_noise_factor, p.gamma_a)
     diag = np.empty(2 * N_MODES)
-    for i, (gamma, nbar) in enumerate(zip(rates, occupations)):
+    for i, (gamma, nbar) in enumerate(rates):
         diag[2 * i] = diag[2 * i + 1] = gamma * (2.0 * nbar + 1.0)
     return np.diag(diag)
 

@@ -46,6 +46,10 @@ class SystemParams:
     ``temperature`` the bath temperature in K; ``lambda_c`` the optical
     resonance wavelength in metres.
 
+    However it is built (``dataclasses.replace`` too), every field passes
+    :func:`finite_number`, is stored as a float and meets the domain checks
+    below (``omega_c`` must not overflow), else a :class:`DomainError` names it.
+
     The baselines form the operating point used throughout: both
     electromagnetic modes at 10 GHz, mechanical modes near 20 MHz,
     effective couplings quoted directly, magnon drive at delta_m_tilde =
@@ -77,16 +81,18 @@ class SystemParams:
     lambda_c: float = _key("m", 1550e-9)
 
     def __post_init__(self):
-        for name in ("omega_a", "omega_m", "omega_b1", "omega_b2",
-                     "gamma_a", "gamma_m", "gamma_c", "gamma_b1", "gamma_b2"):
+        _require_real_fields(self)
+        for name in ("omega_a", "omega_m", "omega_b1", "omega_b2", "gamma_a", "gamma_m",
+                     "gamma_c", "gamma_b1", "gamma_b2", "lambda_c"):
             if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be > 0")
+                raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if self.temperature < 0:
-            raise DomainError("temperature must be >= 0")
+            raise DomainError(f"temperature must be >= 0, got {self.temperature!r}")
         if not 0.0 <= self.reflectivity < 1.0:
-            raise DomainError("reflectivity must lie in [0, 1)")
-        if self.lambda_c <= 0:
-            raise DomainError("lambda_c must be > 0")
+            raise DomainError(f"reflectivity must lie in [0, 1), got {self.reflectivity!r}")
+        if self.omega_c == math.inf:
+            raise DomainError(f"lambda_c {self.lambda_c!r} m is too small: "
+                              f"omega_c = 2*pi*c/lambda_c overflows")
 
     @property
     def psi_sq(self) -> float:
@@ -128,7 +134,8 @@ class DriveParams:
     ``rabi`` and ``laser_coupling`` are the magnon and optical drive
     amplitudes (rad/s); either may be supplied directly or derived from
     the laboratory quantities below via :func:`magnomech.model.drive_conversions`.
-    ``gyromagnetic_ratio`` is in rad/s per tesla.
+    ``gyromagnetic_ratio`` is in rad/s per tesla.  Fields are checked as in
+    :class:`SystemParams`; the powers and ``spin_count`` must be >= 0.
     """
 
     rabi: float = _key("hz", default=0.0)
@@ -144,9 +151,24 @@ class DriveParams:
     drive_freq_2: float = _key("hz", default=0.0)
 
     def __post_init__(self):
+        _require_real_fields(self)
         for name in ("drive_power", "laser_power", "spin_count"):
             if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
+                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+
+
+def _require_real_fields(params) -> None:
+    """The one field rule of both parameter types: every field of ``params`` through
+    :func:`finite_number` (unit-free, so nothing is rescaled), stored as its float."""
+    for name, value in vars(params).items():
+        # finite_number returns a finite float unchanged, and calling it on
+        # every field regardless doubles the cost of building a SystemParams
+        if type(value) is float and math.isfinite(value):
+            continue
+        number = finite_number(value, "")
+        if number is None:
+            raise DomainError(f"{name} must be a finite real number, got {value!r}")
+        object.__setattr__(params, name, number)  # replaces a value, so the iteration holds
 
 
 #: Config keys of :class:`SystemParams` and :class:`DriveParams`: name -> unit tag.

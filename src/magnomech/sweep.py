@@ -47,6 +47,9 @@ _CONTROL_KEYS = (
     "nonreciprocity", "measures", "coupling_mode",
 )
 
+#: The longest float array numpy can index: one more element and its size in bytes overflows intp.
+_MAX_COUNT = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 _FROM_CONFIG = object()  # split_config's default coupling_mode: the config's, else direct
 
 
@@ -72,6 +75,9 @@ class SweepAxis:
             raise ConfigError(f"axis {self.name!r} count must be a whole number, got {count!r}")
         if count < 2:
             raise ConfigError(f"axis {self.name!r} needs count >= 2")
+        if count > _MAX_COUNT:  # values() would raise a bare ValueError
+            raise ConfigError(f"axis {self.name!r} count {count!r} exceeds {_MAX_COUNT}, "
+                              f"the longest float array numpy can index")
         object.__setattr__(self, "count", int(count))
 
     def values(self) -> np.ndarray:

@@ -6,11 +6,6 @@ import numpy as np
 import pytest
 
 from magnomech import (
-    ALL_PAIRS,
-    DEFAULT_TRIPLES,
-    INDIRECT_PAIRS,
-    MODE_INDEX,
-    MODE_ORDER,
     DomainError,
     PhysicalityError,
     SolverError,
@@ -26,7 +21,8 @@ from magnomech import (
     tmsv_covariance,
 )
 from magnomech import measures as measures_module
-from magnomech.measures import MEASURE_FAMILIES
+from magnomech.measures import ALL_PAIRS, DEFAULT_TRIPLES, INDIRECT_PAIRS, MEASURE_FAMILIES
+from magnomech.model import MODE_INDEX, MODE_ORDER
 
 
 def _rotation(phi):

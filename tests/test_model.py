@@ -1,83 +1,30 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.constants import hbar, k as k_B
 
 from magnomech import (
     DomainError,
     DriveParams,
-    MODE_ORDER,
     SystemParams,
     build_diffusion,
     build_drift,
     drive_conversions,
     resolve_system_params,
-    thermal_occupancy,
 )
+from magnomech.model import MODE_ORDER
 from magnomech.params import TWO_PI
 
 # Bose occupation at 20.15 MHz / 10 mK, frozen from a 40-digit mpmath
 # evaluation of 1/(exp(hbar*omega/kB*T) - 1) with CODATA constants.
 N_B1_10MK = 9.8488113869018049
 
-
-class TestThermalOccupancy:
-    def test_mechanical_mode_at_10mk(self):
-        n = thermal_occupancy(TWO_PI * 20.15e6, 0.010)
-        assert n == pytest.approx(N_B1_10MK, rel=1e-8)
-
-    def test_gigahertz_mode_is_frozen_out(self):
-        # exponent ~ 48, occupation ~ 1.4e-21
-        assert thermal_occupancy(TWO_PI * 10e9, 0.010) < 1e-20
-
-    def test_zero_temperature_is_exact_zero(self):
-        assert thermal_occupancy(TWO_PI * 1e6, 0.0) == 0.0
-
-    @pytest.mark.parametrize("temperature", [5e-324, 1e-310])
-    def test_subnormal_temperature_is_exact_zero(self, temperature):
-        # kB*T underflows to 0 here; the occupation must not divide by it
-        assert thermal_occupancy(TWO_PI * 1e6, temperature) == 0.0
-
-    def test_no_overflow_at_huge_exponent(self):
-        # hbar*omega/kB*T around 1e6: must underflow to 0, not raise
-        assert thermal_occupancy(2 * math.pi * 200e12, 0.010) == 0.0
-
-    @pytest.mark.parametrize("omega, temperature", [
-        (TWO_PI * 20e6, math.nan), (math.nan, 0.01), (TWO_PI * 20e6, math.inf), (math.inf, 0.01),
-    ], ids=["nan-temperature", "nan-omega", "inf-temperature", "inf-omega"])
-    def test_non_finite_input_is_a_domain_error(self, omega, temperature):
-        with pytest.raises(DomainError, match="finite"):
-            thermal_occupancy(omega, temperature)
-
-    @pytest.mark.parametrize("omega, temperature", [
-        (1e9, True), (True, 0.01), ("1e9", 0.01), (1e9, "0.01"), (None, 0.01), (1e9, None),
-    ], ids=["bool-temperature", "bool-omega", "text-omega", "text-temperature",
-            "none-omega", "none-temperature"])
-    def test_input_that_is_not_a_real_number_is_a_domain_error(self, omega, temperature):
-        with pytest.raises(DomainError, match="finite number"):
-            thermal_occupancy(omega, temperature)
-
-    def test_numpy_scalars_give_the_float_value(self):
-        value = thermal_occupancy(np.float64(TWO_PI * 20.15e6), np.float32(0.01))
-        assert value == thermal_occupancy(TWO_PI * 20.15e6, float(np.float32(0.01)))
-
-    @pytest.mark.parametrize("omega, temperature", [(TWO_PI * 20e6, 1e308), (1e-300, 1.0)],
-                             ids=["huge-temperature", "tiny-omega"])
-    def test_overflowing_occupancy_is_a_domain_error(self, omega, temperature):
-        with pytest.raises(DomainError, match="overflows"):
-            thermal_occupancy(omega, temperature)
-
-    def test_monotone_in_temperature(self):
-        omega = TWO_PI * 20e6
-        temps = [0.001, 0.01, 0.1, 1.0]
-        values = [thermal_occupancy(omega, t) for t in temps]
-        assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_nonpositive_frequency_rejected(self):
-        with pytest.raises(DomainError):
-            thermal_occupancy(0.0, 0.01)
-        with pytest.raises(DomainError):
-            thermal_occupancy(-1.0, 0.01)
+SYSTEM_FIELDS = [f.name for f in dataclasses.fields(SystemParams)]
+DRIVE_FIELDS = [f.name for f in dataclasses.fields(DriveParams)]
+POSITIVE_FIELDS = ["omega_a", "omega_m", "omega_b1", "omega_b2", "gamma_a", "gamma_m",
+                   "gamma_c", "gamma_b1", "gamma_b2", "lambda_c"]
 
 
 def _feedback_rates(reflectivity, theta):
@@ -133,8 +80,6 @@ def test_drift_decoupled_spectrum():
 
 
 def test_drift_barnett_antisymmetry(baseline):
-    import dataclasses
-
     shift = 0.2 * baseline.omega_b1
     plus = build_drift(dataclasses.replace(baseline, barnett_shift=+shift))
     minus = build_drift(dataclasses.replace(baseline, barnett_shift=-shift))
@@ -147,8 +92,6 @@ def test_drift_barnett_antisymmetry(baseline):
 
 
 def test_drift_feedback_identity(baseline):
-    import dataclasses
-
     with_loop = dataclasses.replace(baseline, reflectivity=0.0, theta=1.3)
     assert np.array_equal(build_drift(with_loop), build_drift(baseline))
     assert np.array_equal(build_diffusion(with_loop), build_diffusion(baseline))
@@ -169,8 +112,10 @@ def test_drift_determinism(baseline):
 
 
 class TestDiffusion:
-    def test_cold_no_feedback(self):
-        p = resolve_system_params({"temperature": 0.0})
+    # kB*T underflows to 0 at a subnormal temperature; nbar must not divide by it
+    @pytest.mark.parametrize("temperature", [0.0, 5e-324, 1e-310])
+    def test_cold_no_feedback(self, temperature):
+        p = resolve_system_params({"temperature": temperature})
         diag = np.diag(build_diffusion(p))
         expected = [p.gamma_b1] * 2 + [p.gamma_b2] * 2 + [p.gamma_m] * 2
         expected += [p.gamma_c] * 2 + [p.gamma_a] * 2
@@ -191,10 +136,28 @@ class TestDiffusion:
         assert diag[0] == pytest.approx(
             baseline.gamma_b1 * (2 * N_B1_10MK + 1), rel=1e-8
         )
-        # electromagnetic modes are frozen out at 10 mK
-        for k in (4, 6, 8):
-            gamma = (baseline.gamma_m, None, baseline.gamma_c, None, baseline.gamma_a)[k - 4]
-            assert diag[k] == pytest.approx(gamma, rel=1e-15)
+        # electromagnetic modes are frozen out at 10 mK: nbar ~ 1.4e-21 at
+        # 10 GHz, and the optical exponent (~1e6) is past 700, where nbar is 0
+        assert diag[4] == baseline.gamma_m and diag[8] == baseline.gamma_a
+        assert hbar * baseline.omega_c / (k_B * baseline.temperature) > 700
+        assert diag[6] == baseline.gamma_c * baseline.fb_noise_factor
+
+    def test_monotone_in_temperature(self, baseline):
+        loads = [build_diffusion(dataclasses.replace(baseline, temperature=t))[0, 0]
+                 for t in (0.001, 0.01, 0.1, 1.0)]
+        assert all(a < b for a, b in zip(loads, loads[1:]))
+
+    def test_numpy_scalar_temperature_gives_the_float_value(self, baseline):
+        single = dataclasses.replace(baseline, temperature=np.float32(0.01))
+        double = dataclasses.replace(baseline, temperature=float(np.float32(0.01)))
+        assert np.array_equal(build_diffusion(single), build_diffusion(double))
+
+    @pytest.mark.parametrize("changes", [{"temperature": 1e308},
+                                         {"omega_b1": 1e-300, "temperature": 1.0}],
+                             ids=["huge-temperature", "tiny-omega"])
+    def test_overflowing_occupancy_is_a_domain_error(self, baseline, changes):
+        with pytest.raises(DomainError, match="overflows"):
+            build_diffusion(dataclasses.replace(baseline, **changes))
 
     def test_positivity_for_random_valid_params(self, rng):
         for _ in range(25):
@@ -261,6 +224,33 @@ class TestSystemParams:
             resolve_system_params({"reflectivity": -0.1})
         with pytest.raises(DomainError):
             resolve_system_params({"temperature": -0.1})
+
+    @pytest.mark.parametrize("value", [True, "x", None, 1j, math.nan, math.inf],
+                             ids=["bool", "text", "none", "complex", "nan", "inf"])
+    @pytest.mark.parametrize("name", SYSTEM_FIELDS + DRIVE_FIELDS)
+    def test_field_that_is_not_a_finite_real_number_is_a_domain_error(self, baseline, name, value):
+        params = baseline if name in SYSTEM_FIELDS else DriveParams()
+        with pytest.raises(DomainError, match=rf"^{name} must be a finite real number, got "):
+            dataclasses.replace(params, **{name: value})
+
+    def test_int_and_numpy_fields_are_stored_as_floats(self, baseline):
+        params = dataclasses.replace(baseline, temperature=1, theta=np.float32(0.5))
+        drives = DriveParams(spin_count=10**16, drive_power=np.float32(4e-3))
+        for value, expected in ((params.temperature, 1.0), (params.theta, 0.5),
+                                (drives.spin_count, 1e16),
+                                (drives.drive_power, float(np.float32(4e-3)))):
+            assert type(value) is float and value == expected
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("name", POSITIVE_FIELDS)
+    def test_nonpositive_field_is_a_domain_error(self, baseline, name, value):
+        with pytest.raises(DomainError, match=rf"^{name} must be > 0, got "):
+            dataclasses.replace(baseline, **{name: value})
+
+    def test_lambda_c_whose_omega_c_overflows_is_a_domain_error(self, baseline):
+        assert math.isfinite(dataclasses.replace(baseline, lambda_c=1.1e-299).omega_c)
+        with pytest.raises(DomainError, match=r"^lambda_c 1e-300 m is too small"):
+            dataclasses.replace(baseline, lambda_c=1e-300)
 
     def test_mode_order_is_fixed(self):
         assert MODE_ORDER == ("b1", "b2", "m", "c", "a")

@@ -1,7 +1,10 @@
 """The table comparison of ``tools/preset_diff.py``, on hand-built tables."""
 
 import importlib.util
+import math
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "preset_diff.py"
 _SPEC = importlib.util.spec_from_file_location("preset_diff", _PATH)
@@ -36,6 +39,19 @@ def test_a_move_within_tolerance_is_reported_as_the_largest_one():
     problems, largest = preset_diff.compare(rows, _table())
     assert problems == []
     assert 4e-11 < largest < 6e-11
+
+
+@pytest.mark.parametrize("new, old, problem", [
+    (math.nan, math.nan, None),
+    (math.nan, 0.25, "row 0 E_b1b2: 0.25 -> nan (moved inf)"),
+    (0.25, math.nan, "row 0 E_b1b2: nan -> 0.25 (moved inf)"),
+    (None, 0.25, "row 0 E_b1b2: 0.25 -> None"),
+    (0.25, None, "row 0 E_b1b2: None -> 0.25"),
+], ids=["nan-nan", "nan-for-number", "number-for-nan", "none-for-number", "number-for-none"])
+def test_nan_and_none_cells(new, old, problem):
+    rows, reference = _table(), _table()
+    rows[0]["E_b1b2"], reference[0]["E_b1b2"] = new, old
+    assert preset_diff.compare(rows, reference) == ([problem] if problem else [], 0.0)
 
 
 def test_a_flipped_status_is_a_difference():

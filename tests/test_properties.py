@@ -13,9 +13,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from magnomech import (
-    ALL_PAIRS,
-    INDIRECT_PAIRS,
-    MODE_INDEX,
     build_diffusion,
     build_drift,
     evaluate_measures,
@@ -25,7 +22,15 @@ from magnomech import (
     stability_check,
 )
 from magnomech.lyapunov import RESIDUAL_TOL
-from magnomech.measures import _PAIR_FORM, _det_factor, _kernel, _pair_moduli
+from magnomech.measures import (
+    ALL_PAIRS,
+    INDIRECT_PAIRS,
+    _PAIR_FORM,
+    _det_factor,
+    _kernel,
+    _pair_moduli,
+)
+from magnomech.model import MODE_INDEX
 
 W_B1, W_B2 = 20.15e6, 20.11e6
 

@@ -19,8 +19,6 @@ from magnomech import (
     SweepAxis,
     SweepSpec,
     emit,
-    parse_config,
-    resolve_drive_params,
     resolve_system_params,
     run_point,
     run_sweep,
@@ -29,7 +27,15 @@ from magnomech import (
 from magnomech import sweep as sweep_module
 from magnomech.cli import main as cli_main
 from magnomech.sweep import resolve_point
-from magnomech.params import BASELINE_CONFIG, DRIVE_KEYS, SYSTEM_KEYS, TWO_PI, echo_config
+from magnomech.params import (
+    BASELINE_CONFIG,
+    DRIVE_KEYS,
+    SYSTEM_KEYS,
+    TWO_PI,
+    echo_config,
+    parse_config,
+    resolve_drive_params,
+)
 
 RESOLVERS = ((resolve_system_params, SYSTEM_KEYS), (resolve_drive_params, DRIVE_KEYS))
 
@@ -115,6 +121,12 @@ class TestConfigParsing:
     @pytest.mark.parametrize("count", [2.5, math.inf, math.nan, True, "3", 10**400])
     def test_direct_axis_count_must_be_whole(self, count):
         with pytest.raises(ConfigError, match="count"):
+            SweepAxis("temperature", 0, 1, count)
+
+    @pytest.mark.parametrize("count", [1e300, 2**62, 2**60], ids=["1e300", "2**62", "2**60"])
+    def test_direct_axis_count_beyond_numpy_is_a_config_error(self, count):
+        # 2**60 is the first count whose float array numpy cannot index
+        with pytest.raises(ConfigError, match="'temperature' count .* numpy can index"):
             SweepAxis("temperature", 0, 1, count)
 
     @pytest.mark.parametrize("bound", ["abc", None, True, math.nan, math.inf, -math.inf, 10**400])
@@ -717,18 +729,28 @@ class TestCli:
         assert cli_main(["point", "--config", str(cfg)]) == 1
         assert "bogus_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        "reflectivity = 1.5\n",
-        "gamma_a = -1\n",
-        "coupling_mode = meanfield\nlaser_power = 0.03\n",
-    ], ids=["reflectivity", "negative-damping", "meanfield-without-drive-freq-2"])
-    def test_value_outside_its_domain_exit_code(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, named", [
+        ("reflectivity = 1.5\n", "reflectivity"),
+        ("gamma_a = -1\n", "gamma_a"),
+        ("coupling_mode = meanfield\nlaser_power = 0.03\n", "drive_freq_2"),
+        ("lambda_c = 1e-300\n", "lambda_c"),
+    ], ids=["reflectivity", "negative-damping", "meanfield-without-drive-freq-2",
+            "lambda-c-whose-omega-c-overflows"])
+    def test_value_outside_its_domain_exit_code(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "domain.cfg"
         cfg.write_text(text)
         out = tmp_path / "report.json"
         assert cli_main(["point", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["1e300", "4611686018427387904"], ids=["1e300", "2**62"])
+    def test_axis_count_beyond_numpy_exit_code(self, tmp_path, capsys, count):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"axis1 = temperature\naxis1_start = 0\naxis1_stop = 1\naxis1_count = {count}\n")
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: axis1: axis 'temperature' count ")
 
     def test_unknown_coupling_mode_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
