@@ -121,7 +121,7 @@ def build_diffusion(params: SystemParams) -> np.ndarray:
     return np.diag(diag)
 
 
-def drive_conversions(drives: DriveParams, gamma_c: float) -> DriveParams:
+def drive_conversions(drives: DriveParams, params: SystemParams) -> DriveParams:
     """``drives`` with its amplitudes ``rabi`` and ``laser_coupling`` completed.
 
     Each amplitude that is 0 is derived from the laboratory quantities when
@@ -130,8 +130,9 @@ def drive_conversions(drives: DriveParams, gamma_c: float) -> DriveParams:
     else the field (1/R)*sqrt(2*P0*mu0/(pi*c)) of ``drive_power``: the one
     conversion that needs ``sphere_radius``.  The optical amplitude is
     sqrt(2*gamma_c*P_L/(hbar*omega_laser)), with ``gamma_c`` the optical
-    damping of :class:`SystemParams`.  An overflow or a division by zero (at
-    ``drive_freq_2 = 1e-300``, say) is a :class:`SolverError`.
+    damping of ``params``, which its type keeps finite and > 0.  An overflow
+    or a division by zero (at ``drive_freq_2 = 1e-300``, say) is a
+    :class:`SolverError`.
     """
     d = drives
     rabi, laser_coupling = d.rabi, d.laser_coupling
@@ -146,5 +147,5 @@ def drive_conversions(drives: DriveParams, gamma_c: float) -> DriveParams:
         if laser_coupling == 0 and d.laser_power > 0:
             if d.drive_freq_2 <= 0:
                 raise DomainError("drive_freq_2 must be > 0 when laser_power > 0")
-            laser_coupling = math.sqrt(2.0 * gamma_c * d.laser_power / (hbar * d.drive_freq_2))
+            laser_coupling = math.sqrt(2.0 * params.gamma_c * d.laser_power / (hbar * d.drive_freq_2))
     return dataclasses.replace(d, rabi=rabi, laser_coupling=laser_coupling)

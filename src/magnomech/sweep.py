@@ -208,7 +208,7 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     params = resolve_system_params(system)
     if coupling_mode == "direct":
         return params
-    drives = drive_conversions(resolve_drive_params(drive), params.gamma_c)
+    drives = drive_conversions(resolve_drive_params(drive), params)
     amplitudes = solve_self_consistent(params, drives)
     return dataclasses.replace(
         params,
@@ -221,7 +221,10 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
 
 def evaluate_point(params: SystemParams, measures=MEASURE_FAMILIES) -> MeasureReport:
     """Gate on stability, solve for the covariance, evaluate measures; the solve and
-    the measures turn a floating-point overflow (at 1e100 K, say) into a :class:`SolverError`."""
+    the measures turn a floating-point overflow (at 1e100 K, say) into a :class:`SolverError`.
+
+    Unknown ``measures`` are a :class:`ConfigError`, on a point the gate rejects too."""
+    require_families(measures)
     drift = build_drift(params)
     gate = stability_check(drift)
     if not gate.stable:

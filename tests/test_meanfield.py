@@ -63,7 +63,7 @@ def drives(params):
         bare_D_mb1=TWO_PI * 0.1,
         bare_D_cb2=TWO_PI * 100.0,
     )
-    return drive_conversions(raw, params.gamma_c)
+    return drive_conversions(raw, params)
 
 
 def test_undriven_system_is_dark(params):
@@ -168,7 +168,7 @@ def test_drive_field_sets_the_rabi_rate_however_the_laser_is_given(params):
         "bare_D_mb1": 0.1, "bare_D_cb2": 100, "sphere_radius": 100e-6, "drive_field": 1e-6,
     }
     laser = {"laser_power": 30e-3, "drive_freq_2": 1.934e14}
-    laser_coupling = drive_conversions(resolve_drive_params(laser), params.gamma_c).laser_coupling
+    laser_coupling = drive_conversions(resolve_drive_params(laser), params).laser_coupling
     from_power = run_point({**config, **laser}).params.G_m
     from_coupling = run_point({**config, "laser_coupling": laser_coupling / TWO_PI}).params.G_m
     assert from_power > 0
@@ -336,7 +336,7 @@ def _meanfield_point(delta_m_tilde, delta_c_tilde):
     params = resolve_system_params(
         {**system, "delta_m_tilde": delta_m_tilde, "delta_c_tilde": delta_c_tilde}
     )
-    return params, drive_conversions(resolve_drive_params(drive), params.gamma_c)
+    return params, drive_conversions(resolve_drive_params(drive), params)
 
 
 def _meanfield_cases():

@@ -512,9 +512,14 @@ class TestTypedInputs:
                              ids=["bare-string", "unknown-name", "not-a-name"])
     def test_measure_families_outside_the_list_are_a_config_error(self, baseline, baseline_cov,
                                                                  measures):
-        from magnomech import ConfigError, SweepAxis, SweepSpec
+        from magnomech import ConfigError, SweepAxis, SweepSpec, evaluate_point
 
         with pytest.raises(ConfigError, match="measures"):
             evaluate_measures(baseline_cov, baseline, -1.0, measures)
+        # the gate rejects the second point: measures are checked before it
+        unstable = resolve_system_params({"reflectivity": 0.9, "theta": 0.0})
+        for params in (baseline, unstable):
+            with pytest.raises(ConfigError, match="measures"):
+                evaluate_point(params, measures)
         with pytest.raises(ConfigError, match="measures"):
             SweepSpec(SweepAxis("temperature", 0, 1, 2), measures=measures)

@@ -1,6 +1,8 @@
-"""The table comparison of ``tools/preset_diff.py``, on hand-built tables."""
+"""The table comparison, the worker-count identity check and the failed-run report of
+``tools/preset_diff.py``, on hand-built tables and without git."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -70,3 +72,30 @@ def test_a_changed_header_is_a_difference():
 def test_a_changed_row_count_is_a_difference():
     problems, _ = preset_diff.compare(_table()[:1], _table())
     assert problems == ["row count 2 -> 1"]
+
+
+@pytest.mark.parametrize("first, problem", [
+    (b'  "E_b1b2": 0.25,\n', None),
+    (b'  "E_b1b2": 0.35,\n', """workers 1 and 2 differ from line 6: b'  "E_b1b2": 0.35,\\n' -> """
+                             """b'  "E_b1b2": 0.25,\\n'"""),
+], ids=["identical", "one-byte"])
+def test_worker_count_outputs_must_be_byte_identical(capsys, first, problem):
+    text = (json.dumps(_table(), indent=1) + "\n").encode()
+    outputs = [text.replace(b'  "E_b1b2": 0.25,\n', first), text]
+    assert preset_diff.report("temperature-fb", outputs, text) is bool(problem)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"temperature-fb: {int(bool(problem))} differences, largest move within "
+                        f"1e-10 0.000e+00, workers 1 and 2 {'differ' if problem else 'byte-identical'}")
+    assert lines[1:] == ([f"  {problem}"] if problem else [])
+
+
+def test_a_failed_run_prints_its_command_and_stderr(tmp_path, capsys):
+    # a package without its CLI: found before any installed copy, as REV's is
+    (tmp_path / "magnomech").mkdir()
+    (tmp_path / "magnomech" / "__init__.py").write_text("")
+    with pytest.raises(SystemExit) as exit_:
+        preset_diff._cli(tmp_path, "presets")
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"PYTHONPATH={tmp_path} " in err and "-m magnomech.cli presets exited 1:" in err
+    assert "No module named magnomech.cli" in err

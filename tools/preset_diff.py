@@ -1,25 +1,42 @@
-"""Compare every shipped preset's output between the working tree and a git revision.
+"""Check every shipped preset's output: byte-identical across worker counts, and
+equal to a git revision's.
 
 Usage::
 
     python tools/preset_diff.py REV
 
 REV's ``src/`` is extracted with ``git archive`` into a temporary directory.
-Each preset then runs as JSON through ``python -m magnomech.cli`` at
-``os.cpu_count()`` workers, once on the working tree's ``src/`` and once on
-REV's.  Per preset the script prints every cell that moved beyond
-:data:`TOL` (absolute, or relative to REV's value where that exceeds 1),
-the largest move within it, every changed status cell (``stable*``,
-``reason``, ``physical*``) and any change of header, row count or preset
-list.  It exits 1 if anything differs beyond tolerance, else 0.
+Each preset then runs as JSON through ``python -m magnomech.cli`` three times:
+on the working tree's ``src/`` at each of :data:`WORKERS`, and on REV's at the
+last of them.  Per preset the script prints the first differing line if the
+working tree's two outputs are not byte-identical, and against REV every
+cell that moved beyond :data:`TOL` (absolute, or relative to REV's value
+where that exceeds 1), the largest move within it, every changed status cell
+(``stable*``, ``reason``, ``physical*``) and any change of header, row count
+or preset list.  It exits 1 if anything differs, 2 if a run fails (its
+command and stderr are printed) or REV cannot be read, else 0.  The runs
+inherit the environment, so ``PYTHONWARNINGS=error::RuntimeWarning`` makes a
+floating-point warning in any of them a failed run.
+
+Byte-identical JSON implies byte-identical CSV, so CSV is not run.  A CSV
+line is a function of each cell's value and type alone (``sweep._line_template``:
+None is empty, a float is ``%.12e``, a bool is ``true``/``false``, anything
+else ``str()``), and the JSON text fixes both: ``null``, ``true``/``false``
+and quoted strings are distinct literals, a float is written by ``repr``
+(so ``1.0`` is not ``1``, and the value round-trips), and a numpy int or
+bool is not serializable, so it fails the run instead.  A preset has rows,
+so the keys of its first object fix the CSV header, and the array fixes the
+row order.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tarfile
@@ -30,6 +47,10 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: Agreement required of every numeric cell, absolute or relative.
 TOL = 1e-10
+
+#: The worker counts at which the working tree's outputs must be byte-identical;
+#: REV runs at the last.
+WORKERS = (1, 2)
 
 
 def _is_status(column: str) -> bool:
@@ -85,21 +106,57 @@ def compare(rows: list, reference: list) -> tuple:
     return problems, largest
 
 
+def _first_difference(text: bytes, reference: bytes) -> str:
+    """The first line where the output at the last of :data:`WORKERS` (``text``)
+    differs from the one at the first (``reference``), as a problem line; '' if
+    they are byte-identical."""
+    if text == reference:
+        return ""
+    lines = itertools.zip_longest(reference.splitlines(keepends=True), text.splitlines(keepends=True))
+    index, (old, new) = next((i, pair) for i, pair in enumerate(lines) if pair[0] != pair[1])
+    return f"workers {WORKERS[0]} and {WORKERS[-1]} differ from line {index + 1}: {old!r} -> {new!r}"
+
+
+def report(name: str, outputs: list, reference: bytes) -> bool:
+    """Print preset ``name``'s differences and return whether there are any.
+
+    ``outputs`` are the working tree's JSON texts at :data:`WORKERS`, ``reference``
+    REV's; the cells compared are those of the last output.
+    """
+    problems, largest = compare(json.loads(outputs[-1]), json.loads(reference))
+    identity = _first_difference(outputs[-1], outputs[0])
+    if identity:
+        problems.insert(0, identity)
+    print(f"{name}: {len(problems)} differences, largest move within {TOL:g} {largest:.3e}, "
+          f"workers {WORKERS[0]} and {WORKERS[-1]} {'differ' if identity else 'byte-identical'}")
+    for problem in problems:
+        print(f"  {problem}")
+    return bool(problems)
+
+
 def _cli(src: Path, *args: str) -> str:
-    """Run ``python -m magnomech.cli`` on the package under ``src`` and return its stdout."""
-    return subprocess.run([sys.executable, "-m", "magnomech.cli", *args], check=True,
-                          capture_output=True, text=True, cwd=src,
-                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    """Run ``python -m magnomech.cli`` on the package under ``src`` and return its stdout.
+
+    A failed run prints its command and stderr and exits 2.
+    """
+    command = [sys.executable, "-m", "magnomech.cli", *args]
+    run = subprocess.run(command, capture_output=True, text=True, cwd=src,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    if run.returncode != 0:
+        print(f"PYTHONPATH={src} {shlex.join(command)} exited {run.returncode}:\n"
+              f"{run.stderr.rstrip()}", file=sys.stderr)
+        sys.exit(2)
+    return run.stdout
 
 
 def _preset_names(src: Path) -> list:
     return [line.split()[0] for line in _cli(src, "presets").splitlines() if line.strip()]
 
 
-def _run_preset(src: Path, name: str, out: Path) -> list:
-    _cli(src, "presets", "--preset", name, "--format", "json",
-         "--workers", str(os.cpu_count() or 1), "--out", str(out))
-    return json.loads(out.read_text(encoding="utf-8"))
+def _run_preset(src: Path, name: str, workers: int, out: Path) -> bytes:
+    _cli(src, "presets", "--preset", name, "--format", "json", "--workers", str(workers),
+         "--out", str(out))
+    return out.read_bytes()
 
 
 def main(argv: list) -> int:
@@ -127,13 +184,10 @@ def main(argv: list) -> int:
                 print(f"{name}: only in the working tree")
         different = set(new_names) != set(old_names)
         for name in (n for n in new_names if n in old_names):
-            problems, largest = compare(_run_preset(new_src, name, tmp / "new.json"),
-                                        _run_preset(old_src, name, tmp / "old.json"))
-            print(f"{name}: {len(problems)} differences beyond {TOL:g}, "
-                  f"largest move within it {largest:.3e}")
-            for problem in problems:
-                print(f"  {problem}")
-            different = different or bool(problems)
+            outputs = [_run_preset(new_src, name, workers, tmp / f"new.w{workers}.json")
+                       for workers in WORKERS]
+            reference = _run_preset(old_src, name, WORKERS[-1], tmp / "old.json")
+            different = report(name, outputs, reference) or different
     return 1 if different else 0
 
 
