@@ -33,7 +33,7 @@ from .measures import (
     tmsv_covariance,
 )
 from .meanfield import solve_self_consistent
-from .model import build_diffusion, build_drift, drive_conversions
+from .model import build_diffusion, build_drift
 from .params import (
     BASELINE_CONFIG,
     DriveParams,
@@ -77,7 +77,6 @@ __all__ = [
     "build_diffusion",
     "build_drift",
     "contrast_ratio",
-    "drive_conversions",
     "emit",
     "evaluate_measures",
     "evaluate_point",

@@ -1,11 +1,12 @@
 """Classical steady-state amplitudes and the effective couplings they set.
 
-The strong magnon and optical drives produce large coherent amplitudes;
-these fix the effective magno- and optomechanical couplings that enter
-the linearized drift matrix, and the mechanical displacements shift the
-drive detunings.  The closed-form amplitude expressions and the
-displacement shifts couple to each other, so the full solution is a
-small fixed-point iteration over the two real displacements.
+The strong magnon and optical drives (amplitudes given, or derived from
+the drive block's laboratory quantities) produce large coherent
+amplitudes; these fix the effective magno- and optomechanical couplings
+that enter the linearized drift matrix, and the mechanical displacements
+shift the drive detunings.  The closed-form amplitude expressions and the
+displacement shifts couple to each other, so the full solution is a small
+fixed-point iteration over the two real displacements.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, FloatGuard, SingularPointError
+from scipy.constants import hbar, mu_0, c as c_light
+
+from .errors import ConvergenceError, DomainError, FloatGuard, SingularPointError
 from .params import DriveParams, SystemParams
 
 _SQRT2 = math.sqrt(2.0)
@@ -51,6 +54,28 @@ class SteadyAmplitudes:
     iterations: int = 0
 
 
+def _drive_amplitudes(params: SystemParams, drives: DriveParams) -> tuple:
+    """``(rabi, laser_coupling)`` of ``drives``: one given is kept, one that is 0 is derived
+    when its laboratory quantity is positive.  The Rabi rate is (sqrt(5)/4)*gyro*sqrt(N)*H_d,
+    H_d a positive ``drive_field``, else the field (1/R)*sqrt(2*P0*mu0/(pi*c)) of ``drive_power``;
+    the optical one is sqrt(2*gamma_c*P_L/(hbar*omega_laser)).  A ``sphere_radius`` or
+    ``drive_freq_2`` that a conversion needs and that is not > 0 is a :class:`DomainError`."""
+    d = drives
+    rabi, laser_coupling = d.rabi, d.laser_coupling
+    if rabi == 0 and (d.drive_field > 0 or d.drive_power > 0):
+        field = d.drive_field
+        if field <= 0:
+            if d.sphere_radius <= 0:
+                raise DomainError("sphere_radius must be > 0 to convert drive_power")
+            field = math.sqrt(2.0 * d.drive_power * mu_0 / (math.pi * c_light)) / d.sphere_radius
+        rabi = (math.sqrt(5.0) / 4.0) * d.gyromagnetic_ratio * math.sqrt(d.spin_count) * field
+    if laser_coupling == 0 and d.laser_power > 0:
+        if d.drive_freq_2 <= 0:
+            raise DomainError("drive_freq_2 must be > 0 when laser_power > 0")
+        laser_coupling = math.sqrt(2.0 * params.gamma_c * d.laser_power / (hbar * d.drive_freq_2))
+    return rabi, laser_coupling
+
+
 def _amplitude_map(params: SystemParams, drives: DriveParams):
     """Closed-form amplitudes as a function of the two effective detunings.
 
@@ -66,8 +91,9 @@ def _amplitude_map(params: SystemParams, drives: DriveParams):
     the caller's guard turns into a :class:`SolverError`.
     """
     p, d = params, drives
+    rabi, laser_coupling = _drive_amplitudes(p, d)
     microwave_load = p.D_ma**2 / (1j * p.delta_a + p.gamma_a)
-    optical_drive = p.psi * d.laser_coupling
+    optical_drive = p.psi * laser_coupling
     z1 = 1j * p.gamma_b1 - p.omega_b1
     z2 = 1j * p.gamma_b2 - p.omega_b2
     den_b = p.D_b1b2**2 - z1 * z2
@@ -75,7 +101,7 @@ def _amplitude_map(params: SystemParams, drives: DriveParams):
         raise SingularPointError("mechanical amplitude denominator vanishes")
     if not cmath.isfinite(den_b):  # Python's complex product overflows without raising
         raise OverflowError("mechanical amplitude denominator overflows")
-    rabi, gamma_m, gamma_c_fb = d.rabi, p.gamma_m, p.gamma_c_fb
+    gamma_m, gamma_c_fb = p.gamma_m, p.gamma_c_fb
     d_b1b2, d_mb1, d_cb2 = p.D_b1b2, d.bare_D_mb1, d.bare_D_cb2
 
     def step(delta_m_eff: float, delta_c_eff: float):
@@ -101,7 +127,8 @@ def solve_self_consistent(
 ) -> SteadyAmplitudes:
     """Solve the amplitude equations with displacement back-action.
 
-    The mechanical displacements Re<b1>, Re<b2> shift the magnon and
+    ``drives`` may be a raw drive block: :func:`_drive_amplitudes` completes
+    its amplitudes first.  The mechanical displacements Re<b1>, Re<b2> shift the magnon and
     optical detunings, which feed back into the amplitudes.  A damped
     fixed-point iteration on the two displacements runs until the
     relative changes of all four amplitudes (``m``, ``c``, ``b1``,
@@ -118,7 +145,7 @@ def solve_self_consistent(
     step can converge.  The pair is kept for comparison after steps 0,
     1, 2, 4, ... until the gap reaches ``MAX_SAVE_GAP``, then every
     ``MAX_SAVE_GAP`` steps, so a cycle entered late is caught too.  An
-    overflow (at a 1e200 Hz drive, say) is a :class:`SolverError`.
+    overflow or a division by zero (at a 1e200 Hz drive, say) is a :class:`SolverError`.
     """
     with FloatGuard("mean-field solve"):
         delta_m0 = params.delta_m_tilde + params.barnett_shift

@@ -9,14 +9,13 @@ normalization puts the vacuum variance at 1/2.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
-from scipy.constants import hbar, k as k_B, mu_0, c as c_light
+from scipy.constants import hbar, k as k_B
 
-from .errors import DomainError, FloatGuard
-from .params import DriveParams, SystemParams
+from .errors import DomainError
+from .params import SystemParams
 
 MODE_ORDER = ("b1", "b2", "m", "c", "a")
 MODE_INDEX = {name: i for i, name in enumerate(MODE_ORDER)}
@@ -120,32 +119,3 @@ def build_diffusion(params: SystemParams) -> np.ndarray:
         diag[2 * i] = diag[2 * i + 1] = gamma * (2.0 * nbar + 1.0)
     return np.diag(diag)
 
-
-def drive_conversions(drives: DriveParams, params: SystemParams) -> DriveParams:
-    """``drives`` with its amplitudes ``rabi`` and ``laser_coupling`` completed.
-
-    Each amplitude that is 0 is derived from the laboratory quantities when
-    one is given; one given directly is kept.  The Rabi rate is
-    (sqrt(5)/4)*gyro*sqrt(N)*H_d, with H_d a positive ``drive_field`` or
-    else the field (1/R)*sqrt(2*P0*mu0/(pi*c)) of ``drive_power``: the one
-    conversion that needs ``sphere_radius``.  The optical amplitude is
-    sqrt(2*gamma_c*P_L/(hbar*omega_laser)), with ``gamma_c`` the optical
-    damping of ``params``, which its type keeps finite and > 0.  An overflow
-    or a division by zero (at ``drive_freq_2 = 1e-300``, say) is a
-    :class:`SolverError`.
-    """
-    d = drives
-    rabi, laser_coupling = d.rabi, d.laser_coupling
-    with FloatGuard("drive conversion"):
-        if rabi == 0 and (d.drive_field > 0 or d.drive_power > 0):
-            field = d.drive_field
-            if field <= 0:
-                if d.sphere_radius <= 0:
-                    raise DomainError("sphere_radius must be > 0 to convert drive_power")
-                field = math.sqrt(2.0 * d.drive_power * mu_0 / (math.pi * c_light)) / d.sphere_radius
-            rabi = (math.sqrt(5.0) / 4.0) * d.gyromagnetic_ratio * math.sqrt(d.spin_count) * field
-        if laser_coupling == 0 and d.laser_power > 0:
-            if d.drive_freq_2 <= 0:
-                raise DomainError("drive_freq_2 must be > 0 when laser_power > 0")
-            laser_coupling = math.sqrt(2.0 * params.gamma_c * d.laser_power / (hbar * d.drive_freq_2))
-    return dataclasses.replace(d, rabi=rabi, laser_coupling=laser_coupling)

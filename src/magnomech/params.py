@@ -132,8 +132,8 @@ class DriveParams:
     """Drive-side quantities used to derive the effective couplings.
 
     ``rabi`` and ``laser_coupling`` are the magnon and optical drive
-    amplitudes (rad/s); either may be supplied directly or derived from
-    the laboratory quantities below via :func:`magnomech.model.drive_conversions`.
+    amplitudes (rad/s); either may be supplied directly or left at 0 for
+    :func:`magnomech.solve_self_consistent` to derive from the quantities below.
     ``gyromagnetic_ratio`` is in rad/s per tesla.  Fields are checked as in
     :class:`SystemParams`; the powers and ``spin_count`` must be >= 0.
     """

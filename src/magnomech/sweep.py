@@ -29,7 +29,7 @@ from .measures import (
     require_families,
 )
 from .meanfield import solve_self_consistent
-from .model import build_diffusion, build_drift, drive_conversions
+from .model import build_diffusion, build_drift
 from .params import (
     DRIVE_KEYS,
     SYSTEM_KEYS,
@@ -70,6 +70,8 @@ class SweepAxis:
             if finite_number(value, SYSTEM_KEYS[self.name]) is None:
                 raise ConfigError(f"axis {self.name!r} {bound} must be a finite number, got {value!r}")
             object.__setattr__(self, bound, float(value))
+        if finite_number(self.stop - self.start, "") is None:  # values() would yield nan and inf
+            raise ConfigError(f"axis {self.name!r} span from {self.start!r} to {self.stop!r} overflows")
         count = self.count
         if finite_number(count, "") is None or not float(count).is_integer():
             raise ConfigError(f"axis {self.name!r} count must be a whole number, got {count!r}")
@@ -81,7 +83,10 @@ class SweepAxis:
         object.__setattr__(self, "count", int(count))
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        try:
+            return np.linspace(self.start, self.stop, self.count)
+        except MemoryError:  # a count numpy can index but no memory holds
+            raise ConfigError(f"axis {self.name!r} count {self.count} does not fit in memory") from None
 
     def column(self) -> str:
         unit = SYSTEM_KEYS[self.name]
@@ -196,9 +201,8 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
 
     :func:`split_config` checks the config; of the control keys only ``measures``
     (a checked list) and ``coupling_mode`` (equal to the argument) may appear.
-    In ``meanfield`` mode the drive block is completed by :func:`drive_conversions`,
-    and the effective couplings and the displacement-shifted detunings are produced
-    by the self-consistent amplitude solve.  Only the real parts ``Re G`` of the
+    In ``meanfield`` mode the self-consistent amplitude solve of the drive block gives the
+    effective couplings and the displacement-shifted detunings.  Only the real parts ``Re G`` of the
     complex effective couplings enter the drift matrix.  The dropped imaginary
     parts are not negligible: on ``configs/meanfield_point.cfg`` ``|Im G_m / Re G_m|``
     is 5.0% and ``|Im G_c / Re G_c|`` is 5.4%.  Using ``|G|`` instead (ROADMAP.md
@@ -208,8 +212,7 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     params = resolve_system_params(system)
     if coupling_mode == "direct":
         return params
-    drives = drive_conversions(resolve_drive_params(drive), params)
-    amplitudes = solve_self_consistent(params, drives)
+    amplitudes = solve_self_consistent(params, resolve_drive_params(drive))
     return dataclasses.replace(
         params,
         G_m=amplitudes.g_m_eff.real,

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.constants import c as c_light, hbar, mu_0
 
 from magnomech import (
     ConvergenceError,
@@ -12,7 +13,7 @@ from magnomech import (
     DriveParams,
     SingularPointError,
     SolverError,
-    drive_conversions,
+    resolve_point,
     resolve_system_params,
     run_point,
     run_sweep,
@@ -63,7 +64,53 @@ def drives(params):
         bare_D_mb1=TWO_PI * 0.1,
         bare_D_cb2=TWO_PI * 100.0,
     )
-    return drive_conversions(raw, params)
+    return _completed(params, raw)
+
+
+def _completed(params, raw):
+    """``raw`` with the drive amplitudes that the solve derives from it."""
+    rabi, laser_coupling = meanfield._drive_amplitudes(params, raw)
+    return dataclasses.replace(raw, rabi=rabi, laser_coupling=laser_coupling)
+
+
+#: Parameters whose gamma_c, 2 pi * 1 MHz, is all that the drive amplitudes read.
+OPTICS = resolve_system_params({"gamma_c": 1e6})
+
+
+class TestDriveAmplitudes:
+    def test_drive_field_from_power(self):
+        # with gyro = N = 1 the Rabi rate is sqrt(5)/4 times the field
+        drives = DriveParams(drive_power=4e-3, sphere_radius=100e-6,
+                             spin_count=1.0, gyromagnetic_ratio=1.0)
+        rabi, _ = meanfield._drive_amplitudes(OPTICS, drives)
+        field = rabi / (math.sqrt(5.0) / 4.0)
+        # frozen from the closed-form expression; the device-level figure
+        # usually quoted for these settings is ~3.3e-5 T
+        assert field == pytest.approx(3.267116626e-5, rel=1e-6)
+        assert field == pytest.approx(3.3e-5, rel=0.02)
+
+    def test_zero_laser_power(self):
+        drives = DriveParams(sphere_radius=1e-4, laser_power=0.0)
+        assert meanfield._drive_amplitudes(OPTICS, drives)[1] == 0.0
+
+    def test_zero_drive_field(self):
+        drives = DriveParams(
+            sphere_radius=1e-4, spin_count=1e16, gyromagnetic_ratio=TWO_PI * 28e9
+        )
+        assert meanfield._drive_amplitudes(OPTICS, drives)[0] == 0.0
+
+    def test_laser_coupling_magnitude(self):
+        omega_laser = TWO_PI * 299792458.0 / 1550e-9
+        drives = DriveParams(
+            sphere_radius=1e-4, laser_power=30e-3, drive_freq_2=omega_laser
+        )
+        _, coupling = meanfield._drive_amplitudes(OPTICS, drives)
+        expected = math.sqrt(2 * TWO_PI * 1e6 * 30e-3 / (1.0545718176461565e-34 * omega_laser))
+        assert coupling == pytest.approx(expected, rel=1e-12)
+
+    def test_bad_radius(self):
+        with pytest.raises(DomainError, match="sphere_radius"):
+            meanfield._drive_amplitudes(OPTICS, DriveParams(drive_power=4e-3, sphere_radius=0.0))
 
 
 def test_undriven_system_is_dark(params):
@@ -168,7 +215,7 @@ def test_drive_field_sets_the_rabi_rate_however_the_laser_is_given(params):
         "bare_D_mb1": 0.1, "bare_D_cb2": 100, "sphere_radius": 100e-6, "drive_field": 1e-6,
     }
     laser = {"laser_power": 30e-3, "drive_freq_2": 1.934e14}
-    laser_coupling = drive_conversions(resolve_drive_params(laser), params).laser_coupling
+    _, laser_coupling = meanfield._drive_amplitudes(params, resolve_drive_params(laser))
     from_power = run_point({**config, **laser}).params.G_m
     from_coupling = run_point({**config, "laser_coupling": laser_coupling / TWO_PI}).params.G_m
     assert from_power > 0
@@ -236,11 +283,42 @@ def test_singular_and_unconverged_points_are_singular_rows():
     assert [row[reason] for row in table.rows] == ["unstable", "singular", "singular", "singular"]
 
 
-def test_overflow_message_names_the_computation_and_the_exception():
-    config = {**load_config(MEANFIELD_POINT), "rabi": 1e200}
+# hbar * 1e-300 underflows to 0, so the optical drive conversion divides by zero
+@pytest.mark.parametrize("key, value, exception", [("rabi", 1e200, "OverflowError"),
+                                                   ("drive_freq_2", 1e-300, "ZeroDivisionError")],
+                         ids=["rabi", "drive_freq_2"])
+def test_overflow_message_names_the_computation_and_the_exception(key, value, exception):
+    config = {**load_config(MEANFIELD_POINT), key: value}
     with pytest.raises(SolverError, match="floating-point failure in the mean-field solve: "
-                                          "OverflowError"):
+                                          + exception):
         run_point(config)
+
+
+def test_solve_drives_a_raw_drive_block():
+    # the drive block of configs/meanfield_point.cfg as given: powers, no amplitudes
+    system, drive, _ = split_config(load_config(MEANFIELD_POINT))
+    params, raw = resolve_system_params(system), resolve_drive_params(drive)
+    assert raw.rabi == raw.laser_coupling == 0.0
+    field = math.sqrt(2.0 * raw.drive_power * mu_0 / (math.pi * c_light)) / raw.sphere_radius
+    rabi = (math.sqrt(5.0) / 4.0) * raw.gyromagnetic_ratio * math.sqrt(raw.spin_count) * field
+    laser_coupling = math.sqrt(2.0 * params.gamma_c * raw.laser_power / (hbar * raw.drive_freq_2))
+    expected = _reference_solve(params, dataclasses.replace(raw, rabi=rabi, laser_coupling=laser_coupling))
+    got = solve_self_consistent(params, raw)
+    assert repr(got) == repr(expected)
+    assert got.g_m_eff != 0 and got.g_c_eff != 0
+
+
+def test_meanfield_resolve_point_builds_one_drive_params(monkeypatch):
+    built = []
+    post_init = DriveParams.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DriveParams, "__post_init__", counting)
+    params = resolve_point(load_config(MEANFIELD_POINT), "meanfield")
+    assert len(built) == 1 and params.G_m > 0 and params.G_c > 0
 
 
 def _reference_amplitudes(p, d, delta_m_eff, delta_c_eff):
@@ -336,7 +414,7 @@ def _meanfield_point(delta_m_tilde, delta_c_tilde):
     params = resolve_system_params(
         {**system, "delta_m_tilde": delta_m_tilde, "delta_c_tilde": delta_c_tilde}
     )
-    return params, drive_conversions(resolve_drive_params(drive), params)
+    return params, _completed(params, resolve_drive_params(drive))
 
 
 def _meanfield_cases():

@@ -11,7 +11,6 @@ from magnomech import (
     SystemParams,
     build_diffusion,
     build_drift,
-    drive_conversions,
     resolve_system_params,
 )
 from magnomech.model import MODE_ORDER
@@ -25,10 +24,6 @@ SYSTEM_FIELDS = [f.name for f in dataclasses.fields(SystemParams)]
 DRIVE_FIELDS = [f.name for f in dataclasses.fields(DriveParams)]
 POSITIVE_FIELDS = ["omega_a", "omega_m", "omega_b1", "omega_b2", "gamma_a", "gamma_m",
                    "gamma_c", "gamma_b1", "gamma_b2", "lambda_c"]
-
-#: Parameters whose gamma_c, 2 pi * 1 MHz, is all that drive_conversions reads.
-OPTICS = resolve_system_params({"gamma_c": 1e6})
-
 
 def _feedback_rates(reflectivity, theta):
     p = resolve_system_params({"gamma_c": 1e6, "reflectivity": reflectivity, "theta": theta})
@@ -171,42 +166,6 @@ class TestDiffusion:
             }
             diag = np.diag(build_diffusion(resolve_system_params(config)))
             assert np.all(diag >= 0)
-
-
-class TestDriveConversions:
-    def test_drive_field_from_power(self):
-        # with gyro = N = 1 the Rabi rate is sqrt(5)/4 times the field
-        drives = DriveParams(drive_power=4e-3, sphere_radius=100e-6,
-                             spin_count=1.0, gyromagnetic_ratio=1.0)
-        rabi = drive_conversions(drives, OPTICS).rabi
-        field = rabi / (math.sqrt(5.0) / 4.0)
-        # frozen from the closed-form expression; the device-level figure
-        # usually quoted for these settings is ~3.3e-5 T
-        assert field == pytest.approx(3.267116626e-5, rel=1e-6)
-        assert field == pytest.approx(3.3e-5, rel=0.02)
-
-    def test_zero_laser_power(self):
-        drives = DriveParams(sphere_radius=1e-4, laser_power=0.0)
-        assert drive_conversions(drives, OPTICS).laser_coupling == 0.0
-
-    def test_zero_drive_field(self):
-        drives = DriveParams(
-            sphere_radius=1e-4, spin_count=1e16, gyromagnetic_ratio=TWO_PI * 28e9
-        )
-        assert drive_conversions(drives, OPTICS).rabi == 0.0
-
-    def test_laser_coupling_magnitude(self):
-        omega_laser = TWO_PI * 299792458.0 / 1550e-9
-        drives = DriveParams(
-            sphere_radius=1e-4, laser_power=30e-3, drive_freq_2=omega_laser
-        )
-        coupling = drive_conversions(drives, OPTICS).laser_coupling
-        expected = math.sqrt(2 * TWO_PI * 1e6 * 30e-3 / (1.0545718176461565e-34 * omega_laser))
-        assert coupling == pytest.approx(expected, rel=1e-12)
-
-    def test_bad_radius(self):
-        with pytest.raises(DomainError, match="sphere_radius"):
-            drive_conversions(DriveParams(drive_power=4e-3, sphere_radius=0.0), OPTICS)
 
 
 class TestSystemParams:

@@ -129,6 +129,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'temperature' count .* numpy can index"):
             SweepAxis("temperature", 0, 1, count)
 
+    def test_direct_axis_span_that_overflows_is_a_config_error(self):
+        # both bounds are finite floats, but stop - start is not
+        with pytest.raises(ConfigError, match="'temperature' span"):
+            SweepAxis("temperature", -1.7e308, 1.7e308, 3)
+
+    def test_axis_count_beyond_memory_is_a_config_error(self):
+        # numpy can index 10**15 floats, but no address space holds their
+        # 8 PB, so the request fails at once without allocating
+        spec = SweepSpec(SweepAxis("temperature", 0, 1, 10**15))
+        with pytest.raises(ConfigError, match="'temperature' count 1000000000000000 "):
+            run_sweep(spec)
+
     @pytest.mark.parametrize("bound", ["abc", None, True, math.nan, math.inf, -math.inf, 10**400])
     def test_direct_axis_bounds_must_be_finite_numbers(self, bound):
         with pytest.raises(ConfigError, match="start"):
@@ -751,6 +763,16 @@ class TestCli:
         cfg.write_text(f"axis1 = temperature\naxis1_start = 0\naxis1_stop = 1\naxis1_count = {count}\n")
         assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: axis1: axis 'temperature' count ")
+
+    @pytest.mark.parametrize("bounds", [("-1.7e308", "1.7e308", "3"), ("0", "1", "1e15")],
+                             ids=["span-overflows", "count-beyond-memory"])
+    def test_axis_beyond_the_float_range_or_memory_exit_code(self, tmp_path, capsys, bounds):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("axis1 = temperature\naxis1_start = {}\naxis1_stop = {}\naxis1_count = {}\n"
+                       .format(*bounds))
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'temperature'" in err
 
     def test_unknown_coupling_mode_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
