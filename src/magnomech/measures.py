@@ -16,6 +16,12 @@ for two modes, by SVD for more.  :func:`evaluate_measures` checks the
 state once, factors it by LAPACK ``dpotrf`` and ``dgesdd``, and factors
 its ten mode pairs and four default triples as one stack each; steering
 reads the state's single-mode determinants and the pairs' ``det L``.
+Where no pair of the default triples is entangled, one complex Cholesky
+of the triples' twelve bona fide matrices ``F_i V F_i + (i/2) Omega``
+(Simon's PPT condition) is tried first: if it succeeds, every
+one-versus-rest term is proved 0 and the triples' factor and SVD are
+skipped.  The SVD serves every stack the proof fails, and is the only
+route to a nonzero one-versus-rest term.
 """
 
 from __future__ import annotations
@@ -79,6 +85,12 @@ def _snap_zero(values: np.ndarray) -> np.ndarray:
     return np.where(values < ZERO_CLIP, 0.0, values)
 
 
+def _block_signs(n_modes: int) -> np.ndarray:
+    """Row ``i``: -1 on mode ``i``'s two quadratures, 1 elsewhere."""
+    dim = 2 * n_modes
+    return np.where(np.arange(dim) // 2 == np.arange(n_modes)[:, None], -1.0, 1.0)
+
+
 def _flipped_forms(n_modes: int) -> np.ndarray:
     """The ``n_modes`` symplectic form with mode ``i``'s block negated, for each ``i``.
 
@@ -87,12 +99,16 @@ def _flipped_forms(n_modes: int) -> np.ndarray:
     transpose over mode ``i``.
     """
     dim = 2 * n_modes
-    signs = np.where(np.arange(dim) // 2 == np.arange(n_modes)[:, None], -1.0, 1.0)
-    return signs[:, :, None] * OMEGA[:dim, :dim]
+    return _block_signs(n_modes)[:, :, None] * OMEGA[:dim, :dim]
 
 
 _PAIR_FORM = _flipped_forms(2)[0]
 _TRIPLE_FORMS = _flipped_forms(3)
+#: ``F_i V F_i`` is ``V * _TRIPLE_FLIPS[i]`` for a three-mode ``V`` (``F_i``: the block
+#: signs on momenta only), and ``F_i V F_i + _HALF_I_FORM`` its bona fide matrix.
+_MOMENTUM_FLIPS = np.where(np.arange(6) % 2, _block_signs(3), 1.0)
+_TRIPLE_FLIPS = _MOMENTUM_FLIPS[:, :, None] * _MOMENTUM_FLIPS[:, None, :]
+_HALF_I_FORM = 0.5j * OMEGA[:6, :6]
 
 _DPOTRF, _DGESDD = sla.get_lapack_funcs(("potrf", "gesdd"), (np.empty((1, 1)),))
 
@@ -204,18 +220,43 @@ _RECORD_FIELDS = (
 MEASURE_FIELDS = tuple(name for _, names, _ in _RECORD_FIELDS for name in names)
 
 
+def _transposes_are_ppt(stack: np.ndarray) -> bool:
+    """Whether every one-versus-rest partial transpose of a stack of three-mode
+    covariances is provably unentangled: one complex Cholesky of the bona fide
+    matrices ``F_i V F_i + (i/2) Omega`` (Simon, PRL 84, 2726 (2000)).
+
+    A factorization proves each matrix positive definite.  With ``F_i V F_i = S D S^T``
+    (Williamson) the matrix is ``S (D + (i/2) Omega) S^T``, whose eigenvalue signs are
+    those of ``nu_j - 1/2`` (Sylvester's inertia), so every partially transposed
+    symplectic eigenvalue exceeds 1/2.  Only the lower triangles are read.
+    """
+    try:
+        np.linalg.cholesky(stack[:, None] * _TRIPLE_FLIPS + _HALF_I_FORM)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _triple_contangles(cov: np.ndarray, negativities: np.ndarray) -> np.ndarray:
     """Minimum residual contangle per default triple, given the pair log-negativities.
 
     Each one-versus-rest contangle is the squared ``max(0, -ln(2 nu))``, ``nu``
     the smallest symplectic eigenvalue after flipping the singled-out mode's
-    momentum (partial transpose): one factor per triple serves its three kernels.
+    momentum (partial transpose): one factor per triple serves its three kernels,
+    by SVD.  Where no pair of the triples is entangled, :func:`_transposes_are_ppt`
+    is tried first; if it proves all twelve terms 0, they are 0 without the factor
+    and the SVD.  An entangled pair makes its one-versus-rest transposes entangled
+    too, so the proof is not tried there, and the SVD serves every stack it fails.
     """
     table, pair_of = _TRIPLE_PLAN
-    factor = _factor(cov.take(table))[:, None]
-    nu = np.linalg.svd(_kernel(factor, _TRIPLE_FORMS), compute_uv=False)[..., -1]
-    rest = np.maximum(0.0, _log_negativity(nu))
+    stack = cov.take(table)
     pairs = (negativities * negativities)[pair_of]
+    if not pairs.any() and _transposes_are_ppt(stack):
+        rest = 0.0
+    else:
+        factor = _factor(stack)[:, None]
+        nu = np.linalg.svd(_kernel(factor, _TRIPLE_FORMS), compute_uv=False)[..., -1]
+        rest = np.maximum(0.0, _log_negativity(nu))
     return (rest * rest - (pairs[..., 0] + pairs[..., 1])).min(axis=1)
 
 
@@ -363,6 +404,10 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
     :class:`SolverError`; unknown ``measures`` raise :class:`ConfigError`, and
     an overflow in the measures (of a covariance near 1e150, say) a :class:`SolverError`.
     Symmetry is not checked: only the diagonal and the lower triangle of ``cov`` are read.
+
+    The contangle's one-versus-rest terms come from an SVD of the triples' kernels,
+    unless no pair of the default triples is entangled and the bona fide proof of
+    :func:`_transposes_are_ppt` shows every term 0; then each residual is +0.0.
     """
     require_families(measures)
     if not isinstance(cov, np.ndarray):

@@ -18,8 +18,8 @@ from .lyapunov import (
     solve_lyapunov_oracle,
     stability_check,
 )
-from .measures import gaussian_steering, log_negativity, tmsv_covariance
-from .model import build_drift
+from .measures import DEFAULT_TRIPLES, evaluate_measures, gaussian_steering, log_negativity, tmsv_covariance
+from .model import MODE_INDEX, build_drift
 from .params import resolve_system_params
 
 
@@ -81,6 +81,21 @@ def check_tmsv_family() -> tuple:
     return "analytic-measures", passed, f"max deviation {worst:.3e}"
 
 
+def check_contangle_family() -> tuple:
+    """Residual contangles of a thermal product, all exactly +0.0, and of a squeezed
+    pair (b1, m) beside a vacuum mode c, whose terms cancel in R(b1, m, c)."""
+    thermal = np.diag(np.repeat([1.5, 2.5, 0.75, 1.0, 3.5], 2))
+    product = evaluate_measures(thermal, None, 0.0, ("contangle",)).tripartite_R
+    cov = 0.5 * np.eye(10)
+    q = [2 * MODE_INDEX[mode] + k for mode in ("b1", "m") for k in (0, 1)]
+    cov[np.ix_(q, q)] = tmsv_covariance(0.8)
+    pair = evaluate_measures(cov, None, 0.0, ("contangle",)).contangle(("b1", "m", "c"))
+    zeros = sum(math.copysign(1.0, value) == 1.0 and value == 0.0 for value in product.values())
+    passed = zeros == len(DEFAULT_TRIPLES) and abs(pair) <= 1e-10
+    return ("analytic-contangle", passed,
+            f"thermal product {zeros}/{len(DEFAULT_TRIPLES)} exact zeros, squeezed pair |R| {abs(pair):.3e}")
+
+
 def check_decoupled_spectrum() -> tuple:
     """Drift eigenvalues in the zero-coupling limit against the analytic set."""
     params = resolve_system_params(
@@ -111,6 +126,7 @@ def run_all() -> bool:
         check_solver_vs_oracle,
         check_integration_oracle,
         check_tmsv_family,
+        check_contangle_family,
         check_decoupled_spectrum,
     )
     ok = True

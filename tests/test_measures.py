@@ -23,6 +23,7 @@ from magnomech import (
 from magnomech import measures as measures_module
 from magnomech.measures import ALL_PAIRS, DEFAULT_TRIPLES, INDIRECT_PAIRS, MEASURE_FAMILIES
 from magnomech.model import MODE_INDEX, MODE_ORDER
+from magnomech.validate import check_contangle_family
 
 
 def _rotation(phi):
@@ -219,6 +220,10 @@ class TestResidualContangle:
         report = evaluate_measures(cov, None, -1.0, ("contangle",))
         assert report.contangle(triple) == pytest.approx(0.0, abs=1e-12)
 
+    def test_self_check_suite_passes(self):
+        name, passed, detail = check_contangle_family()
+        assert (name, passed) == ("analytic-contangle", True), detail
+
     def test_baseline_model_monogamy(self, baseline, baseline_cov):
         # no-feedback states are physical, so the squared-log-negativity
         # residual stays nonnegative up to rounding
@@ -393,7 +398,59 @@ def _kernel_points():
             yield _model_cov(config)
 
 
+#: The tripartite contrast preset's loop and Barnett shift (both signs are evaluated) and a
+#: hot point of it: reflectivity 0.1, theta pi, 1 K, where no pair is entangled.
+_CONTRAST_LOOP = {"reflectivity": 0.1, "theta": math.pi, "barnett_shift": 0.2 * 20.15e6}
+_HOT_CONTRAST_POINT = {**_CONTRAST_LOOP, "temperature": 1.0}
+#: Five thermal modes: a product state with every partial transpose certified.
+_THERMAL_PRODUCT = np.diag(np.repeat([1.5, 2.5, 0.75, 1.0, 3.5], 2))
+
+
+def _svd_contangles(cov, negativities):
+    """Residual contangles of the default triples by the SVD of every one-versus-rest kernel,
+    whatever the pairs: the route the bona fide proof may skip."""
+    table, pair_of = measures_module._TRIPLE_PLAN
+    factor = np.linalg.cholesky(cov.take(table))[:, None]
+    kernel = factor.swapaxes(-1, -2) @ measures_module._TRIPLE_FORMS @ factor
+    nu = np.linalg.svd(kernel, compute_uv=False)[..., -1]
+    rest = np.maximum(0.0, -np.log(2.0 * nu))
+    pairs = (negativities * negativities)[pair_of]
+    return (rest * rest - (pairs[..., 0] + pairs[..., 1])).min(axis=1).tolist()
+
+
 class TestMeasureKernel:
+    def test_contangle_routes_match_the_svd_route_on_a_temperature_scan(self, monkeypatch):
+        # 0-1 K at both rotation signs: cold points have entangled pairs and
+        # take the SVD, hot ones are certified; R must be the SVD route's to the bit
+        routes = {"certified": 0, "svd": 0}
+        cholesky, svd = np.linalg.cholesky, np.linalg.svd
+
+        def counting_cholesky(stack, *args, **kwargs):
+            routes["certified"] += stack.shape == (4, 3, 6, 6)
+            return cholesky(stack, *args, **kwargs)
+
+        def counting_svd(stack, *args, **kwargs):
+            routes["svd"] += 1
+            return svd(stack, *args, **kwargs)
+
+        for temperature in np.linspace(0.0, 1.0, 161):
+            for sign in (1.0, -1.0):
+                config = {**_CONTRAST_LOOP, "temperature": float(temperature),
+                          "barnett_shift": sign * _CONTRAST_LOOP["barnett_shift"]}
+                params = resolve_system_params(config)
+                if not stability_check(build_drift(params)).stable:
+                    continue
+                cov = solve_lyapunov(build_drift(params), build_diffusion(params))
+                pairs = evaluate_measures(cov, params, -1.0, ("entanglement",)).pairwise_E
+                expected = _svd_contangles(cov, np.array([pairs[pair] for pair in ALL_PAIRS]))
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "cholesky", counting_cholesky)
+                    patch.setattr(np.linalg, "svd", counting_svd)
+                    report = evaluate_measures(cov, params, -1.0, ("contangle",))
+                got = [report.contangle(triple) for triple in DEFAULT_TRIPLES]
+                assert repr(got) == repr(expected), temperature
+        assert routes["certified"] > 0 and routes["svd"] > 0
+
     def test_batched_report_matches_scalar_functions(self):
         points = list(_kernel_points())
         assert any(not evaluate_measures(cov, p, -1.0, ()).physical for p, cov in points)
@@ -422,17 +479,23 @@ class TestMeasureKernel:
                 for other in set(fields.values()) - {name}:
                     assert getattr(alone, other) == {}
 
-    @pytest.mark.parametrize("measures, stacks", [
-        (("entanglement", "steering", "contangle", "occupation"), [(10, 4, 4), (4, 6, 6)]),
-        (("entanglement", "steering"), [(10, 4, 4)]),
-    ], ids=["full-report", "entanglement-steering"])
+    @pytest.mark.parametrize("measures, state, stacks, svds", [
+        (("entanglement", "steering", "contangle", "occupation"), None, [(10, 4, 4), (4, 6, 6)],
+         [(4, 3, 6, 6)]),
+        (("entanglement", "steering"), None, [(10, 4, 4)], []),
+        (("entanglement", "steering", "contangle", "occupation"), _THERMAL_PRODUCT,
+         [(10, 4, 4), (4, 3, 6, 6)], []),
+    ], ids=["full-report", "entanglement-steering", "certified-full-report"])
     def test_report_factors_each_stack_once(self, baseline, baseline_cov, monkeypatch,
-                                            measures, stacks):
+                                            measures, state, stacks, svds):
         # the 10x10 spectrum goes through LAPACK dpotrf and dgesdd once each;
         # one Cholesky stack each for the ten mode pairs (negativities and
         # steering) and the four default triples (every partial transpose of
-        # a triple from its one factor); no eigenvalue or determinant call
-        calls = {"cholesky": [], "eigvals": [], "det": [], "_DPOTRF": [], "_DGESDD": []}
+        # a triple from its one factor, and one SVD stack of the 12 kernels);
+        # no eigenvalue or determinant call.  With no entangled pair, the
+        # triple stack is instead the 12 complex bona fide matrices, whose
+        # factorization proves every one-versus-rest term 0: no triple SVD
+        calls = {"cholesky": [], "eigvals": [], "det": [], "svd": [], "_DPOTRF": [], "_DGESDD": []}
 
         def counting(name, function):
             def wrapper(stack, *args, **kwargs):
@@ -440,15 +503,16 @@ class TestMeasureKernel:
                 return function(stack, *args, **kwargs)
             return wrapper
 
-        for name in ("cholesky", "eigvals", "det"):
+        for name in ("cholesky", "eigvals", "det", "svd"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         for name in ("_DPOTRF", "_DGESDD"):
             monkeypatch.setattr(measures_module, name, counting(name, getattr(measures_module, name)))
-        evaluate_measures(baseline_cov, baseline, margin=-1.0, measures=measures)
-        assert calls == {"cholesky": stacks, "eigvals": [], "det": [],
+        cov = baseline_cov if state is None else state
+        evaluate_measures(cov, baseline, margin=-1.0, measures=measures)
+        assert calls == {"cholesky": stacks, "eigvals": [], "det": [], "svd": svds,
                          "_DPOTRF": [(10, 10)], "_DGESDD": [(10, 10)]}
 
-    def test_strict_upper_triangle_is_never_read(self):
+    def test_strict_upper_triangle_is_never_read(self, monkeypatch):
         # every kernel reads the diagonal and the lower triangle only, so an
         # asymmetric state is read as its lower triangle: no cell may move
         rng = np.random.default_rng(31)
@@ -461,6 +525,16 @@ class TestMeasureKernel:
                 assert log_negativity(skewed4) == log_negativity(cov4)
                 for mode in (0, 1):
                     assert gaussian_steering(skewed4, mode) == gaussian_steering(cov4, mode)
+        # a point with no entangled pair is certified without a triple SVD,
+        # skewed or not: the bona fide proof reads the lower triangle only too
+        params, cov = _model_cov(_HOT_CONTRAST_POINT)
+        skewed = cov + np.triu(rng.uniform(-0.3, 0.3, cov.shape), 1)
+        svds, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(args[0].shape)
+                            or svd(*args, **kwargs))
+        assert (evaluate_measures(skewed, params, -1.0).to_record()
+                == evaluate_measures(cov, params, -1.0).to_record())
+        assert svds == []
 
     def test_nonphysical_block_raises_physicality_error(self):
         cov = 0.5 * np.eye(10)

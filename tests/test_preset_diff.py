@@ -82,11 +82,24 @@ def test_a_changed_row_count_is_a_difference():
 def test_worker_count_outputs_must_be_byte_identical(capsys, first, problem):
     text = (json.dumps(_table(), indent=1) + "\n").encode()
     outputs = [text.replace(b'  "E_b1b2": 0.25,\n', first), text]
-    assert preset_diff.report("temperature-fb", outputs, text) is bool(problem)
+    assert preset_diff.report("temperature-fb", outputs, text, "HEAD~1") is bool(problem)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == (f"temperature-fb: {int(bool(problem))} differences, largest move within "
-                        f"1e-10 0.000e+00, workers 1 and 2 {'differ' if problem else 'byte-identical'}")
+                        f"1e-10 0.000e+00, workers 1 and 2 {'differ' if problem else 'byte-identical'}, "
+                        f"byte-identical to HEAD~1")
     assert lines[1:] == ([f"  {problem}"] if problem else [])
+
+
+def test_byte_identity_to_the_revision_is_printed_but_not_counted(capsys):
+    # -0.0 equals 0.0, so the cell did not move, yet the text is not REV's
+    rows, old = _table(), _table()
+    rows[0]["E_b1b2"], old[0]["E_b1b2"] = -0.0, 0.0
+    text, reference = ((json.dumps(table, indent=1) + "\n").encode() for table in (rows, old))
+    assert preset_diff.compare(rows, old) == ([], 0.0)
+    assert preset_diff.report("temperature-fb", [text, text], reference, "abc123") is False
+    assert capsys.readouterr().out.splitlines() == [
+        "temperature-fb: 0 differences, largest move within 1e-10 0.000e+00, "
+        "workers 1 and 2 byte-identical, bytes differ from abc123"]
 
 
 def test_a_failed_run_prints_its_command_and_stderr(tmp_path, capsys):

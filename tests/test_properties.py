@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import expm
 
 from magnomech import (
     build_diffusion,
@@ -24,13 +25,15 @@ from magnomech import (
 from magnomech.lyapunov import RESIDUAL_TOL
 from magnomech.measures import (
     ALL_PAIRS,
+    DEFAULT_TRIPLES,
     INDIRECT_PAIRS,
     _PAIR_FORM,
     _det_factor,
     _kernel,
     _pair_moduli,
 )
-from magnomech.model import MODE_INDEX
+from magnomech.model import MODE_INDEX, OMEGA
+from test_measures import _contangle_by_eigenvalues
 
 W_B1, W_B2 = 20.15e6, 20.11e6
 
@@ -129,3 +132,43 @@ def test_pair_closed_form_matches_svd(entries, shift):
     smaller, larger = _pair_moduli(factor, _det_factor(factor))
     assert larger[0] == pytest.approx(singular[0], abs=1e-13 * singular[0])
     assert smaller[0] == pytest.approx(singular[3], abs=1e-13 * singular[0])
+
+
+def _local_modes(occupation, squeezing):
+    """Occupations, single-mode squeezings and rotation angles of five modes."""
+    mode = st.tuples(st.floats(0.01, occupation), st.floats(-squeezing, squeezing),
+                     st.floats(-math.pi, math.pi))
+    return st.tuples(*[mode] * 5)
+
+
+def _local_state(modes):
+    """Thermal modes, each dressed by its own squeezer and rotation: a product state."""
+    cov = np.zeros((10, 10))
+    for k, (occupation, r, phi) in enumerate(modes):
+        local = _local_rotation(phi, 0.0)[:2, :2] @ np.diag([math.exp(r), math.exp(-r)])
+        cov[2 * k:2 * k + 2, 2 * k:2 * k + 2] = (occupation + 0.5) * local @ local.T
+    return cov
+
+
+@settings(max_examples=150, deadline=None)
+@given(_local_modes(5.0, 1.5))
+def test_separable_state_has_zero_contangles(modes):
+    report = evaluate_measures(_local_state(modes), None, -1.0, ("contangle",))
+    # +0.0, not -0.0: a table cell prints its sign
+    assert repr([report.contangle(triple) for triple in DEFAULT_TRIPLES]) == repr([0.0] * 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_local_modes(1.0, 1.0), st.lists(st.floats(-1.0, 1.0), min_size=100, max_size=100),
+       st.floats(0.0, 1.0))
+def test_contangle_matches_the_eigenvalue_route_on_mixed_states(modes, entries, strength):
+    # a product state through a random symplectic exp(Omega H): weak coupling
+    # leaves every partial transpose certified, strong coupling entangles
+    # pairs or only one-versus-rest bipartitions
+    hamiltonian = np.reshape(entries, (10, 10))
+    cov = _local_state(modes)
+    symplectic = expm(strength * OMEGA @ (hamiltonian + hamiltonian.T) / 2)
+    cov = symplectic @ cov @ symplectic.T
+    report = evaluate_measures(cov, None, -1.0, ("contangle",))
+    for triple in DEFAULT_TRIPLES:
+        assert abs(report.contangle(triple) - _contangle_by_eigenvalues(cov, triple)) <= 1e-12

@@ -9,7 +9,9 @@ REV's ``src/`` is extracted with ``git archive`` into a temporary directory.
 Each preset then runs as JSON through ``python -m magnomech.cli`` three times:
 on the working tree's ``src/`` at each of :data:`WORKERS`, and on REV's at the
 last of them.  Per preset the script prints the first differing line if the
-working tree's two outputs are not byte-identical, and against REV every
+working tree's two outputs are not byte-identical, whether its output is
+byte-identical to REV's (information only: a cell that moved from ``0.0`` to
+``-0.0``, say, is no move and no difference), and against REV every
 cell that moved beyond :data:`TOL` (absolute, or relative to REV's value
 where that exceeds 1), the largest move within it, every changed status cell
 (``stable*``, ``reason``, ``physical*``) and any change of header, row count
@@ -117,18 +119,20 @@ def _first_difference(text: bytes, reference: bytes) -> str:
     return f"workers {WORKERS[0]} and {WORKERS[-1]} differ from line {index + 1}: {old!r} -> {new!r}"
 
 
-def report(name: str, outputs: list, reference: bytes) -> bool:
+def report(name: str, outputs: list, reference: bytes, rev: str) -> bool:
     """Print preset ``name``'s differences and return whether there are any.
 
     ``outputs`` are the working tree's JSON texts at :data:`WORKERS`, ``reference``
-    REV's; the cells compared are those of the last output.
+    that of revision ``rev``; the cells compared are those of the last output.
+    Whether that output is byte-identical to ``reference`` is printed, not counted.
     """
     problems, largest = compare(json.loads(outputs[-1]), json.loads(reference))
     identity = _first_difference(outputs[-1], outputs[0])
     if identity:
         problems.insert(0, identity)
     print(f"{name}: {len(problems)} differences, largest move within {TOL:g} {largest:.3e}, "
-          f"workers {WORKERS[0]} and {WORKERS[-1]} {'differ' if identity else 'byte-identical'}")
+          f"workers {WORKERS[0]} and {WORKERS[-1]} {'differ' if identity else 'byte-identical'}, "
+          f"{'byte-identical to' if outputs[-1] == reference else 'bytes differ from'} {rev}")
     for problem in problems:
         print(f"  {problem}")
     return bool(problems)
@@ -187,7 +191,7 @@ def main(argv: list) -> int:
             outputs = [_run_preset(new_src, name, workers, tmp / f"new.w{workers}.json")
                        for workers in WORKERS]
             reference = _run_preset(old_src, name, WORKERS[-1], tmp / "old.json")
-            different = report(name, outputs, reference) or different
+            different = report(name, outputs, reference, rev) or different
     return 1 if different else 0
 
 
