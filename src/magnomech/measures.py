@@ -17,7 +17,7 @@ state once, factors it by LAPACK ``dpotrf`` and ``dgesdd``, and factors
 its ten mode pairs and four default triples as one stack each; steering
 reads the state's single-mode determinants and the pairs' ``det L``.
 Where no pair of the default triples is entangled, one complex Cholesky
-of the triples' twelve bona fide matrices ``F_i V F_i + (i/2) Omega``
+of the triples' twelve bona fide matrices ``V + (i/2) F_i Omega F_i``
 (Simon's PPT condition) is tried first: if it succeeds, every
 one-versus-rest term is proved 0 and the triples' factor and SVD are
 skipped.  The SVD serves every stack the proof fails, and is the only
@@ -104,11 +104,8 @@ def _flipped_forms(n_modes: int) -> np.ndarray:
 
 _PAIR_FORM = _flipped_forms(2)[0]
 _TRIPLE_FORMS = _flipped_forms(3)
-#: ``F_i V F_i`` is ``V * _TRIPLE_FLIPS[i]`` for a three-mode ``V`` (``F_i``: the block
-#: signs on momenta only), and ``F_i V F_i + _HALF_I_FORM`` its bona fide matrix.
-_MOMENTUM_FLIPS = np.where(np.arange(6) % 2, _block_signs(3), 1.0)
-_TRIPLE_FLIPS = _MOMENTUM_FLIPS[:, :, None] * _MOMENTUM_FLIPS[:, None, :]
-_HALF_I_FORM = 0.5j * OMEGA[:6, :6]
+#: ``V + _HALF_I_FORMS[i]``: the bona fide matrix of a three-mode ``V`` transposed over mode ``i``.
+_HALF_I_FORMS = 0.5j * _TRIPLE_FORMS
 
 _DPOTRF, _DGESDD = sla.get_lapack_funcs(("potrf", "gesdd"), (np.empty((1, 1)),))
 
@@ -223,15 +220,17 @@ MEASURE_FIELDS = tuple(name for _, names, _ in _RECORD_FIELDS for name in names)
 def _transposes_are_ppt(stack: np.ndarray) -> bool:
     """Whether every one-versus-rest partial transpose of a stack of three-mode
     covariances is provably unentangled: one complex Cholesky of the bona fide
-    matrices ``F_i V F_i + (i/2) Omega`` (Simon, PRL 84, 2726 (2000)).
+    matrices ``V + (i/2) F_i Omega F_i`` (Simon, PRL 84, 2726 (2000)).
 
-    A factorization proves each matrix positive definite.  With ``F_i V F_i = S D S^T``
-    (Williamson) the matrix is ``S (D + (i/2) Omega) S^T``, whose eigenvalue signs are
-    those of ``nu_j - 1/2`` (Sylvester's inertia), so every partially transposed
-    symplectic eigenvalue exceeds 1/2.  Only the lower triangles are read.
+    A factorization proves each matrix positive definite.  It is
+    ``F_i (F_i V F_i + (i/2) Omega) F_i``, congruent to the partial transpose's bona fide
+    matrix by the sign matrix ``F_i``.  With ``F_i V F_i = S D S^T`` (Williamson) that is
+    ``S (D + (i/2) Omega) S^T``, whose eigenvalue signs are those of ``nu_j - 1/2``
+    (Sylvester's inertia), so every partially transposed symplectic eigenvalue exceeds
+    1/2.  Only the lower triangles are read.
     """
     try:
-        np.linalg.cholesky(stack[:, None] * _TRIPLE_FLIPS + _HALF_I_FORM)
+        np.linalg.cholesky(stack[:, None] + _HALF_I_FORMS)
     except np.linalg.LinAlgError:
         return False
     return True

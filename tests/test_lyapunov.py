@@ -147,6 +147,17 @@ class TestSolve:
             res = np.linalg.norm(drift @ cov + cov @ drift.T + diffusion)
             assert res / np.linalg.norm(diffusion) < RESIDUAL_TOL
 
+    @pytest.mark.parametrize("solver", [solve_lyapunov, solve_lyapunov_oracle])
+    def test_residual_above_the_bound_is_solver_error(self, solver):
+        # stable (every eigenvalue is -1), but so far from normal that the
+        # refined solve still misses the bound by orders of magnitude
+        drift = -np.eye(4) + 1e3 * np.eye(4, k=1)
+        assert stability_check(drift).stable
+        with pytest.raises(SolverError,
+                           match=r"^Lyapunov residual \S+ above tolerance 1e-09$") as info:
+            solver(drift, np.eye(4))
+        assert info.value.residual > RESIDUAL_TOL
+
     def test_exact_symmetry(self, baseline):
         cov = solve_lyapunov(build_drift(baseline), build_diffusion(baseline))
         assert np.array_equal(cov, cov.T)

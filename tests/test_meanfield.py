@@ -270,7 +270,12 @@ def test_extreme_finite_value_is_a_solver_error_and_a_nonphysical_row(key, value
 
 def test_singular_and_unconverged_points_are_singular_rows():
     config = {**load_config(MEANFIELD_POINT), "delta_m_tilde": CYCLING[0], "measures": "entanglement"}
+    # without the b1-b2 coupling the mechanical denominator is a product of two
+    # terms of order 1e-169 rad/s, which underflows to 0
+    tiny = {**dict.fromkeys(("omega_b1", "omega_b2", "gamma_b1", "gamma_b2"), 1e-170),
+            "D_b1b2": 0.0}
     for error, cell in ((SingularPointError, {"reflectivity": 0.5, "delta_c_tilde": 0.0}),
+                        (SingularPointError, tiny),
                         (ConvergenceError, {"reflectivity": 0.0, "delta_c_tilde": CYCLING[1]})):
         with pytest.raises(error):
             run_point({**config, **cell})

@@ -176,6 +176,9 @@ class TestSteering:
         v = np.diag([0.5, -0.5, 0.5, 0.5])
         with pytest.raises(PhysicalityError):
             gaussian_steering(v, 0)
+        # positive definite, but det V = 1e-680 underflows to 0
+        with pytest.raises(PhysicalityError, match="nonpositive"):
+            gaussian_steering(1e-170 * np.eye(4), 0)
 
 
 def test_local_rotation_invariance(baseline_cov, rng):

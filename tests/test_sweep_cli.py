@@ -66,6 +66,8 @@ class TestConfigParsing:
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("temperature 0.05")
+        with pytest.raises(ConfigError, match="line 1: empty key"):
+            parse_config("= 5")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -81,6 +83,9 @@ class TestConfigParsing:
     def test_unknown_parameter_fails_at_resolve(self):
         with pytest.raises(ConfigError, match="unknown"):
             run_point({"not_a_parameter": 1.0})
+        for resolve, _ in RESOLVERS:
+            with pytest.raises(ConfigError, match="unknown .*'bogus'"):
+                resolve({"bogus": 1})
 
     def test_unknown_axis_parameter_fails_at_parse(self):
         config = {"axis1": "bogus", "axis1_start": 0, "axis1_stop": 1, "axis1_count": 3}
@@ -92,6 +97,8 @@ class TestConfigParsing:
     def test_axis_needs_bounds(self):
         with pytest.raises(ConfigError, match="axis1_start"):
             sweep_spec_from_config({"axis1": "temperature"})
+        with pytest.raises(ConfigError, match="axis1_start given without axis1"):
+            sweep_spec_from_config({"axis1_start": 0})
         with pytest.raises(ConfigError, match="axis1"):
             sweep_spec_from_config({"axis2": "theta", "axis2_start": 0, "axis2_stop": 1, "axis2_count": 2})
 
@@ -735,11 +742,28 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text().startswith("temperature_K,")
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, text, named", [
+        ("point", "bogus_key = 1\n", "bogus_key"),
+        ("point", "nonreciprocity = true\n", "'nonreciprocity'"),
+        ("sweep", "axis1 = temperature\naxis1_strat = 0\naxis1_stop = 1\naxis1_count = 2\n",
+         "'axis1_strat'"),
+    ], ids=["unknown-key", "sweep-key-given-to-point", "misspelled-sweep-key"])
+    def test_config_error_exit_code(self, tmp_path, capsys, command, text, named):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus_key = 1\n")
-        assert cli_main(["point", "--config", str(cfg)]) == 1
-        assert "bogus_key" in capsys.readouterr().err
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # a finite drive that overflows the mean-field solve
+        cfg = tmp_path / "rabi.cfg"
+        cfg.write_text((TestShippedConfigs.CONFIG_DIR / "meanfield_point.cfg").read_text()
+                       + "rabi = 1e200\n")
+        assert cli_main(["point", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure [SolverError]")
 
     @pytest.mark.parametrize("text, named", [
         ("reflectivity = 1.5\n", "reflectivity"),
@@ -820,6 +844,11 @@ class TestCli:
         out = tmp_path / "missing" / "x.csv"
         assert cli_main([arg.format(tmp=tmp_path) for arg in args] + ["--out", str(out)]) == 1
         assert str(out) in capsys.readouterr().err
+
+    def test_validate_passes_every_suite(self, capsys):
+        assert cli_main(["validate"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and all(line.startswith("[PASS] ") for line in lines)
 
     def test_presets_listing(self, capsys):
         assert cli_main(["presets"]) == 0
