@@ -26,7 +26,6 @@ from .lyapunov import (
 )
 from .measures import (
     MeasureReport,
-    contrast_ratio,
     evaluate_measures,
     gaussian_steering,
     log_negativity,
@@ -76,7 +75,6 @@ __all__ = [
     "SystemParams",
     "build_diffusion",
     "build_drift",
-    "contrast_ratio",
     "emit",
     "evaluate_measures",
     "evaluate_point",

@@ -32,22 +32,18 @@ class SingularPointError(MagnomechError):
     reason = "singular"
 
 
-class ConvergenceError(MagnomechError):
-    """The self-consistent mean-field iteration did not converge."""
-
-    reason = "singular"
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class SolverError(MagnomechError):
     """A numerical solve finished but failed its verification contract."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+class ConvergenceError(SolverError):
+    """The self-consistent mean-field iteration did not converge."""
+
+    reason = "singular"
 
 
 class FloatGuard(np.errstate):

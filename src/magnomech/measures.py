@@ -291,30 +291,6 @@ def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
         return float(_steerings(_mode_dets(cov4)[None], det_l)[0, steering_mode])
 
 
-def contrast_ratio(value_plus: float, value_minus: float) -> float:
-    """Bidirectional contrast |v+ - v-| / (v+ + v-), with 0/0 -> 0.
-
-    Quantifies how nonreciprocal a nonnegative measure is between the
-    two rotation directions; 1 means the measure survives in only one
-    of them.  Each value must be a finite nonnegative real number (numpy
-    scalars included, a bool not), else a :class:`DomainError`.
-    """
-    if type(value_plus) is not float or type(value_minus) is not float:
-        # anything but a Python float goes through the one numeric rule, so the
-        # arithmetic below never runs on numpy scalars, whose overflow warns
-        plus, minus = finite_number(value_plus, ""), finite_number(value_minus, "")
-        if plus is None or minus is None:
-            raise DomainError(f"contrast_ratio requires finite nonnegative real numbers, "
-                              f"got {value_plus!r} and {value_minus!r}")
-        return contrast_ratio(plus, minus)
-    if not (0.0 <= value_plus < math.inf and 0.0 <= value_minus < math.inf):  # NaN fails too
-        raise DomainError("contrast_ratio requires finite nonnegative inputs")
-    total = value_plus + value_minus
-    if total == math.inf:  # halving is exact, so the ratio of the halves is the same
-        return contrast_ratio(value_plus / 2.0, value_minus / 2.0)
-    return abs(value_plus - value_minus) / total if total else 0.0
-
-
 def _occupation(cov: np.ndarray, idx: int) -> float | None:
     """Effective occupation ``(V_xx + V_yy - 1)/2`` of one mode, rounding noise
     below zero clipped; None below vacuum, where it has no thermal reading."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .measures import (
     MEASURE_FAMILIES,
     MEASURE_FIELDS,
     MeasureReport,
-    contrast_ratio,
     evaluate_measures,
     require_families,
 )
@@ -267,6 +267,20 @@ def _evaluate_task(task):
 _CONTRAST_FIELDS = tuple((key, f"{key}_plus", f"{key}_minus", f"C_{key}") for key in MEASURE_FIELDS)
 
 
+def _contrast(plus: float, minus: float) -> float:
+    """Bidirectional contrast ``|v+ - v-| / (v+ + v-)`` of the nonnegative parts, 0 when both are 0.
+
+    1 means the measure survives in one rotation sign only.  Residual
+    contangles can be negative; the contrast is defined on the nonnegative part.
+    """
+    plus, minus = max(plus, 0.0), max(minus, 0.0)
+    total = plus + minus
+    if total == math.inf:  # halving is exact, so the ratio of the halves is the same
+        plus, minus = plus / 2.0, minus / 2.0
+        total = plus + minus
+    return abs(plus - minus) / total if total else 0.0
+
+
 def _row(records: list) -> dict:
     """One output row: the record itself, or the contrast row of a +/- pair."""
     if len(records) == 1:
@@ -285,12 +299,7 @@ def _row(records: list) -> dict:
         vp, vm = plus[key], minus[key]
         row[key_plus] = vp
         row[key_minus] = vm
-        if vp is None or vm is None:
-            row[key_contrast] = None
-        else:
-            # residual contangles can be negative; the contrast is defined
-            # on the nonnegative part
-            row[key_contrast] = contrast_ratio(max(vp, 0.0), max(vm, 0.0))
+        row[key_contrast] = None if vp is None or vm is None else _contrast(vp, vm)
     return row
 
 

@@ -1,9 +1,11 @@
 import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,6 +177,15 @@ class TestSolve:
             ref = integrate_lyapunov(drift, diffusion)
             rel = np.linalg.norm(cov - ref) / np.linalg.norm(cov)
             assert rel < 1e-6
+
+    def test_failed_time_integration_is_solver_error(self, monkeypatch):
+        import scipy.integrate
+
+        message = "Required step size is less than spacing between numbers."
+        monkeypatch.setattr(scipy.integrate, "solve_ivp",
+                            lambda *args, **kwargs: SimpleNamespace(success=False, message=message))
+        with pytest.raises(SolverError, match=f"^time integration failed: {re.escape(message)}$"):
+            integrate_lyapunov(-np.eye(2), np.eye(2))
 
 
 class TestPhysicality:

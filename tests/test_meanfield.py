@@ -521,6 +521,8 @@ def test_a_nan_change_never_converges(monkeypatch, params, nan_at):
     with pytest.raises(ConvergenceError, match="last relative change nan") as caught:
         solve_self_consistent(params, DriveParams(bare_D_mb1=1.0, bare_D_cb2=1.0))
     assert math.isnan(caught.value.residual)
+    # a solve that failed its contract, with the row code of a singular point
+    assert isinstance(caught.value, SolverError) and caught.value.reason == "singular"
 
 
 def test_detuning_plane_outcomes_match_the_longhand_reference(step_calls):

@@ -32,8 +32,8 @@ from magnomech.measures import (
     _kernel,
     _pair_moduli,
 )
-from magnomech.model import MODE_INDEX, OMEGA
-from test_measures import _contangle_by_eigenvalues
+from magnomech.model import OMEGA
+from test_measures import _contangle_by_eigenvalues, _gather
 
 W_B1, W_B2 = 20.15e6, 20.11e6
 
@@ -64,12 +64,6 @@ def _steady_state(config):
     assume(gate.stable)
     diffusion = build_diffusion(params)
     return params, drift, diffusion, solve_lyapunov(drift, diffusion), gate.margin
-
-
-def _gather(cov, modes):
-    """The covariance of the named modes, in the given order."""
-    q = [k for mode in modes for k in (2 * MODE_INDEX[mode], 2 * MODE_INDEX[mode] + 1)]
-    return cov[np.ix_(q, q)]
 
 
 def _local_rotation(phi_1, phi_2):

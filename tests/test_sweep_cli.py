@@ -26,7 +26,7 @@ from magnomech import (
 )
 from magnomech import sweep as sweep_module
 from magnomech.cli import main as cli_main
-from magnomech.sweep import resolve_point
+from magnomech.sweep import _contrast, resolve_point
 from magnomech.params import (
     BASELINE_CONFIG,
     DRIVE_KEYS,
@@ -405,6 +405,36 @@ def _tiny_sweep(**kwargs):
         fixed=fixed,
         **kwargs,
     )
+
+
+class TestContrastRatio:
+    def test_reciprocal_case(self):
+        assert _contrast(0.3, 0.3) == 0.0
+
+    def test_perfect_nonreciprocity(self):
+        assert _contrast(0.7, 0.0) == 1.0
+        assert _contrast(0.0, 0.7) == 1.0
+        # a negative residual contangle counts as its nonnegative part, 0
+        assert _contrast(0.7, -0.2) == 1.0
+
+    def test_direct_evaluation(self):
+        assert _contrast(0.3, 0.1) == pytest.approx(0.5, abs=1e-15)
+
+    def test_defined_zero_limit(self):
+        assert _contrast(0.0, 0.0) == 0.0
+        assert _contrast(-0.1, -0.2) == 0.0
+
+    def test_sum_beyond_float_range(self, rng):
+        big = sys.float_info.max
+        assert _contrast(1.5e308, 1e308) == pytest.approx(0.2, rel=1e-15)
+        assert _contrast(big, big) == 0.0 and _contrast(big, 0.0) == 1.0
+        # halving is exact, so the halves' ratio is the ratio bit for bit
+        for a, b in rng.uniform(0, 5, size=(50, 2)).tolist():
+            assert _contrast(a / 2, b / 2) == _contrast(a, b)
+
+    def test_bounds_on_random_inputs(self, rng):
+        for a, b in rng.uniform(0, 5, size=(200, 2)).tolist():
+            assert 0.0 <= _contrast(a, b) <= 1.0
 
 
 class TestRunSweep:
