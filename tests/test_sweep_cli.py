@@ -26,6 +26,7 @@ from magnomech import (
 )
 from magnomech import sweep as sweep_module
 from magnomech.cli import main as cli_main
+from magnomech.measures import MEASURE_FAMILIES, MEASURE_FIELDS, MeasureReport
 from magnomech.sweep import _contrast, resolve_point
 from magnomech.params import (
     BASELINE_CONFIG,
@@ -435,6 +436,71 @@ class TestContrastRatio:
     def test_bounds_on_random_inputs(self, rng):
         for a, b in rng.uniform(0, 5, size=(200, 2)).tolist():
             assert 0.0 <= _contrast(a, b) <= 1.0
+
+    def test_symmetric_in_its_arguments(self, rng):
+        for a, b in rng.uniform(-1, 5, size=(200, 2)).tolist():
+            assert _contrast(a, b) == _contrast(b, a)
+
+    def test_power_of_two_scaling_keeps_the_ratio_across_the_float_range(self, rng):
+        # scaling by 2**k is exact, and 2**1021 pushes the sum past the float range
+        for a, b in rng.uniform(0, 5, size=(50, 2)).tolist():
+            for k in (-1000, -500, 500, 1021):
+                assert _contrast(math.ldexp(a, k), math.ldexp(b, k)) == _contrast(a, b)
+
+
+def _longhand_contrast(plus, minus):
+    """``|v+ - v-| / (v+ + v-)`` on the nonnegative parts, 0 when both are 0; empty if a side is."""
+    if plus is None or minus is None:
+        return None
+    plus, minus = max(plus, 0.0), max(minus, 0.0)
+    return abs(plus - minus) / (plus + minus) if plus + minus else 0.0
+
+
+class TestContrastRow:
+    @staticmethod
+    def _record(barnett_shift):
+        config = {"reflectivity": 0.0, "delta_m_tilde": -20e6, "barnett_shift": barnett_shift}
+        return sweep_module.evaluate_point(resolve_point(config)).to_record()
+
+    @pytest.mark.parametrize("family", MEASURE_FAMILIES)
+    def test_each_contrast_cell_is_the_formula_of_its_own_row(self, family):
+        # without and with the loop: the loop at 0.9 makes the residual contangles negative
+        rows = []
+        for fixed in ({"barnett_shift": 4.03e6}, {"reflectivity": 0.9, "theta": math.pi, "barnett_shift": 4.03e6}):
+            spec = SweepSpec(SweepAxis("delta_m_tilde", -30e6, -10e6, 3), fixed=fixed,
+                             measures=(family,), nonreciprocity=True)
+            table = run_sweep(spec)
+            rows += [dict(zip(table.columns, row)) for row in table.rows]
+        keys = [column[2:] for column in rows[0] if column.startswith("C_")]
+        contrasts = []
+        for row in rows:
+            for key in keys:
+                expected = _longhand_contrast(row[f"{key}_plus"], row[f"{key}_minus"])
+                assert row[f"C_{key}"] == expected, (key, row[f"{key}_plus"], row[f"{key}_minus"])
+                contrasts.append(expected)
+        # the family has cells of its own, and they are not all reciprocal
+        assert any(0.0 < c < 1.0 for c in contrasts if c is not None)
+
+    @pytest.mark.parametrize("empty", ["none", "plus", "minus", "both"])
+    def test_a_sign_without_values_leaves_its_contrast_cells_empty(self, empty):
+        plus, minus = self._record(4.03e6), self._record(-4.03e6)
+        if empty in ("plus", "both"):
+            plus = MeasureReport(stable=False, margin=None, params=None, reason="unstable").to_record()
+        if empty in ("minus", "both"):
+            minus = MeasureReport(stable=False, margin=None, params=None, reason="singular").to_record()
+        row = sweep_module._row([plus, minus])
+        assert row["stable_plus"] is (empty not in ("plus", "both"))
+        assert row["stable_minus"] is (empty not in ("minus", "both"))
+        # the + sign's reason comes first
+        assert row["reason"] == {"none": "", "plus": "unstable", "minus": "singular", "both": "unstable"}[empty]
+        for key in MEASURE_FIELDS:
+            assert (row[f"{key}_plus"], row[f"{key}_minus"]) == (plus[key], minus[key])
+            assert row[f"C_{key}"] == _longhand_contrast(plus[key], minus[key])
+        cells = [row[f"C_{key}"] for key in MEASURE_FIELDS]
+        if empty == "none":
+            assert None not in cells and any(c > 0.0 for c in cells)
+        else:
+            assert cells == [None] * len(cells)
 
 
 class TestRunSweep:
