@@ -28,9 +28,9 @@ CONVERGENCE_TOL = 1e-10
 MAX_ITERATIONS = 1000
 #: Under-relaxation factor applied to displacement updates.
 DAMPING = 0.5
-#: Largest gap, in steps, between the iterations whose displacement pair the
-#: cycle detection keeps.
-MAX_SAVE_GAP = 64
+#: Gap, in steps, between the iterations whose displacement pair the cycle
+#: detection keeps: a cycle of period up to this is caught wherever it starts.
+SAVE_GAP = 64
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,9 @@ def solve_self_consistent(
     displacement pair repeats an earlier one exactly.  Each convergence
     test reads two consecutive pairs only, so that one step completes
     the tests of a full period of the now periodic orbit, and no later
-    step can converge.  The pair is kept for comparison after steps 0,
-    1, 2, 4, ... until the gap reaches ``MAX_SAVE_GAP``, then every
-    ``MAX_SAVE_GAP`` steps, so a cycle entered late is caught too.  An
+    step can converge.  The pair is kept for comparison after step 0
+    and then every ``SAVE_GAP`` steps, so a cycle of period up to
+    ``SAVE_GAP`` is caught however late it is entered.  An
     overflow or a division by zero (at a 1e200 Hz drive, say) is a :class:`SolverError`.
     """
     with FloatGuard("mean-field solve"):
@@ -157,11 +157,11 @@ def solve_self_consistent(
         x1 = x2 = 0.0
         x1 += DAMPING * (b1.real - x1)
         x2 += DAMPING * (b2.real - x2)
-        # Brent's cycle detection on (x1, x2), which alone fixes every later
-        # step: the pair held after iteration 0, 1, 2, 4, ..., then every
-        # MAX_SAVE_GAP steps, is kept.  x never becomes -0.0 (a sum
-        # is -0.0 only if both terms are), so == here means bit-identical.
-        saved1, saved2, next_save, repeats = x1, x2, 1, False
+        # Cycle detection on (x1, x2), which alone fixes every later step:
+        # the pair held after iteration 0, then every SAVE_GAP iterations, is
+        # kept.  x never becomes -0.0 (a sum is -0.0 only if both terms
+        # are), so == here means bit-identical.
+        saved1, saved2, next_save, repeats = x1, x2, SAVE_GAP, False
         for iteration in range(1, MAX_ITERATIONS + 1):
             delta_m = delta_m0 + shift_m * x1
             delta_c = delta_c0 - shift_c * x2
@@ -183,7 +183,7 @@ def solve_self_consistent(
                 repeats = True
             elif iteration == next_save:
                 saved1, saved2 = x1, x2
-                next_save = iteration + min(iteration, MAX_SAVE_GAP)
+                next_save += SAVE_GAP
         changes = (abs(m1 - m) / (m_abs + eps), abs(c1 - c) / (c_abs + eps),
                    abs(b11 - b1) / (abs(b1) + eps), abs(b21 - b2) / (abs(b2) + eps))
         change = math.nan if any(map(math.isnan, changes)) else max(changes)

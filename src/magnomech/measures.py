@@ -374,8 +374,9 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
     reported, flagged, and quantum-state theorems (such as steering implying
     entanglement) are only guaranteed where the flag is set.
 
-    ``cov`` is checked once: anything but a real (bool, int or float dtype)
-    10x10 numpy array raises :class:`DomainError`, a non-finite entry
+    ``cov`` is checked once, by :func:`params.real_matrix`: anything but a real
+    (bool, int or float dtype) 10x10 matrix, given as an array or a nested list,
+    raises :class:`DomainError`, a non-finite entry
     :class:`SolverError`; unknown ``measures`` raise :class:`ConfigError`, and
     an overflow in the measures (of a covariance near 1e150, say) a :class:`SolverError`.
     Symmetry is not checked: only the diagonal and the lower triangle of ``cov`` are read.
@@ -385,8 +386,6 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
     :func:`_transposes_are_ppt` shows every term 0; then each residual is +0.0.
     """
     require_families(measures)
-    if not isinstance(cov, np.ndarray):
-        raise DomainError(f"evaluate_measures needs a numpy array, got {type(cov).__name__}")
     cov = real_matrix(cov, "evaluate_measures needs a finite real 10x10 covariance", (len(OMEGA),))
     with FloatGuard("measures"):
         nu_min = float(_spectrum(cov)[-1])

@@ -71,7 +71,7 @@ NEED = {
 
 
 @pytest.mark.parametrize("name", MATRIX_CALLS)
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
 def test_non_finite_entry_is_a_solver_error_that_says_what_is_needed(name, bad, monkeypatch):
     def integrate(*_args, **_kwargs):
         raise AssertionError("a non-finite matrix reached the integrator")

@@ -53,13 +53,6 @@ class TestStabilityCheck:
         a = np.array([[-1e3, 1e6], [-1e6, -1e3]])
         assert stability_check(a).stable
 
-    def test_baseline_drift_is_stable(self, baseline):
-        assert stability_check(build_drift(baseline)).stable
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            stability_check(np.zeros((2, 3)))
-
     @pytest.mark.parametrize("drift", [
         np.zeros((2, 3)), "abc", -np.eye(3, dtype=complex), -np.eye(3).astype(object),
         -np.ones((2, 2, 2)), [[-1.0]] * 2,
@@ -94,14 +87,6 @@ class TestSolve:
         cov = solve_lyapunov_oracle(-2.0 * np.eye(4), 3.0 * np.eye(4))
         assert np.allclose(cov, 0.75 * np.eye(4), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_drift_is_solver_error(self, bad):
-        drift = np.full((2, 2), bad)
-        with pytest.raises(SolverError, match="non-finite"):
-            solve_lyapunov(drift, np.eye(2))
-        with pytest.raises(SolverError, match="non-finite"):
-            stability_check(drift)
-
     def test_dgees_failure_is_solver_error(self, monkeypatch):
         dgees = lyapunov._DGEES
 
@@ -127,13 +112,6 @@ class TestSolve:
         with pytest.raises(DomainError, match="12 modes"):
             solve_lyapunov_oracle(-np.eye(26), np.eye(26))
 
-    def test_unstable_input_is_contract_violation(self):
-        a = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(StabilityError):
-            solve_lyapunov(a, np.eye(2))
-        with pytest.raises(StabilityError):
-            solve_lyapunov_oracle(a, np.eye(2))
-
     def test_solver_matches_oracle_on_random_systems(self, rng):
         for k in range(20):
             drift, diffusion = random_stable_system(rng, 2 + k % 9)
@@ -141,13 +119,6 @@ class TestSolve:
             ref = solve_lyapunov_oracle(drift, diffusion)
             rel = np.linalg.norm(cov - ref) / np.linalg.norm(ref)
             assert rel < 1e-8
-
-    def test_residual_bound_on_every_solve(self, rng):
-        for k in range(10):
-            drift, diffusion = random_stable_system(rng, 3 + k % 5)
-            cov = solve_lyapunov(drift, diffusion)
-            res = np.linalg.norm(drift @ cov + cov @ drift.T + diffusion)
-            assert res / np.linalg.norm(diffusion) < RESIDUAL_TOL
 
     @pytest.mark.parametrize("solver", [solve_lyapunov, solve_lyapunov_oracle])
     def test_residual_above_the_bound_is_solver_error(self, solver):
@@ -259,13 +230,6 @@ class TestOneFactorization:
         assert stability_check(drift).stable
         solve_lyapunov(drift, build_diffusion(baseline))
         assert lapack_calls == {"dgees": 1, "eigvals": 0, "schur": 0}
-
-    def test_unstable_point_runs_one_dgees(self, lapack_calls):
-        drift = np.diag([-1.0, -2.0, 0.5, -3.0])
-        assert not stability_check(drift).stable
-        with pytest.raises(StabilityError):
-            solve_lyapunov(drift, np.eye(4))
-        assert lapack_calls["dgees"] == 1
 
     def test_sweep_point_runs_one_dgees(self, baseline, lapack_calls):
         from magnomech.sweep import evaluate_point

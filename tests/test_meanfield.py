@@ -22,7 +22,7 @@ from magnomech import (
 )
 from magnomech import meanfield
 from magnomech.meanfield import (
-    CONVERGENCE_TOL, DAMPING, MAX_ITERATIONS, MAX_SAVE_GAP, SteadyAmplitudes,
+    CONVERGENCE_TOL, DAMPING, MAX_ITERATIONS, SAVE_GAP, SteadyAmplitudes,
 )
 from magnomech.params import TWO_PI, load_config, resolve_drive_params
 from magnomech.sweep import split_config
@@ -35,7 +35,7 @@ MEANFIELD_POINT = Path(__file__).parent.parent / "configs" / "meanfield_point.cf
 CYCLING = (-40.3e6, 3351666.6666666665)
 NON_REPEATING = (-40.3e6, 5027500.0)
 #: A point of the same plane whose orbit enters an exact period-8 cycle at
-#: step 551, after step 512, the last power of two below MAX_ITERATIONS.
+#: step 551, after the pair saved at step 8 * SAVE_GAP = 512.
 LATE_CYCLING = (-28545833.333333332, 5027500.0)
 #: What the ConvergenceError of an orbit that repeats says.
 REPEATS = "repeats its displacement orbit"
@@ -194,16 +194,6 @@ def test_linearity_in_drive(params):
     sa2 = _reference_amplitudes(params, double, *detunings)
     assert abs(sa2.m_avg) == pytest.approx(2 * abs(sa1.m_avg), rel=1e-12)
     assert abs(sa2.c_avg) == pytest.approx(2 * abs(sa1.c_avg), rel=1e-12)
-
-
-def test_singular_optical_denominator():
-    # gamma_c_fb vanishes at reflectivity 0.5, theta 0; with zero optical
-    # detuning the optical response diverges
-    params = resolve_system_params(
-        {"reflectivity": 0.5, "theta": 0.0, "delta_c_tilde": 0.0}
-    )
-    with pytest.raises(SingularPointError, match="optical"):
-        _reference_amplitudes(params, DriveParams(laser_coupling=1.0), params.delta_m_tilde, 0.0)
 
 
 def test_drive_field_sets_the_rabi_rate_however_the_laser_is_given(params):
@@ -477,21 +467,31 @@ def step_calls(monkeypatch):
 def _first_kept_repeat(calls):
     """Index of the first step evaluated at the displacement pair that the
     cycle detection keeps: the pair of step 1, then that of step k + 1 after
-    iterations k = 1, 2, 4, ..., 64 and every MAX_SAVE_GAP iterations on."""
-    kept, next_save = 1, 1
+    every iteration k that is a multiple of SAVE_GAP."""
+    kept = 1
     for index in range(2, len(calls)):
         if calls[index] == calls[kept]:
             return index
-        if index - 1 == next_save:
-            kept, next_save = index, next_save + min(next_save, MAX_SAVE_GAP)
+        if (index - 1) % SAVE_GAP == 0:
+            kept = index
     return None
+
+
+def _assert_stops_soon_after_its_cycle(calls, period):
+    """The solve stopped on a cycle of ``period`` steps, no later than
+    SAVE_GAP + period + 1 steps after the orbit first entered it."""
+    entry = next(i for i in range(len(calls) - period) if calls[i] == calls[i + period])
+    assert all(calls[i] == calls[i + period] for i in range(entry, len(calls) - period))
+    assert len(calls) - 1 - entry <= SAVE_GAP + period + 1
+    # the step at the repeated pair is the last one: it completes one period
+    assert len(calls) == _first_kept_repeat(calls) + 1
+    return entry
 
 
 def test_iteration_stops_once_its_orbit_repeats(step_calls):
     with pytest.raises(ConvergenceError, match=REPEATS):
         solve_self_consistent(*_meanfield_point(*CYCLING))
-    # the step at the repeated pair is the last one: it completes one period
-    assert len(step_calls) == _first_kept_repeat(step_calls) + 1
+    _assert_stops_soon_after_its_cycle(step_calls, 2)
     assert step_calls[-1] == step_calls[-3] != step_calls[-2]
     step_calls.clear()
     with pytest.raises(ConvergenceError):
@@ -500,9 +500,9 @@ def test_iteration_stops_once_its_orbit_repeats(step_calls):
 
 
 def test_iteration_stops_on_a_cycle_entered_late(step_calls):
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=REPEATS):
         solve_self_consistent(*_meanfield_point(*LATE_CYCLING))
-    assert len(step_calls) < MAX_ITERATIONS + 1
+    assert _assert_stops_soon_after_its_cycle(step_calls, 8) > 8 * SAVE_GAP
 
 
 @pytest.mark.parametrize("nan_at", range(4), ids=["m", "c", "b1", "b2"])

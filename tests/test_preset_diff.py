@@ -49,7 +49,12 @@ def test_a_move_within_tolerance_is_reported_as_the_largest_one():
     (0.25, math.nan, "row 0 E_b1b2: nan -> 0.25 (moved inf)"),
     (None, 0.25, "row 0 E_b1b2: 0.25 -> None"),
     (0.25, None, "row 0 E_b1b2: None -> 0.25"),
-], ids=["nan-nan", "nan-for-number", "number-for-nan", "none-for-number", "number-for-none"])
+    (math.inf, math.inf, None),
+    (0.25, math.inf, "row 0 E_b1b2: inf -> 0.25 (moved inf)"),
+    (math.inf, 0.25, "row 0 E_b1b2: 0.25 -> inf (moved inf)"),
+    (math.inf, -math.inf, "row 0 E_b1b2: -inf -> inf (moved inf)"),
+], ids=["nan-nan", "nan-for-number", "number-for-nan", "none-for-number", "number-for-none",
+        "inf-inf", "number-for-inf", "inf-for-number", "inf-for-minus-inf"])
 def test_nan_and_none_cells(new, old, problem):
     rows, reference = _table(), _table()
     rows[0]["E_b1b2"], reference[0]["E_b1b2"] = new, old

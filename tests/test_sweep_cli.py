@@ -65,8 +65,6 @@ class TestConfigParsing:
         }
 
     def test_malformed_line(self):
-        with pytest.raises(ConfigError, match="line 1"):
-            parse_config("temperature 0.05")
         with pytest.raises(ConfigError, match="line 1: empty key"):
             parse_config("= 5")
 
@@ -289,13 +287,6 @@ class TestRunPoint:
         assert report.reason == "unstable"
         assert report.pairwise_E == {} and report.steering == {}
 
-    def test_zero_coupling_null(self):
-        report = run_point({"G_m": 0, "G_c": 0, "D_ma": 0, "D_b1b2": 0})
-        assert report.stable
-        assert all(v < 1e-10 for v in report.pairwise_E.values())
-        assert all(v < 1e-10 for v in report.steering.values())
-        assert all(abs(v) < 1e-10 for v in report.tripartite_R.values())
-
     def test_measure_subset(self):
         report = run_point({"measures": "entanglement"})
         assert report.pairwise_E and not report.steering and not report.tripartite_R
@@ -481,6 +472,22 @@ class TestContrastRow:
         # the family has cells of its own, and they are not all reciprocal
         assert any(0.0 < c < 1.0 for c in contrasts if c is not None)
 
+    def test_a_barnett_shift_axis_gives_each_magnitude_both_signs(self):
+        # every axis value v is evaluated at +|v| and -|v|: the _plus cells are
+        # always the positive shift's, so the rows at -v and +v are identical
+        spec = SweepSpec(SweepAxis("barnett_shift", -4e6, 4e6, 3), measures=("entanglement",),
+                         nonreciprocity=True)
+        table = run_sweep(spec)
+        assert [row[0] for row in table.rows] == [-4e6, 0.0, 4e6]
+        assert table.rows[0][1:] == table.rows[2][1:]
+        for row in (dict(zip(table.columns, row)) for row in table.rows):
+            magnitude = abs(row["barnett_shift_hz"])
+            plus, minus = (run_point({"barnett_shift": shift, "measures": "entanglement"}).to_record()
+                           for shift in (magnitude, -magnitude))
+            for key in ("stability_margin", *MEASURE_FIELDS):
+                assert (row[f"{key}_plus"], row[f"{key}_minus"]) == (plus[key], minus[key])
+            assert (row["C_E_b2m"] > 0.05) is (magnitude > 0)
+
     @pytest.mark.parametrize("empty", ["none", "plus", "minus", "both"])
     def test_a_sign_without_values_leaves_its_contrast_cells_empty(self, empty):
         plus, minus = self._record(4.03e6), self._record(-4.03e6)
@@ -618,14 +625,6 @@ class TestRunSweep:
         assert "C_n_eff_b1" in table.columns
         for row in table.rows:
             assert all(type(cell) in (type(None), bool, str, float) for cell in row)
-
-    def test_worker_counts_agree(self, tmp_path):
-        spec = _tiny_sweep()
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        _emit_file(run_sweep(spec, workers=1), "csv", serial)
-        _emit_file(run_sweep(spec, workers=2), "csv", parallel)
-        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_worker_pool_is_capped_at_the_task_count(self, monkeypatch):
         # a pool forks all its workers at the first submit, so the count
@@ -781,11 +780,6 @@ class TestEmit:
             assert out.getvalue() == expected
         with pytest.raises(ConfigError):
             emit(table, "yaml", io.StringIO())
-
-    def test_unknown_format(self, tmp_path):
-        table = run_sweep(_tiny_sweep())
-        with pytest.raises(ConfigError):
-            emit(table, "yaml", tmp_path / "x.yaml")
 
 
 class TestShippedConfigs:
