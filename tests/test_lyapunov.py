@@ -53,6 +53,9 @@ class TestStabilityCheck:
         a = np.array([[-1e3, 1e6], [-1e6, -1e3]])
         assert stability_check(a).stable
 
+    def test_baseline_drift_is_stable(self, baseline):
+        assert stability_check(build_drift(baseline)).stable
+
     @pytest.mark.parametrize("drift", [
         np.zeros((2, 3)), "abc", -np.eye(3, dtype=complex), -np.eye(3).astype(object),
         -np.ones((2, 2, 2)), [[-1.0]] * 2,

@@ -626,6 +626,14 @@ class TestRunSweep:
         for row in table.rows:
             assert all(type(cell) in (type(None), bool, str, float) for cell in row)
 
+    def test_worker_counts_agree(self, tmp_path):
+        spec = _tiny_sweep()
+        serial = tmp_path / "serial.csv"
+        parallel = tmp_path / "parallel.csv"
+        _emit_file(run_sweep(spec, workers=1), "csv", serial)
+        _emit_file(run_sweep(spec, workers=2), "csv", parallel)
+        assert serial.read_bytes() == parallel.read_bytes()
+
     def test_worker_pool_is_capped_at_the_task_count(self, monkeypatch):
         # a pool forks all its workers at the first submit, so the count
         # it is built with must not exceed the number of grid cells
@@ -780,6 +788,11 @@ class TestEmit:
             assert out.getvalue() == expected
         with pytest.raises(ConfigError):
             emit(table, "yaml", io.StringIO())
+
+    def test_unknown_format(self, tmp_path):
+        table = run_sweep(_tiny_sweep())
+        with pytest.raises(ConfigError):
+            emit(table, "yaml", tmp_path / "x.yaml")
 
 
 class TestShippedConfigs:
