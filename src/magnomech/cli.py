@@ -30,22 +30,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    table = argparse.ArgumentParser(add_help=False)  # the options of the table-writing commands
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    table.add_argument("--workers", type=int, default=1)
 
     point = sub.add_parser("point", help="evaluate one parameter point and print the report")
     point.add_argument("--config", required=True, help="flat key/value parameter file")
     point.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    sweep = sub.add_parser("sweep", help="run a 1D/2D parameter sweep to a file")
+    sweep = sub.add_parser("sweep", parents=[table], help="run a 1D/2D parameter sweep to a file")
     sweep.add_argument("--config", required=True, help="parameter file with axis1[/axis2] keys")
     sweep.add_argument("--out", required=True, help="output file")
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--workers", type=int, default=1)
 
-    presets = sub.add_parser("presets", help="list shipped presets, or run one with --preset")
+    presets = sub.add_parser("presets", parents=[table], help="list shipped presets, or run one with --preset")
     presets.add_argument("--preset", help="name of the preset to run")
     presets.add_argument("--out", help="output file (required when running)")
-    presets.add_argument("--format", choices=("csv", "json"), default="csv")
-    presets.add_argument("--workers", type=int, default=1)
 
     sub.add_parser("validate", help="run the solver and measure self-check suites")
     return parser

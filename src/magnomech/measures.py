@@ -53,9 +53,10 @@ PHYSICAL_TOL = 1e-8
 INDIRECT_PAIRS = (("b1", "c"), ("b1", "a"), ("b2", "m"), ("b2", "a"), ("m", "c"), ("c", "a"))
 
 ALL_PAIRS = tuple(itertools.combinations(MODE_ORDER, 2))
+_MECHANICAL = ("b1", "b2")  # the modes of the phonon occupations
 
-#: Mode triples reported by default: the optical mode with the microwave
-#: or magnon mode plus one mechanical mode.
+#: Mode triples reported by default, each in :data:`MODE_ORDER` order as the ``R_*`` names
+#: and ``contangle`` need: the optical mode with the microwave or magnon mode plus one mechanical mode.
 DEFAULT_TRIPLES = (("b1", "m", "c"), ("b2", "c", "a"), ("b2", "m", "c"), ("b1", "c", "a"))
 
 
@@ -201,8 +202,7 @@ _INDIRECT_OF_ALL = np.array([ALL_PAIRS.index(pair) for pair in INDIRECT_PAIRS])
 _INDIRECT_MODES = np.array([[MODE_INDEX[mode] for mode in pair] for pair in INDIRECT_PAIRS])
 #: The ordered pairs of the steering values, both directions of each indirect pair in turn.
 _STEERING_KEYS = tuple(pair for a, b in INDIRECT_PAIRS for pair in ((a, b), (b, a)))
-_TRIPLE_KEYS = tuple(_canonical(triple) for triple in DEFAULT_TRIPLES)
-_TRIPLE_PLAN = _contangle_plan(_TRIPLE_KEYS)
+_TRIPLE_PLAN = _contangle_plan(DEFAULT_TRIPLES)
 
 
 #: The measure fields of :meth:`MeasureReport.to_record`, in record order: for each
@@ -210,8 +210,8 @@ _TRIPLE_PLAN = _contangle_plan(_TRIPLE_KEYS)
 _RECORD_FIELDS = (
     ("pairwise_E", tuple(f"E_{a}{b}" for a, b in ALL_PAIRS), ALL_PAIRS),
     ("steering", tuple(f"S_{s}_to_{t}" for s, t in _STEERING_KEYS), _STEERING_KEYS),
-    ("tripartite_R", tuple(f"R_{''.join(key)}" for key in _TRIPLE_KEYS), _TRIPLE_KEYS),
-    ("phonon_occ", ("n_eff_b1", "n_eff_b2"), ("b1", "b2")),
+    ("tripartite_R", tuple(f"R_{''.join(key)}" for key in DEFAULT_TRIPLES), DEFAULT_TRIPLES),
+    ("phonon_occ", tuple(f"n_eff_{mode}" for mode in _MECHANICAL), _MECHANICAL),
 )
 #: Names of a record's measure fields, in order; the other fields are the point's status.
 MEASURE_FIELDS = tuple(name for _, names, _ in _RECORD_FIELDS for name in names)
@@ -403,8 +403,7 @@ def evaluate_measures(cov: np.ndarray, params: SystemParams, margin: float,
             report.steering = dict(zip(_STEERING_KEYS, values.ravel().tolist()))
         if "contangle" in measures:
             values = _triple_contangles(cov, negativities)
-            report.tripartite_R = dict(zip(_TRIPLE_KEYS, values.tolist()))
+            report.tripartite_R = dict(zip(DEFAULT_TRIPLES, values.tolist()))
         if "occupation" in measures:
-            for mode in ("b1", "b2"):
-                report.phonon_occ[mode] = _occupation(cov, MODE_INDEX[mode])
+            report.phonon_occ = {mode: _occupation(cov, MODE_INDEX[mode]) for mode in _MECHANICAL}
         return report

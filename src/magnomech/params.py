@@ -295,13 +295,13 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    """Read and parse a UTF-8 configuration file; errors name the file."""
+    """Read and parse a UTF-8 configuration file, a byte-order mark skipped; errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
-        return parse_config(text)
+        return parse_config(text.removeprefix("\ufeff"))  # not utf-8-sig: the byte above counts a mark
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -25,11 +25,17 @@ from .sweep import SweepSpec, sweep_spec_from_config
 _W_B1 = BASELINE_CONFIG["omega_b1"]  # Hz, config convention
 _W_B2 = BASELINE_CONFIG["omega_b2"]
 
-# Shared pieces: detuning plane, loop at theta = pi, rotation shift, temperature scan.
+# Shared pieces: two planes, contrast detuning axis, loop at theta = pi, rotation shift, temperature scan.
 _DETUNING_PLANE = {
     "axis1": "delta_m_tilde", "axis1_start": -2.0 * _W_B1, "axis1_stop": 0.0, "axis1_count": 33,
     "axis2": "delta_c_tilde", "axis2_start": 0.0, "axis2_stop": 2.0 * _W_B2, "axis2_count": 33,
 }
+_COUPLING_PLANE = {
+    "axis1": "D_ma", "axis1_start": 0.0, "axis1_stop": 3.0e6, "axis1_count": 33,
+    "axis2": "D_b1b2", "axis2_start": 0.0, "axis2_stop": 3.0e6, "axis2_count": 33,
+}
+_CONTRAST_DETUNING = {"axis1": "delta_m_tilde", "axis1_start": -2.0 * _W_B1, "axis1_stop": 0.0,
+                      "axis1_count": 41}
 _FB = {"reflectivity": 0.9, "theta": math.pi}
 _BE = {"barnett_shift": 0.2 * _W_B1}
 _TEMPERATURE = {"axis1": "temperature", "axis1_start": 0.0, "axis1_stop": 1.0, "axis1_count": 41}
@@ -61,14 +67,10 @@ _CONFIGS = {
          **_BE, "measures": "entanglement,steering"}),
     "coupling-grid": (
         "Magnon-microwave versus phonon-phonon coupling plane, no feedback.",
-        {"axis1": "D_ma", "axis1_start": 0.0, "axis1_stop": 3.0e6, "axis1_count": 33,
-         "axis2": "D_b1b2", "axis2_start": 0.0, "axis2_stop": 3.0e6, "axis2_count": 33,
-         "measures": "entanglement,steering"}),
+        {**_COUPLING_PLANE, "measures": "entanglement,steering"}),
     "coupling-grid-fb-be": (
         "Coupling plane with feedback (0.9) and the rotation shift.",
-        {"axis1": "D_ma", "axis1_start": 0.0, "axis1_stop": 3.0e6, "axis1_count": 33,
-         "axis2": "D_b1b2", "axis2_start": 0.0, "axis2_stop": 3.0e6, "axis2_count": 33,
-         **_FB, **_BE, "measures": "entanglement,steering"}),
+        {**_COUPLING_PLANE, **_FB, **_BE, "measures": "entanglement,steering"}),
     "temperature-baseline": (
         "All measures against bath temperature, no feedback, non-rotating.",
         {"axis1": "temperature", "axis1_start": 0.0, "axis1_stop": 0.5, "axis1_count": 41}),
@@ -86,13 +88,11 @@ _CONFIGS = {
          **_FB, "measures": "entanglement"}),
     "contrast-detuning": (
         "Nonreciprocity contrast of every pair along the magnon detuning, reflectivity 0.6.",
-        {"axis1": "delta_m_tilde", "axis1_start": -2.0 * _W_B1, "axis1_stop": 0.0,
-         "axis1_count": 41, "reflectivity": 0.6, "theta": math.pi, **_BE,
+        {**_CONTRAST_DETUNING, **_FB, "reflectivity": 0.6, **_BE,
          "measures": "entanglement", "nonreciprocity": True}),
     "contrast-detuning-high-reflectivity": (
         "Contrast along the magnon detuning at reflectivity 0.9.",
-        {"axis1": "delta_m_tilde", "axis1_start": -2.0 * _W_B1, "axis1_stop": 0.0,
-         "axis1_count": 41, **_FB, **_BE, "measures": "entanglement", "nonreciprocity": True}),
+        {**_CONTRAST_DETUNING, **_FB, **_BE, "measures": "entanglement", "nonreciprocity": True}),
     "contrast-temperature": (
         "Contrast of every pair against temperature at reflectivity 0.9.",
         {**_TEMPERATURE, **_FB, **_BE, "measures": "entanglement", "nonreciprocity": True}),
@@ -101,7 +101,7 @@ _CONFIGS = {
         {**_TEMPERATURE, **_BE, "measures": "entanglement,contangle", "nonreciprocity": True}),
     "contrast-tripartite-temperature-fb": (
         "Tripartite contrast against temperature with a weak loop (0.1).",
-        {**_TEMPERATURE, "reflectivity": 0.1, "theta": math.pi, **_BE,
+        {**_TEMPERATURE, **_FB, "reflectivity": 0.1, **_BE,
          "measures": "entanglement,contangle", "nonreciprocity": True}),
 }
 

@@ -40,17 +40,18 @@ from .params import (
     resolve_system_params,
 )
 
+_POINT_KEYS = ("measures", "coupling_mode")  # the control keys that apply to a single point
 #: The control keys of a config: each axis's name and bounds, then the options.
 _CONTROL_KEYS = (
     "axis1", "axis1_start", "axis1_stop", "axis1_count",
     "axis2", "axis2_start", "axis2_stop", "axis2_count",
-    "nonreciprocity", "measures", "coupling_mode",
+    "nonreciprocity", *_POINT_KEYS,
 )
 
 #: The longest float array numpy can index: one more element and its size in bytes overflows intp.
 _MAX_COUNT = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
-_FROM_CONFIG = object()  # split_config's default coupling_mode: the config's, else direct
+_FROM_CONFIG = object()  # default coupling_mode of split_config and resolve_point: the config's, else direct
 
 
 @dataclass(frozen=True)
@@ -196,11 +197,11 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
     )
 
 
-def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
+def resolve_point(config: dict, coupling_mode=_FROM_CONFIG) -> SystemParams:
     """Resolve a config mapping to :class:`SystemParams`.
 
-    :func:`split_config` checks the config; of the control keys only ``measures``
-    (a checked list) and ``coupling_mode`` (equal to the argument) may appear.
+    :func:`split_config` checks the config: of the control keys only ``measures`` (a checked list)
+    and ``coupling_mode`` (else the argument, else ``direct``; both given must agree) may appear.
     In ``meanfield`` mode the self-consistent amplitude solve of the drive block gives the
     effective couplings and the displacement-shifted detunings.  Only the real parts ``Re G`` of the
     complex effective couplings enter the drift matrix.  The dropped imaginary
@@ -208,9 +209,9 @@ def resolve_point(config: dict, coupling_mode: str = "direct") -> SystemParams:
     is 5.0% and ``|Im G_c / Re G_c|`` is 5.4%.  Using ``|G|`` instead (ROADMAP.md
     item 4) would change existing sweep outputs.
     """
-    system, drive, _ = split_config(config, ("measures", "coupling_mode"), coupling_mode)
+    system, drive, control = split_config(config, _POINT_KEYS, coupling_mode)
     params = resolve_system_params(system)
-    if coupling_mode == "direct":
+    if control["coupling_mode"] == "direct":
         return params
     amplitudes = solve_self_consistent(params, resolve_drive_params(drive))
     return dataclasses.replace(
@@ -242,8 +243,8 @@ def run_point(config: dict) -> MeasureReport:
     Of the control keys only ``measures`` and ``coupling_mode`` apply to a
     single point; :func:`split_config` rejects any other one.
     """
-    _, _, control = split_config(config, ("measures", "coupling_mode"))
-    return evaluate_point(resolve_point(config, control["coupling_mode"]), control["measures"])
+    _, _, control = split_config(config, _POINT_KEYS)
+    return evaluate_point(resolve_point(config), control["measures"])
 
 
 def _evaluate_task(task):

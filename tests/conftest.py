@@ -16,12 +16,6 @@ def baseline():
 
 
 @pytest.fixture
-def baseline_cold():
-    """Baseline operating point at zero temperature."""
-    return resolve_system_params({"temperature": 0.0})
-
-
-@pytest.fixture
 def baseline_cov(baseline):
     """Steady-state covariance at the baseline point."""
     return solve_lyapunov(build_drift(baseline), build_diffusion(baseline))

@@ -192,6 +192,11 @@ TRIPLE_PAIRS = [(triple, pair) for triple in DEFAULT_TRIPLES
 
 
 class TestResidualContangle:
+    def test_default_triples_are_in_mode_order(self):
+        # the R_* names and the tripartite_R keys that contangle() looks up are these tuples
+        for triple in DEFAULT_TRIPLES:
+            assert triple == tuple(sorted(triple, key=MODE_ORDER.index))
+
     @pytest.mark.parametrize("triple", DEFAULT_TRIPLES, ids="".join)
     def test_vacuum(self, triple):
         report = evaluate_measures(0.5 * np.eye(10), None, -1.0, ("contangle",))

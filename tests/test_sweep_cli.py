@@ -79,6 +79,20 @@ class TestConfigParsing:
             magnomech.load_config(cfg)
         assert str(info.value).startswith(f"{cfg}: line 1: expected 'key = value'")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain = TestShippedConfigs.CONFIG_DIR / "baseline.cfg"
+        marked = tmp_path / "baseline.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert magnomech.load_config(marked) == magnomech.load_config(plain)
+
+    @pytest.mark.parametrize("mark, offset", [(b"", 6), (b"\xef\xbb\xbf", 9)], ids=["plain", "marked"])
+    def test_latin1_text_is_an_error_that_names_the_file_and_byte(self, tmp_path, mark, offset):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(mark + "# température\n".encode("latin-1"))
+        with pytest.raises(ConfigError) as info:
+            magnomech.load_config(cfg)
+        assert str(info.value) == f"{cfg}: not UTF-8 text (invalid continuation byte at byte {offset})"
+
     def test_unknown_parameter_fails_at_resolve(self):
         with pytest.raises(ConfigError, match="unknown"):
             run_point({"not_a_parameter": 1.0})
@@ -333,11 +347,13 @@ class TestRunPoint:
             resolve_point({})
 
     def test_resolve_point_coupling_mode_key_must_match_the_argument(self):
-        path = Path(__file__).parent.parent / "configs" / "meanfield_point.cfg"
-        config = magnomech.load_config(path)
+        baseline, meanfield = (magnomech.load_config(TestShippedConfigs.CONFIG_DIR / name)
+                               for name in ("baseline.cfg", "meanfield_point.cfg"))
+        for config, mode in ((baseline, "direct"), (meanfield, "meanfield")):
+            assert resolve_point(config) == resolve_point(config, mode) == run_point(config).params
         with pytest.raises(ConfigError, match="coupling_mode = 'meanfield'.*'direct'"):
-            resolve_point(config)
-        assert resolve_point(config, "meanfield") != resolve_point({})
+            resolve_point(meanfield, "direct")
+        assert resolve_point(meanfield, "meanfield") != resolve_point({})
         with pytest.raises(ConfigError, match="coupling_mode = 'direct'.*'meanfield'"):
             resolve_point({"coupling_mode": "direct"}, "meanfield")
 
