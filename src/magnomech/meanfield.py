@@ -41,6 +41,9 @@ class SteadyAmplitudes:
     -i*sqrt(2)*D_mb1*<m> and +i*sqrt(2)*D_cb2*<c>; ``delta_m_eff`` and
     ``delta_c_eff`` are the fully shifted detunings (rotation shift and
     feedback shift included) at which the amplitudes were evaluated.
+    ``iterations`` is the step of :func:`solve_self_consistent`'s loop that
+    converged, counted from step 0 at the unshifted detunings: 1 when the
+    displacements do not move the amplitudes.
     """
 
     m_avg: complex
@@ -76,52 +79,6 @@ def _drive_amplitudes(params: SystemParams, drives: DriveParams) -> tuple:
     return rabi, laser_coupling
 
 
-def _amplitude_map(params: SystemParams, drives: DriveParams):
-    """Closed-form amplitudes as a function of the two effective detunings.
-
-    Everything that does not depend on the detunings is computed once
-    here.  The returned ``step(delta_m_eff, delta_c_eff)`` gives
-    ``(m, c, b1, b2, |m|, |c|)``: the four amplitudes plus the two
-    magnitudes that the mechanical drive terms already needed.  Only
-    exact hoists are made, so the results match the formula evaluated
-    in full bit for bit.  The microwave and magnon denominators have the
-    real parts ``gamma_a`` and at least ``gamma_m``, both positive, so of
-    the four only the optical and the mechanical one can vanish.  A
-    mechanical denominator that overflows raises ``OverflowError``, which
-    the caller's guard turns into a :class:`SolverError`.
-    """
-    p, d = params, drives
-    rabi, laser_coupling = _drive_amplitudes(p, d)
-    microwave_load = p.D_ma**2 / (1j * p.delta_a + p.gamma_a)
-    optical_drive = p.psi * laser_coupling
-    z1 = 1j * p.gamma_b1 - p.omega_b1
-    z2 = 1j * p.gamma_b2 - p.omega_b2
-    den_b = p.D_b1b2**2 - z1 * z2
-    if den_b == 0:
-        raise SingularPointError("mechanical amplitude denominator vanishes")
-    if not cmath.isfinite(den_b):  # Python's complex product overflows without raising
-        raise OverflowError("mechanical amplitude denominator overflows")
-    gamma_m, gamma_c_fb = p.gamma_m, p.gamma_c_fb
-    d_b1b2, d_mb1, d_cb2 = p.D_b1b2, d.bare_D_mb1, d.bare_D_cb2
-
-    def step(delta_m_eff: float, delta_c_eff: float):
-        den_m = (1j * delta_m_eff + gamma_m) + microwave_load
-        den_c = 1j * delta_c_eff + gamma_c_fb
-        if den_c == 0:
-            raise SingularPointError("optical amplitude denominator vanishes")
-        m_avg = rabi / den_m
-        c_avg = optical_drive / den_c
-        c_abs = abs(c_avg)
-        c2 = c_abs**2
-        m_abs = abs(m_avg)
-        m2 = m_abs**2
-        b1_avg = (c2 * d_cb2 * d_b1b2 - m2 * d_mb1 * z2) / den_b
-        b2_avg = (c2 * d_cb2 * z1 - m2 * d_mb1 * d_b1b2) / den_b
-        return m_avg, c_avg, b1_avg, b2_avg, m_abs, c_abs
-
-    return step
-
-
 def solve_self_consistent(
     params: SystemParams, drives: DriveParams
 ) -> SteadyAmplitudes:
@@ -129,64 +86,100 @@ def solve_self_consistent(
 
     ``drives`` may be a raw drive block: :func:`_drive_amplitudes` completes
     its amplitudes first.  The mechanical displacements Re<b1>, Re<b2> shift the magnon and
-    optical detunings, which feed back into the amplitudes.  A damped
-    fixed-point iteration on the two displacements runs until the
-    relative changes of all four amplitudes (``m``, ``c``, ``b1``,
-    ``b2``) are below ``CONVERGENCE_TOL``; a NaN change never is.  The
-    returned record carries the converged detunings and the number of
-    refinement evaluations in ``iterations``.
+    optical detunings, which feed back into the amplitudes.  One damped
+    fixed-point loop on the two displacements evaluates the closed-form
+    amplitudes at the shifted detunings, step 0 at the unshifted ones, and
+    runs until the relative changes of all four amplitudes (``m``, ``c``,
+    ``b1``, ``b2``) from the previous step are below ``CONVERGENCE_TOL``.
+    The returned record carries the converged detunings and the number of
+    refinement steps in ``iterations``.
 
     Otherwise it raises :class:`ConvergenceError` with the largest
-    relative change of the last step, or NaN if any change is NaN, as
-    ``residual``: after ``MAX_ITERATIONS`` steps, or one step after the
-    displacement pair repeats an earlier one exactly.  Each convergence
-    test reads two consecutive pairs only, so that one step completes
-    the tests of a full period of the now periodic orbit, and no later
-    step can converge.  The pair is kept for comparison after step 0
-    and then every ``SAVE_GAP`` steps, so a cycle of period up to
-    ``SAVE_GAP`` is caught however late it is entered.  An
-    overflow or a division by zero (at a 1e200 Hz drive, say) is a :class:`SolverError`.
+    relative change of the last step as ``residual``: after
+    ``MAX_ITERATIONS`` steps, or one step after the displacement pair
+    repeats an earlier one exactly.  Each convergence test reads two
+    consecutive pairs only, so that one step completes the tests of a
+    full period of the now periodic orbit, and no later step can
+    converge.  The pair is kept for comparison after step 0 and then
+    every ``SAVE_GAP`` steps, so a cycle of period up to ``SAVE_GAP`` is
+    caught however late it is entered.
+
+    A vanishing optical or mechanical denominator is a
+    :class:`SingularPointError`.  An overflow or a division by zero (at a
+    1e200 Hz drive, say) is a :class:`SolverError`; since Python's float
+    and complex products overflow without raising, a kept displacement
+    pair or a last relative change that is not finite raises
+    ``OverflowError`` for the guard to turn into one.
     """
+    p, d = params, drives
     with FloatGuard("mean-field solve"):
-        delta_m0 = params.delta_m_tilde + params.barnett_shift
-        delta_c0 = params.delta_c_tilde + params.fb_shift
-        step = _amplitude_map(params, drives)
-        shift_m, shift_c = 2.0 * drives.bare_D_mb1, 2.0 * drives.bare_D_cb2
-        eps = 1e-30
-        m, c, b1, b2, m_abs, c_abs = step(delta_m0, delta_c0)
+        rabi, laser_coupling = _drive_amplitudes(p, d)
+        # Per-solve invariants, hoisted only where the bits stay those of the
+        # formula written out in full: gamma_m + L is added in one piece, which
+        # loses no signed zero because its real part is positive (gamma_m > 0,
+        # Re L >= 0); a float over a complex is promoted to complex(x, 0.0) on
+        # every division, so the two drives are promoted once here.
+        magnon_loss = p.gamma_m + p.D_ma**2 / (1j * p.delta_a + p.gamma_a)
+        magnon_drive = complex(rabi)
+        optical_drive = complex(p.psi * laser_coupling)
+        gamma_c_fb = p.gamma_c_fb
+        z1 = 1j * p.gamma_b1 - p.omega_b1
+        z2 = 1j * p.gamma_b2 - p.omega_b2
+        d_b1b2, d_mb1, d_cb2 = p.D_b1b2, d.bare_D_mb1, d.bare_D_cb2
+        den_b = d_b1b2**2 - z1 * z2
+        if den_b == 0:
+            raise SingularPointError("mechanical amplitude denominator vanishes")
+        if not cmath.isfinite(den_b):  # Python's complex product overflows without raising
+            raise OverflowError("mechanical amplitude denominator overflows")
+        delta_m0 = delta_m = p.delta_m_tilde + p.barnett_shift
+        delta_c0 = delta_c = p.delta_c_tilde + p.fb_shift
+        shift_m, shift_c = 2.0 * d_mb1, 2.0 * d_cb2
+        eps, tol, damping = 1e-30, CONVERGENCE_TOL, DAMPING
         x1 = x2 = 0.0
-        x1 += DAMPING * (b1.real - x1)
-        x2 += DAMPING * (b2.real - x2)
         # Cycle detection on (x1, x2), which alone fixes every later step:
         # the pair held after iteration 0, then every SAVE_GAP iterations, is
         # kept.  x never becomes -0.0 (a sum is -0.0 only if both terms
-        # are), so == here means bit-identical.
-        saved1, saved2, next_save, repeats = x1, x2, SAVE_GAP, False
-        for iteration in range(1, MAX_ITERATIONS + 1):
-            delta_m = delta_m0 + shift_m * x1
-            delta_c = delta_c0 - shift_c * x2
-            m1, c1, b11, b21, _, _ = new = step(delta_m, delta_c)
-            # m_abs, c_abs are the previous step's |m|, |c|: no second abs() call
-            if (abs(m1 - m) / (m_abs + eps) < CONVERGENCE_TOL
-                    and abs(c1 - c) / (c_abs + eps) < CONVERGENCE_TOL
-                    and abs(b11 - b1) / (abs(b1) + eps) < CONVERGENCE_TOL
-                    and abs(b21 - b2) / (abs(b2) + eps) < CONVERGENCE_TOL):
-                return SteadyAmplitudes(m1, c1, b11, b21, -1j * _SQRT2 * drives.bare_D_mb1 * m1,
-                                        1j * _SQRT2 * drives.bare_D_cb2 * c1,
-                                        delta_m, delta_c, iteration)
+        # are), so == here means bit-identical; NaN matches no pair.
+        saved1 = saved2 = math.nan
+        next_save, repeats = 0, False
+        for iteration in range(MAX_ITERATIONS + 1):
+            if delta_c == 0 and gamma_c_fb == 0:  # i*delta_c + gamma_c_fb vanishes
+                raise SingularPointError("optical amplitude denominator vanishes")
+            m1 = magnon_drive / (1j * delta_m + magnon_loss)
+            c1 = optical_drive / (1j * delta_c + gamma_c_fb)
+            # D_cb2*|c|^2 and D_mb1*|m|^2 drive both mechanical amplitudes
+            c_abs1 = abs(c1)
+            c_force = c_abs1**2 * d_cb2
+            m_abs1 = abs(m1)
+            m_force = m_abs1**2 * d_mb1
+            b11 = (c_force * d_b1b2 - m_force * z2) / den_b
+            b21 = (c_force * z1 - m_force * d_b1b2) / den_b
+            # step 0 has no previous step; m_abs, c_abs are the previous |m|, |c|
+            if (iteration and abs(m1 - m) / (m_abs + eps) < tol
+                    and abs(c1 - c) / (c_abs + eps) < tol
+                    and abs(b11 - b1) / (abs(b1) + eps) < tol
+                    and abs(b21 - b2) / (abs(b2) + eps) < tol):
+                return SteadyAmplitudes(m1, c1, b11, b21, -1j * _SQRT2 * d_mb1 * m1,
+                                        1j * _SQRT2 * d_cb2 * c1, delta_m, delta_c, iteration)
             if repeats or iteration == MAX_ITERATIONS:
                 break
-            m, c, b1, b2, m_abs, c_abs = new
-            x1 += DAMPING * (b1.real - x1)
-            x2 += DAMPING * (b2.real - x2)
+            m, c, b1, b2, m_abs, c_abs = m1, c1, b11, b21, m_abs1, c_abs1
+            x1 += damping * (b1.real - x1)
+            x2 += damping * (b2.real - x2)
             if x1 == saved1 and x2 == saved2:  # periodic from here on
                 repeats = True
             elif iteration == next_save:
+                if not (math.isfinite(x1) and math.isfinite(x2)):
+                    raise OverflowError("mean-field displacements left double range")
                 saved1, saved2 = x1, x2
                 next_save += SAVE_GAP
+            delta_m = delta_m0 + shift_m * x1
+            delta_c = delta_c0 - shift_c * x2
         changes = (abs(m1 - m) / (m_abs + eps), abs(c1 - c) / (c_abs + eps),
                    abs(b11 - b1) / (abs(b1) + eps), abs(b21 - b2) / (abs(b2) + eps))
-        change = math.nan if any(map(math.isnan, changes)) else max(changes)
+        if not all(map(math.isfinite, changes)):
+            raise OverflowError("mean-field relative change left double range")
+        change = max(changes)
     failure = (f"repeats its displacement orbit by step {iteration}" if repeats
                else f"did not converge in {MAX_ITERATIONS} steps")
     raise ConvergenceError(f"mean-field iteration {failure} (last relative change {change:.3e})",

@@ -269,6 +269,8 @@ def test_singular_and_unconverged_points_are_singular_rows():
                         (ConvergenceError, {"reflectivity": 0.0, "delta_c_tilde": CYCLING[1]})):
         with pytest.raises(error):
             run_point({**config, **cell})
+    # an unconverged solve failed its contract, with the row code of a singular point
+    assert issubclass(ConvergenceError, SolverError) and ConvergenceError.reason == "singular"
     axes = {"axis1": "reflectivity", "axis1_start": 0.0, "axis1_stop": 0.5, "axis1_count": 2,
             "axis2": "delta_c_tilde", "axis2_start": 0.0, "axis2_stop": CYCLING[1], "axis2_count": 2}
     table = run_sweep(sweep_spec_from_config({**config, **axes}))
@@ -349,33 +351,44 @@ def _reference_amplitudes(p, d, delta_m_eff, delta_c_eff):
     )
 
 
-def _reference_solve(p, d):
-    """The damped displacement iteration written out longhand."""
+def _reference_solve(p, d, orbit=None, stop=None):
+    """The damped displacement iteration written out longhand.
+
+    The detunings at which each step evaluates the amplitudes, step 0 at
+    index 0, are appended to ``orbit``.  A step numbered ``stop`` that does
+    not converge ends the iteration as the solver ends an orbit that repeats.
+    """
+    orbit = [] if orbit is None else orbit
     shift = 2.0 * p.gamma_c * p.reflectivity * math.sin(p.theta)
     delta_m0 = p.delta_m_tilde + p.barnett_shift
     delta_c0 = p.delta_c_tilde + shift
     x1 = 0.0
     x2 = 0.0
+    orbit.append((delta_m0, delta_c0))
     previous = _reference_amplitudes(p, d, delta_m0, delta_c0)
     x1 += DAMPING * (previous.b1_avg.real - x1)
     x2 += DAMPING * (previous.b2_avg.real - x2)
     for iteration in range(1, MAX_ITERATIONS + 1):
-        current = _reference_amplitudes(
-            p, d, delta_m0 + 2.0 * d.bare_D_mb1 * x1, delta_c0 - 2.0 * d.bare_D_cb2 * x2
-        )
+        orbit.append((delta_m0 + 2.0 * d.bare_D_mb1 * x1, delta_c0 - 2.0 * d.bare_D_cb2 * x2))
+        current = _reference_amplitudes(p, d, *orbit[-1])
         pairs = [(getattr(current, k), getattr(previous, k))
                  for k in ("m_avg", "c_avg", "b1_avg", "b2_avg")]
         changes = [abs(a - b) / (abs(b) + 1e-30) for a, b in pairs]
         if all(change < CONVERGENCE_TOL for change in changes):
             return dataclasses.replace(current, iterations=iteration)
+        if iteration == stop:
+            raise ConvergenceError(
+                f"mean-field iteration {REPEATS} by step {stop} "
+                f"(last relative change {max(changes):.3e})",
+                residual=max(changes),
+            )
         previous = current
         x1 += DAMPING * (current.b1_avg.real - x1)
         x2 += DAMPING * (current.b2_avg.real - x2)
-    change = math.nan if any(map(math.isnan, changes)) else max(changes)
     raise ConvergenceError(
         f"mean-field iteration did not converge in {MAX_ITERATIONS} steps "
-        f"(last relative change {change:.3e})",
-        residual=change,
+        f"(last relative change {max(changes):.3e})",
+        residual=max(changes),
     )
 
 
@@ -387,20 +400,23 @@ def _outcome(solve, *args):
 
 
 def _solve_matching_the_reference(params, drives):
-    """The solver's outcome, checked against the longhand reference's.
+    """The solver's outcome, checked bit for bit against the longhand
+    reference's, and the reference's orbit run to convergence or to
+    MAX_ITERATIONS.
 
-    Both must be the same bit for bit, except on an orbit that repeats: the
-    solver stops on it with its own message, the reference runs on to
-    MAX_ITERATIONS, and both fail to converge.
+    Where that orbit comes back to a displacement pair that the solver keeps
+    (:func:`_first_kept_repeat`), the reference stops at that step, as the
+    solver must.
     """
     got = _outcome(solve_self_consistent, params, drives)
-    expected = _outcome(_reference_solve, params, drives)
-    if isinstance(got, tuple) and REPEATS in got[1]:
-        assert got[0] is expected[0] is ConvergenceError
-    else:
-        # repr tells -0.0 from 0.0, which == does not
-        assert got == expected and repr(got) == repr(expected)
-    return got
+    orbit = []
+    expected = _outcome(_reference_solve, params, drives, orbit)
+    stop = _first_kept_repeat(orbit)
+    if stop is not None:
+        expected = _outcome(_reference_solve, params, drives, None, stop)
+    # repr tells -0.0 from 0.0, which == does not
+    assert got == expected and repr(got) == repr(expected)
+    return got, orbit
 
 
 def _meanfield_point(delta_m_tilde, delta_c_tilde):
@@ -429,15 +445,8 @@ def _meanfield_cases():
 
 
 def test_iteration_is_bit_identical_to_the_longhand_reference():
-    outcomes = []
-    for params, drives in _meanfield_cases():
-        outcomes.append(_solve_matching_the_reference(params, drives))
-        detunings = (params.delta_m_tilde, params.delta_c_tilde)
-        once = _outcome(lambda: meanfield._amplitude_map(params, drives)(*detunings)[:4])
-        expected = _outcome(_reference_amplitudes, params, drives, *detunings)
-        if isinstance(expected, SteadyAmplitudes):
-            expected = (expected.m_avg, expected.c_avg, expected.b1_avg, expected.b2_avg)
-        assert repr(once) == repr(expected)
+    outcomes = [_solve_matching_the_reference(params, drives)[0]
+                for params, drives in _meanfield_cases()]
     # the draw covers every kind of outcome
     iterations = [o.iterations for o in outcomes if isinstance(o, SteadyAmplitudes)]
     assert max(iterations) > 1 and 1 in iterations
@@ -445,87 +454,77 @@ def test_iteration_is_bit_identical_to_the_longhand_reference():
     assert kinds == {(ConvergenceError, True), (ConvergenceError, False), (SingularPointError, False)}
 
 
-@pytest.fixture
-def step_calls(monkeypatch):
-    """The detunings of every amplitude step the solver evaluates."""
-    calls = []
-    amplitude_map = meanfield._amplitude_map
-
-    def counting_map(params, drives):
-        step = amplitude_map(params, drives)
-
-        def counted(*detunings):
-            calls.append(detunings)
-            return step(*detunings)
-
-        return counted
-
-    monkeypatch.setattr(meanfield, "_amplitude_map", counting_map)
-    return calls
-
-
-def _first_kept_repeat(calls):
+def _first_kept_repeat(orbit):
     """Index of the first step evaluated at the displacement pair that the
     cycle detection keeps: the pair of step 1, then that of step k + 1 after
-    every iteration k that is a multiple of SAVE_GAP."""
+    every iteration k that is a multiple of SAVE_GAP; None if there is none."""
     kept = 1
-    for index in range(2, len(calls)):
-        if calls[index] == calls[kept]:
+    for index in range(2, len(orbit)):
+        if orbit[index] == orbit[kept]:
             return index
         if (index - 1) % SAVE_GAP == 0:
             kept = index
     return None
 
 
-def _assert_stops_soon_after_its_cycle(calls, period):
-    """The solve stopped on a cycle of ``period`` steps, no later than
-    SAVE_GAP + period + 1 steps after the orbit first entered it."""
-    entry = next(i for i in range(len(calls) - period) if calls[i] == calls[i + period])
-    assert all(calls[i] == calls[i + period] for i in range(entry, len(calls) - period))
-    assert len(calls) - 1 - entry <= SAVE_GAP + period + 1
+def _assert_stops_soon_after_its_cycle(point, period):
+    """The solve at ``point`` stops on a cycle of ``period`` steps, at the step
+    where its orbit first repeats a kept pair and no later than
+    SAVE_GAP + period + 1 steps after the orbit entered the cycle.  Returns
+    the orbit and the step of entry."""
+    got, orbit = _solve_matching_the_reference(*_meanfield_point(*point))
+    stop = _first_kept_repeat(orbit)
+    entry = next(i for i in range(len(orbit) - period) if orbit[i] == orbit[i + period])
+    assert all(orbit[i] == orbit[i + period] for i in range(entry, len(orbit) - period))
+    assert stop - entry <= SAVE_GAP + period + 1
     # the step at the repeated pair is the last one: it completes one period
-    assert len(calls) == _first_kept_repeat(calls) + 1
-    return entry
+    assert got[0] is ConvergenceError and got[1].startswith(
+        f"mean-field iteration {REPEATS} by step {stop} (")
+    return orbit[:stop + 1], entry
 
 
-def test_iteration_stops_once_its_orbit_repeats(step_calls):
-    with pytest.raises(ConvergenceError, match=REPEATS):
-        solve_self_consistent(*_meanfield_point(*CYCLING))
-    _assert_stops_soon_after_its_cycle(step_calls, 2)
-    assert step_calls[-1] == step_calls[-3] != step_calls[-2]
-    step_calls.clear()
-    with pytest.raises(ConvergenceError):
-        solve_self_consistent(*_meanfield_point(*NON_REPEATING))
-    assert len(step_calls) == MAX_ITERATIONS + 1
+def test_iteration_stops_once_its_orbit_repeats():
+    orbit, _ = _assert_stops_soon_after_its_cycle(CYCLING, 2)
+    assert orbit[-1] == orbit[-3] != orbit[-2]
+    got, orbit = _solve_matching_the_reference(*_meanfield_point(*NON_REPEATING))
+    assert got[1].startswith(f"mean-field iteration did not converge in {MAX_ITERATIONS} steps (")
+    assert len(orbit) == MAX_ITERATIONS + 1 and _first_kept_repeat(orbit) is None
 
 
-def test_iteration_stops_on_a_cycle_entered_late(step_calls):
-    with pytest.raises(ConvergenceError, match=REPEATS):
-        solve_self_consistent(*_meanfield_point(*LATE_CYCLING))
-    assert _assert_stops_soon_after_its_cycle(step_calls, 8) > 8 * SAVE_GAP
+def test_iteration_stops_on_a_cycle_entered_late():
+    _, entry = _assert_stops_soon_after_its_cycle(LATE_CYCLING, 8)
+    assert entry > 8 * SAVE_GAP
 
 
-@pytest.mark.parametrize("nan_at", range(4), ids=["m", "c", "b1", "b2"])
-def test_a_nan_change_never_converges(monkeypatch, params, nan_at):
-    # constant amplitudes except one NaN: every change but that one is 0
-    def constant_map(_params, _drives):
-        amplitudes = [1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j]
-        amplitudes[nan_at] = complex(math.nan, 0.0)
-
-        def step(*_detunings):
-            return (*amplitudes, abs(amplitudes[0]), abs(amplitudes[1]))
-
-        return step
-
-    monkeypatch.setattr(meanfield, "_amplitude_map", constant_map)
-    with pytest.raises(ConvergenceError, match="last relative change nan") as caught:
-        solve_self_consistent(params, DriveParams(bare_D_mb1=1.0, bare_D_cb2=1.0))
-    assert math.isnan(caught.value.residual)
-    # a solve that failed its contract, with the row code of a singular point
-    assert isinstance(caught.value, SolverError) and caught.value.reason == "singular"
+#: A drive whose displacements leave double range: with bare_D_mb1 = 1e300
+#: the first displacement pair is finite and shifts the magnon detuning to
+#: infinity, so every later step is NaN.
+OVERFLOWING_DRIVE = {"rabi": 1e6, "laser_coupling": 1e6, "bare_D_mb1": 1e300}
 
 
-def test_detuning_plane_outcomes_match_the_longhand_reference(step_calls):
+@pytest.mark.parametrize("save_gap, message", [
+    (SAVE_GAP, "mean-field displacements left double range"),
+    (MAX_ITERATIONS, "mean-field relative change left double range"),
+], ids=["kept-pair", "last-change"])
+def test_a_drive_that_overflows_is_a_solver_error_and_a_nonphysical_row(monkeypatch, save_gap,
+                                                                        message):
+    # with the pair kept only after step 0, the NaN runs on to the cap, where
+    # the last relative change is checked
+    monkeypatch.setattr(meanfield, "SAVE_GAP", save_gap)
+    params = resolve_system_params({})
+    with pytest.raises(SolverError) as caught:
+        solve_self_consistent(params, resolve_drive_params(OVERFLOWING_DRIVE))
+    assert str(caught.value) == ("floating-point failure in the mean-field solve: "
+                                 f"OverflowError: {message}")
+    assert not isinstance(caught.value, ConvergenceError) and caught.value.reason == "nonphysical"
+    axis = {"axis1": "temperature", "axis1_start": 0.01, "axis1_stop": 0.02, "axis1_count": 2}
+    config = {**OVERFLOWING_DRIVE, **axis, "coupling_mode": "meanfield"}
+    table = run_sweep(sweep_spec_from_config(config))
+    reason = table.columns.index("reason")
+    assert [row[reason] for row in table.rows] == ["nonphysical", "nonphysical"]
+
+
+def test_detuning_plane_outcomes_match_the_longhand_reference():
     # a seeded 10x10 sub-grid of the 25x25 plane of the meanfield-detuning
     # benchmark workload, which holds all three kinds of outcome
     rng = random.Random(0)
@@ -535,12 +534,12 @@ def test_detuning_plane_outcomes_match_the_longhand_reference(step_calls):
     kinds = set()
     for i in rows:
         for j in columns:
-            params, drives = _meanfield_point(float(grid_m[i]), float(grid_c[j]))
-            step_calls.clear()
-            got = _solve_matching_the_reference(params, drives)
+            got, orbit = _solve_matching_the_reference(*_meanfield_point(float(grid_m[i]),
+                                                                         float(grid_c[j])))
             if isinstance(got, SteadyAmplitudes):
                 kinds.add("converged")
-            elif len(step_calls) > MAX_ITERATIONS:
+            elif _first_kept_repeat(orbit) is None:
+                assert len(orbit) == MAX_ITERATIONS + 1
                 kinds.add("non-repeating")
             else:
                 assert REPEATS in got[1]

@@ -415,6 +415,17 @@ def _tiny_sweep(**kwargs):
     )
 
 
+def _meanfield_sweep():
+    """Six delta_c_tilde points of configs/meanfield_point.cfg at delta_m_tilde = -40.3 MHz,
+    rows (reason): two converged but unstable, one orbit that repeats by step 67, two that
+    run to the cap (the three singular), and one stable."""
+    config = magnomech.load_config(Path(__file__).parent.parent / "configs" / "meanfield_point.cfg")
+    axis = {"axis1": "delta_c_tilde", "axis1_start": 0.0, "axis1_stop": 8379166.666666667,
+            "axis1_count": 6}
+    return sweep_spec_from_config({**config, **axis, "delta_m_tilde": -40.3e6,
+                                   "measures": "entanglement"})
+
+
 class TestContrastRatio:
     def test_reciprocal_case(self):
         assert _contrast(0.3, 0.3) == 0.0
@@ -642,13 +653,20 @@ class TestRunSweep:
         for row in table.rows:
             assert all(type(cell) in (type(None), bool, str, float) for cell in row)
 
-    def test_worker_counts_agree(self, tmp_path):
-        spec = _tiny_sweep()
+    @pytest.mark.parametrize("build, reasons", [
+        (_tiny_sweep, ["", ""]),
+        (_meanfield_sweep, ["unstable", "unstable", "singular", "singular", "singular", ""]),
+    ], ids=["direct", "meanfield"])
+    def test_worker_counts_agree(self, tmp_path, build, reasons):
+        spec = build()
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
-        _emit_file(run_sweep(spec, workers=1), "csv", serial)
+        table = run_sweep(spec, workers=1)
+        _emit_file(table, "csv", serial)
         _emit_file(run_sweep(spec, workers=2), "csv", parallel)
         assert serial.read_bytes() == parallel.read_bytes()
+        reason = table.columns.index("reason")
+        assert [row[reason] for row in table.rows] == reasons
 
     def test_worker_pool_is_capped_at_the_task_count(self, monkeypatch):
         # a pool forks all its workers at the first submit, so the count
