@@ -2,8 +2,9 @@
 
 Subcommands: ``point`` (single evaluation), ``sweep`` (grid to file),
 ``presets`` (list or run shipped presets), ``validate`` (self-check
-suites).  Exit codes: 0 success, 1 configuration error (a config value
-outside its domain included), 2 numerical failure.
+suites).  Exit codes: 0 success, 1 configuration or usage error (a config
+value outside its domain, a missing or malformed option), 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -91,7 +92,12 @@ def _cmd_presets(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a numerical failure here
+        if exc.code != 2:
+            raise
+        return 1
     try:
         if args.command == "point":
             return _cmd_point(args)

@@ -100,7 +100,7 @@ class SweepSpec:
 
     ``fixed`` keys must be model parameters, or drive parameters when
     ``coupling_mode`` is ``meanfield``; its values are checked per point.
-    The spec keeps its own copy of ``fixed``.
+    The spec keeps its own copy of ``fixed`` and its own tuple of ``measures``.
     """
 
     axis1: SweepAxis
@@ -120,6 +120,7 @@ class SweepSpec:
         require_families(self.measures)
         split_config(self.fixed, (), self.coupling_mode)
         object.__setattr__(self, "fixed", dict(self.fixed))
+        object.__setattr__(self, "measures", tuple(self.measures))
 
 
 @dataclass
@@ -137,7 +138,7 @@ def split_config(config: dict, allowed: tuple = _CONTROL_KEYS, coupling_mode=_FR
     ``control["coupling_mode"]`` is the config's key, else the argument, else
     ``direct``; it must be ``direct`` or ``meanfield``, equal any argument given and
     be ``meanfield`` with drive keys.  ``control["measures"]`` is the checked tuple
-    of families of the comma list, all of them when it is absent or empty.
+    of families of the comma list (a string), all of them when it is absent or empty.
     """
     require_mapping(config, "a config")
     system, drive, control = {}, {}, {}
@@ -162,7 +163,9 @@ def split_config(config: dict, allowed: tuple = _CONTROL_KEYS, coupling_mode=_FR
     if drive and mode == "direct":
         raise ConfigError(f"drive keys {sorted(drive)} need coupling_mode = meanfield")
     raw = control.get("measures")
-    names = () if raw is None else tuple(part.strip() for part in str(raw).split(",") if part.strip())
+    if raw is not None and not isinstance(raw, str):
+        raise ConfigError(f"measures must be a comma list of family names, got {raw!r}")
+    names = () if raw is None else tuple(part.strip() for part in raw.split(",") if part.strip())
     control["measures"] = names or MEASURE_FAMILIES
     require_families(control["measures"])
     return system, drive, control

@@ -1,5 +1,5 @@
-"""The per-metric summary of ``tools/bench_pairs.py`` on fixed numbers, without git
-or benchmark runs."""
+"""The per-metric summary of ``tools/bench_pairs.py`` on fixed numbers, and its report
+of a malformed run on a fake tree, without git or real benchmark runs."""
 
 import importlib.util
 from pathlib import Path
@@ -51,3 +51,20 @@ def test_a_lower_is_better_metric_that_rose_is_worse_by_its_share_of_the_parent_
     assert (summary["change_wins"], summary["parent_wins"]) == (0, 4)
     assert summary["worse_frac"] == pytest.approx(worse_frac, abs=1e-12)
     assert summary["within_bound"] is within and not summary["gain_rule_holds"]
+
+
+@pytest.mark.parametrize("last_line, correct", [("not json", "None"), ("[1, 2]", "None"),
+                                                ('{"correct": false}', "False")],
+                         ids=["not-json", "not-an-object", "not-correct"])
+def test_a_malformed_or_incorrect_run_prints_its_command_and_stderr(tmp_path, capsys,
+                                                                    last_line, correct):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"import sys\nprint('stderr of the run', file=sys.stderr)\nprint({last_line!r})\n")
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs._run(tmp_path, "detuning-es", 3, 0.5)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"run.py --workload detuning-es --seed 3 --seconds 0.5 --trace 0 exited 0, "
+            f"correct {correct}:") in err
+    assert err.rstrip().endswith("stderr of the run")

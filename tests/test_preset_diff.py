@@ -1,9 +1,11 @@
-"""The table comparison, the worker-count identity check and the failed-run report of
-``tools/preset_diff.py``, on hand-built tables and without git."""
+"""The table comparison, the worker-count identity check, the per-tree runner and the
+failed-run report of ``tools/preset_diff.py``, on hand-built tables and fake packages,
+without git."""
 
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,8 +114,45 @@ def test_a_failed_run_prints_its_command_and_stderr(tmp_path, capsys):
     (tmp_path / "magnomech").mkdir()
     (tmp_path / "magnomech" / "__init__.py").write_text("")
     with pytest.raises(SystemExit) as exit_:
-        preset_diff._cli(tmp_path, "presets")
+        preset_diff._run_presets(tmp_path, 2, tmp_path / "out")
     assert exit_.value.code == 2
     err = capsys.readouterr().err
-    assert f"PYTHONPATH={tmp_path} " in err and "-m magnomech.cli presets exited 1:" in err
-    assert "No module named magnomech.cli" in err
+    assert err.startswith(f"PYTHONPATH={tmp_path} {sys.executable} -c ")
+    assert f"{tmp_path / 'out'} 2 exited 1:" in err
+    assert "No module named 'magnomech.cli'" in err
+
+
+def _fake_package(root, names):
+    """A package whose ``PRESETS`` lists ``names`` and whose CLI writes each preset's
+    name and worker count to ``--out``, or fails on a preset named ``broken``."""
+    package = root / "magnomech"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "presets.py").write_text(f"PRESETS = {dict.fromkeys(names)!r}\n")
+    (package / "cli.py").write_text(
+        "import sys\n"
+        "def main(argv):\n"
+        "    name, workers, out = argv[2], argv[argv.index('--workers') + 1], argv[-1]\n"
+        "    if name == 'broken':\n"
+        "        print('numerical failure [SolverError]: broken', file=sys.stderr)\n"
+        "        return 2\n"
+        "    with open(out, 'w') as fh:\n"
+        "        fh.write(f'{name} at {workers}\\n')\n"
+        "    return 0\n")
+
+
+def test_a_tree_runs_its_presets_in_listing_order_in_one_interpreter(tmp_path):
+    _fake_package(tmp_path, ["zeta", "alpha"])
+    outputs = preset_diff._run_presets(tmp_path, 2, tmp_path / "out")
+    assert list(outputs.items()) == [("zeta", b"zeta at 2\n"), ("alpha", b"alpha at 2\n")]
+
+
+def test_a_failing_preset_stops_the_run_and_fails_it_with_its_stderr(tmp_path, capsys):
+    _fake_package(tmp_path, ["zeta", "alpha", "broken", "omega"])
+    with pytest.raises(SystemExit) as exit_:
+        preset_diff._run_presets(tmp_path, 1, tmp_path / "out")
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'out'} 1 exited 1:\n" in err
+    assert err.rstrip().endswith("numerical failure [SolverError]: broken\nbroken: exited 2")
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["alpha.json", "zeta.json"]

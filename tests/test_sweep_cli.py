@@ -208,6 +208,15 @@ class TestConfigParsing:
         fixed["bogus"] = 1.0
         assert spec.fixed == {"temperature": 0.0}
 
+    def test_spec_keeps_its_own_tuple_of_measures(self):
+        measures = ["entanglement"]
+        spec = SweepSpec(SweepAxis("temperature", 0, 0.1, 2), measures=measures)
+        measures.append("bogus")
+        assert spec.measures == ("entanglement",)
+        table = run_sweep(spec)
+        reason = table.columns.index("reason")
+        assert [row[reason] for row in table.rows] == ["", ""]
+
     @pytest.mark.parametrize("build", [
         lambda: SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed=None),
         lambda: SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed="temperature"),
@@ -319,6 +328,13 @@ class TestRunPoint:
         for call in (run_point, resolve_point):
             with pytest.raises(ConfigError, match="measures"):
                 call({"measures": measures})
+
+    @pytest.mark.parametrize("measures", [("entanglement",), ["entanglement"]],
+                             ids=["tuple", "list"])
+    def test_a_config_measures_value_must_be_a_string(self, measures):
+        with pytest.raises(ConfigError, match=r"measures must be a comma list of family names, "
+                                              r"got \(?\[?'entanglement'"):
+            run_point({"measures": measures})
 
     @pytest.mark.parametrize("key, value", [
         ("axis1", "temperature"), ("axis1_count", 3.0), ("axis2_start", 0.0),
@@ -991,6 +1007,22 @@ class TestCli:
         assert cli_main(["presets"]) == 0
         out = capsys.readouterr().out
         assert "detuning-grid" in out and "contrast-temperature" in out
+
+    @pytest.mark.parametrize("args", [
+        [], ["point"], ["sweep", "--config", "x.cfg"], ["sweep", "--out", "x.csv"],
+        ["presets", "--workers", "abc"], ["presets", "--format", "xml"],
+    ], ids=["no-subcommand", "point-no-config", "sweep-no-out", "sweep-no-config",
+            "non-integer-workers", "unknown-format"])
+    def test_usage_error_exit_code(self, capsys, args):
+        # argparse's own exit code 2 would read as a numerical failure
+        assert cli_main(args) == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["sweep", "--help"])
+        assert exit_.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_preset_requires_out(self, capsys):
         assert cli_main(["presets", "--preset", "detuning-grid"]) == 1

@@ -82,16 +82,20 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """The summary (last) line of one benchmark run on the tree at ``root``, with the
-    ``env`` of its environment line; a run that fails or is not correct prints its
-    command and stderr and exits 2."""
+    ``env`` of its environment line; a run that fails, whose last line is not a JSON
+    object, or that is not correct prints its command and stderr and exits 2."""
     command = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     run = subprocess.run(command, capture_output=True, text=True, cwd=root)
     lines = run.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if run.returncode == 0 and lines else {}
-    if result.get("correct") is not True:
-        print(f"{shlex.join(command)} exited {run.returncode}, correct "
-              f"{result.get('correct')}:\n{run.stderr.rstrip()}", file=sys.stderr)
+    try:
+        result = json.loads(lines[-1]) if run.returncode == 0 and lines else {}
+    except ValueError:  # a last line that is not JSON
+        result = {}
+    correct = result.get("correct") if isinstance(result, dict) else None
+    if correct is not True:
+        print(f"{shlex.join(command)} exited {run.returncode}, correct {correct}:\n"
+              f"{run.stderr.rstrip()}", file=sys.stderr)
         sys.exit(2)
     result["env"] = next((json.loads(line)["env"] for line in lines if line.startswith('{"env"')),
                          {})

@@ -6,9 +6,11 @@ Usage::
     python tools/preset_diff.py REV
 
 REV's ``src/`` is extracted with ``git archive`` into a temporary directory.
-Each preset then runs as JSON through ``python -m magnomech.cli`` three times:
-on the working tree's ``src/`` at each of :data:`WORKERS`, and on REV's at the
-last of them.  Per preset the script prints the first differing line if the
+Each tree's presets then run as JSON in one interpreter per worker count, three
+in all: the working tree's ``src/`` at each of :data:`WORKERS`, and REV's at
+the last of them.  Each imports its own tree's ``PRESETS`` and CLI ``main``
+and runs every preset through ``main`` in listing order, stopping at the first
+that fails.  Per preset the script prints the first differing line if the
 working tree's two outputs are not byte-identical, whether its output is
 byte-identical to REV's (information only: a cell that moved from ``0.0`` to
 ``-0.0``, say, is no move and no difference), and against REV every
@@ -53,6 +55,17 @@ TOL = 1e-10
 #: The worker counts at which the working tree's outputs must be byte-identical;
 #: REV runs at the last.
 WORKERS = (1, 2)
+
+#: One tree's interpreter: ``python -c _RUNNER OUT W`` runs each of its presets in
+#: listing order into ``OUT/NAME.json`` at W workers and prints its name, stopping
+#: with the name and exit code of the first that fails.
+_RUNNER = """import sys; from magnomech.cli import main; from magnomech.presets import PRESETS
+for name in PRESETS:
+    if code := main(["presets", "--preset", name, "--format", "json", "--workers", sys.argv[2],
+                     "--out", f"{sys.argv[1]}/{name}.json"]):
+        sys.exit(f"{name}: exited {code}")
+    print(name)
+"""
 
 
 def _is_status(column: str) -> bool:
@@ -138,29 +151,18 @@ def report(name: str, outputs: list, reference: bytes, rev: str) -> bool:
     return bool(problems)
 
 
-def _cli(src: Path, *args: str) -> str:
-    """Run ``python -m magnomech.cli`` on the package under ``src`` and return its stdout.
-
-    A failed run prints its command and stderr and exits 2.
-    """
-    command = [sys.executable, "-m", "magnomech.cli", *args]
+def _run_presets(src: Path, workers: int, out: Path) -> dict:
+    """Each preset's JSON bytes by name, in listing order, run by :data:`_RUNNER` on the
+    package under ``src`` into ``out``; a failed run prints its command and stderr and exits 2."""
+    out.mkdir()
+    command = [sys.executable, "-c", _RUNNER, str(out), str(workers)]
     run = subprocess.run(command, capture_output=True, text=True, cwd=src,
                          env={**os.environ, "PYTHONPATH": str(src)})
     if run.returncode != 0:
         print(f"PYTHONPATH={src} {shlex.join(command)} exited {run.returncode}:\n"
               f"{run.stderr.rstrip()}", file=sys.stderr)
         sys.exit(2)
-    return run.stdout
-
-
-def _preset_names(src: Path) -> list:
-    return [line.split()[0] for line in _cli(src, "presets").splitlines() if line.strip()]
-
-
-def _run_preset(src: Path, name: str, workers: int, out: Path) -> bytes:
-    _cli(src, "presets", "--preset", name, "--format", "json", "--workers", str(workers),
-         "--out", str(out))
-    return out.read_bytes()
+    return {name: (out / f"{name}.json").read_bytes() for name in run.stdout.split()}
 
 
 def main(argv: list) -> int:
@@ -178,20 +180,17 @@ def main(argv: list) -> int:
         tmp = Path(tmp)
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, filter="data")
-        new_src, old_src = REPO / "src", tmp / "src"
-        new_names, old_names = _preset_names(new_src), _preset_names(old_src)
-        for name in old_names:
-            if name not in new_names:
-                print(f"{name}: only in {rev}")
-        for name in new_names:
-            if name not in old_names:
-                print(f"{name}: only in the working tree")
-        different = set(new_names) != set(old_names)
-        for name in (n for n in new_names if n in old_names):
-            outputs = [_run_preset(new_src, name, workers, tmp / f"new.w{workers}.json")
-                       for workers in WORKERS]
-            reference = _run_preset(old_src, name, WORKERS[-1], tmp / "old.json")
-            different = report(name, outputs, reference, rev) or different
+        new = [_run_presets(REPO / "src", workers, tmp / f"new.w{workers}") for workers in WORKERS]
+        old = _run_presets(tmp / "src", WORKERS[-1], tmp / "old")
+    for name in old:
+        if name not in new[-1]:
+            print(f"{name}: only in {rev}")
+    for name in new[-1]:
+        if name not in old:
+            print(f"{name}: only in the working tree")
+    different = set(new[-1]) != set(old)
+    for name in (n for n in new[-1] if n in old):
+        different = report(name, [run[name] for run in new], old[name], rev) or different
     return 1 if different else 0
 
 
