@@ -82,6 +82,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_presets(args) -> int:
     if not args.preset:
+        if args.out:
+            raise ConfigError("--out needs --preset: the listing goes to stdout")
         width = max(len(name) for name in PRESETS)
         for name, preset in PRESETS.items():
             print(f"{name:<{width}}  {preset.description}")

@@ -52,47 +52,39 @@ def build_drift(params: SystemParams) -> np.ndarray:
     """
     p = params
     d_m = p.delta_m_tilde + p.barnett_shift
-    gamma_c_fb = p.gamma_c_fb
     d_c = p.delta_c_tilde + p.fb_shift
+    g_m = _SQRT2 * p.G_m
+    g_c = _SQRT2 * p.G_c
 
     a = np.zeros((2 * N_MODES, 2 * N_MODES))
-    # mechanical mode b1
-    a[0, 0] = -p.gamma_b1
+    # mechanical mode b1, and the b1-b2 beam splitter
+    a[0, 0] = a[1, 1] = -p.gamma_b1
     a[0, 1] = p.omega_b1
-    a[0, 3] = p.D_b1b2
     a[1, 0] = -p.omega_b1
-    a[1, 1] = -p.gamma_b1
-    a[1, 2] = -p.D_b1b2
-    a[1, 5] = -_SQRT2 * p.G_m
+    a[0, 3] = a[2, 1] = p.D_b1b2
+    a[1, 2] = a[3, 0] = -p.D_b1b2
+    a[1, 5] = -g_m
     # mechanical mode b2
-    a[2, 1] = p.D_b1b2
-    a[2, 2] = -p.gamma_b2
+    a[2, 2] = a[3, 3] = -p.gamma_b2
     a[2, 3] = p.omega_b2
-    a[3, 0] = -p.D_b1b2
     a[3, 2] = -p.omega_b2
-    a[3, 3] = -p.gamma_b2
-    a[3, 7] = -_SQRT2 * p.G_c
-    # magnon
-    a[4, 0] = _SQRT2 * p.G_m
-    a[4, 4] = -p.gamma_m
+    a[3, 7] = -g_c
+    # magnon, and the m-a beam splitter
+    a[4, 0] = g_m
+    a[4, 4] = a[5, 5] = -p.gamma_m
     a[4, 5] = d_m
-    a[4, 9] = p.D_ma
     a[5, 4] = -d_m
-    a[5, 5] = -p.gamma_m
-    a[5, 8] = -p.D_ma
+    a[4, 9] = a[8, 5] = p.D_ma
+    a[5, 8] = a[9, 4] = -p.D_ma
     # optical mode
-    a[6, 2] = _SQRT2 * p.G_c
-    a[6, 6] = -gamma_c_fb
+    a[6, 2] = g_c
+    a[6, 6] = a[7, 7] = -p.gamma_c_fb
     a[6, 7] = d_c
     a[7, 6] = -d_c
-    a[7, 7] = -gamma_c_fb
     # microwave cavity
-    a[8, 5] = p.D_ma
-    a[8, 8] = -p.gamma_a
+    a[8, 8] = a[9, 9] = -p.gamma_a
     a[8, 9] = p.delta_a
-    a[9, 4] = -p.D_ma
     a[9, 8] = -p.delta_a
-    a[9, 9] = -p.gamma_a
     return a
 
 

@@ -100,6 +100,8 @@ class SweepSpec:
 
     ``fixed`` keys must be model parameters, or drive parameters when
     ``coupling_mode`` is ``meanfield``; its values are checked per point.
+    An axis overrides a fixed value of the same parameter: every point takes
+    the axis value, and the fixed one is never read.
     The spec keeps its own copy of ``fixed`` and its own tuple of ``measures``.
     """
 

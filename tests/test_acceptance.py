@@ -41,6 +41,11 @@ def _passline(n, text):
     print(f"[criterion {n:2d}] PASS: {text}")
 
 
+def _state(report):
+    """Whether the point of ``report`` is a quantum state, for a PASS line."""
+    return f"physical={report.physical} min_symplectic={report.min_symplectic:.4f}"
+
+
 def test_criterion_01_ground_state_cooling():
     t0 = time.perf_counter()
     report = run_point({})  # baseline: 10 mK, optimal couplings
@@ -50,7 +55,8 @@ def test_criterion_01_ground_state_cooling():
     assert abs(n_b1 - 0.11) <= 0.05
     assert abs(n_b2 - 0.08) <= 0.05
     assert elapsed < 1.0
-    _passline(1, f"n_eff_b1={n_b1:.3f} (0.11+-0.05), n_eff_b2={n_b2:.3f} (0.08+-0.05), {elapsed:.2f}s")
+    _passline(1, f"n_eff_b1={n_b1:.3f} (0.11+-0.05), n_eff_b2={n_b2:.3f} (0.08+-0.05), "
+                 f"{_state(report)}, {elapsed:.2f}s")
 
 
 def test_criterion_02_baseline_entanglement_point():
@@ -62,7 +68,8 @@ def test_criterion_02_baseline_entanglement_point():
     assert report.steering_value("c", "a") == 0.0
     assert report.steering_value("a", "c") == 0.0
     assert elapsed < 1.0
-    _passline(2, f"E_ca={e_ca:.4f} in [0.05,0.20], steering exactly 0 both ways, {elapsed:.2f}s")
+    _passline(2, f"E_ca={e_ca:.4f} in [0.05,0.20], steering exactly 0 both ways, "
+                 f"{_state(report)}, {elapsed:.2f}s")
 
 
 def test_criterion_03_zero_coupling_null():
@@ -74,7 +81,8 @@ def test_criterion_03_zero_coupling_null():
     worst_r = max(abs(v) for v in report.tripartite_R.values())
     assert worst_e < 1e-10 and worst_s < 1e-10 and worst_r < 1e-10
     assert elapsed < 1.0
-    _passline(3, f"max E={worst_e:.1e}, max S={worst_s:.1e}, max |R|={worst_r:.1e} (< 1e-10), {elapsed:.2f}s")
+    _passline(3, f"max E={worst_e:.1e}, max S={worst_s:.1e}, max |R|={worst_r:.1e} (< 1e-10), "
+                 f"{_state(report)}, {elapsed:.2f}s")
 
 
 def test_criterion_04_structural_zeros_on_detuning_grid():
@@ -108,7 +116,8 @@ def test_criterion_05_feedback_rotation_enhancement_ordering():
     e2 = fb_be.entanglement("c", "a")
     assert e2 > e1 > e0
     assert e2 > 1.0
-    _passline(5, f"E_ca ordering {e2:.3f} > {e1:.3f} > {e0:.3f}, enhanced point > 1.0")
+    _passline(5, f"E_ca ordering {e2:.3f} > {e1:.3f} > {e0:.3f}, enhanced point > 1.0; "
+                 f"feedback+Barnett {_state(fb_be)}, feedback {_state(fb)}, baseline {_state(base)}")
 
 
 def test_criterion_06_monotone_in_temperature():
@@ -126,7 +135,8 @@ def test_criterion_06_monotone_in_temperature():
             assert b <= a + 1e-6, f"E_{pair} increased with temperature: {series}"
         checked.append("".join(pair))
     assert checked, "no entangled pair at T=0"
-    _passline(6, f"E non-increasing over T for pairs {checked}")
+    states = ", ".join(f"T={t} {_state(r)}" for t, r in zip(temps, reports))
+    _passline(6, f"E non-increasing over T for pairs {checked}; {states}")
 
 
 def test_criterion_07_nonreciprocity_contract():

@@ -1,5 +1,6 @@
-"""The per-metric summary of ``tools/bench_pairs.py`` on fixed numbers, and its report
-of a malformed run on a fake tree, without git or real benchmark runs."""
+"""The per-metric summary of ``tools/bench_pairs.py`` on fixed numbers, its report
+of a malformed run on a fake tree and its refusal of an ``--out`` that is not its
+record, without git or real benchmark runs."""
 
 import importlib.util
 from pathlib import Path
@@ -68,3 +69,23 @@ def test_a_malformed_or_incorrect_run_prints_its_command_and_stderr(tmp_path, ca
     assert (f"run.py --workload detuning-es --seed 3 --seconds 0.5 --trace 0 exited 0, "
             f"correct {correct}:") in err
     assert err.rstrip().endswith("stderr of the run")
+
+
+@pytest.mark.parametrize("content", [b"not json", b"[1, 2]", b"\xff", None],
+                         ids=["not-json", "not-an-object", "not-utf8", "directory"])
+def test_an_out_that_is_not_a_json_object_is_refused_before_any_git_call(tmp_path, capsys,
+                                                                         monkeypatch, content):
+    def no_git(*args):
+        raise AssertionError(f"git called: {args}")
+
+    monkeypatch.setattr(bench_pairs, "_git", no_git)
+    out = tmp_path / "BENCH.json"
+    if content is None:
+        out.mkdir()
+    else:
+        out.write_bytes(content)
+    argv = ["HEAD", "--workload", "detuning-es", "--pairs", "2", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 2
+    assert capsys.readouterr().err == (f"{out} is not a readable JSON object, "
+                                       "so not a record of this tool\n")
+    assert out.is_dir() if content is None else out.read_bytes() == content

@@ -419,23 +419,31 @@ def _solve_matching_the_reference(params, drives):
     return got, orbit
 
 
-def _meanfield_point(delta_m_tilde, delta_c_tilde):
-    """``(params, drives)`` of configs/meanfield_point.cfg at the given detunings (Hz)."""
+def _meanfield_point(delta_m_tilde, delta_c_tilde, **changes):
+    """``(params, drives)`` of configs/meanfield_point.cfg at the given detunings (Hz),
+    with the system keys of ``changes`` (config units) set too."""
     system, drive, _ = split_config(load_config(MEANFIELD_POINT))
     params = resolve_system_params(
-        {**system, "delta_m_tilde": delta_m_tilde, "delta_c_tilde": delta_c_tilde}
+        {**system, "delta_m_tilde": delta_m_tilde, "delta_c_tilde": delta_c_tilde, **changes}
     )
     return params, _completed(params, resolve_drive_params(drive))
 
 
 def _meanfield_cases():
     """A seeded draw over the detuning plane of configs/meanfield_point.cfg,
-    the cycling and non-repeating points, and the no-back-action,
-    zero-drive and singular-optics cases."""
+    the cycling and non-repeating points, a point where no two dampings or
+    detunings are equal, and the no-back-action, zero-drive and
+    singular-optics cases."""
     rng = random.Random(0)
     cases = [_meanfield_point(rng.uniform(-40.3e6, 0.0), rng.uniform(0.0, 40.22e6))
              for _ in range(12)]
     cases += [_meanfield_point(*point) for point in (CYCLING, NON_REPEATING, LATE_CYCLING)]
+    # gamma_a, gamma_m and gamma_c distinct, delta_a apart from delta_m_tilde,
+    # with a feedback loop and a Barnett shift: a solve that reads one of these
+    # fields for another moves this point's amplitudes
+    cases.append(_meanfield_point(-20.15e6, 20.11e6, gamma_a=1.3e6, gamma_m=0.9e6, gamma_c=1.1e6,
+                                  delta_a=-18.9e6, reflectivity=0.35, theta=math.pi,
+                                  barnett_shift=3.1e6))
     baseline = resolve_system_params({})
     cases.append((baseline, DriveParams(rabi=cases[0][1].rabi, laser_coupling=cases[0][1].laser_coupling)))
     cases.append((baseline, DriveParams(bare_D_mb1=1.0, bare_D_cb2=1.0)))

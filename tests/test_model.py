@@ -59,6 +59,75 @@ class TestFeedbackRates:
             _feedback_rates(-0.1, 0.0)
 
 
+#: A point whose 21 SystemParams fields are pairwise distinct, so that a model
+#: entry reading one field in place of another changes a number.  lambda_c of
+#: 2 mm puts the optical occupation (about 1e-7 at 0.45 K) within reach of
+#: double precision.
+DISTINCT = {
+    "omega_a": 9.7e9, "omega_m": 10.3e9, "omega_b1": 20.15e6, "omega_b2": 19.87e6,
+    "gamma_a": 1.3e6, "gamma_m": 0.9e6, "gamma_c": 1.1e6, "gamma_b1": 110.0, "gamma_b2": 93.0,
+    "D_ma": 1.6e6, "D_b1b2": 2.3e6, "G_m": 0.7e6, "G_c": 2.6e6,
+    "delta_m_tilde": -20.3e6, "delta_c_tilde": 19.6e6, "delta_a": -18.9e6,
+    "barnett_shift": 3.1e6, "reflectivity": 0.35, "theta": 0.6, "temperature": 0.45,
+    "lambda_c": 2e-3,
+}
+
+
+@pytest.fixture
+def distinct():
+    p = resolve_system_params(DISTINCT)
+    assert len({getattr(p, name) for name in SYSTEM_FIELDS}) == len(SYSTEM_FIELDS) == 21
+    return p
+
+
+def test_drift_entries_at_a_point_where_no_two_parameters_are_equal(distinct):
+    p = distinct
+    x_b1, y_b1, x_b2, y_b2, x_m, y_m, x_c, y_c, x_a, y_a = range(10)
+    root2 = math.sqrt(2.0)
+    delta_m = p.delta_m_tilde + p.barnett_shift
+    gamma_c_fb = p.gamma_c * (1.0 - 2.0 * p.reflectivity * math.cos(p.theta))
+    delta_c = p.delta_c_tilde + 2.0 * p.gamma_c * p.reflectivity * math.sin(p.theta)
+    # row r holds the coefficients of d(quadrature r)/dt
+    expected = {
+        (x_b1, x_b1): -p.gamma_b1, (x_b1, y_b1): p.omega_b1, (x_b1, y_b2): p.D_b1b2,
+        (y_b1, x_b1): -p.omega_b1, (y_b1, y_b1): -p.gamma_b1, (y_b1, x_b2): -p.D_b1b2,
+        (y_b1, y_m): -root2 * p.G_m,
+        (x_b2, y_b1): p.D_b1b2, (x_b2, x_b2): -p.gamma_b2, (x_b2, y_b2): p.omega_b2,
+        (y_b2, x_b1): -p.D_b1b2, (y_b2, x_b2): -p.omega_b2, (y_b2, y_b2): -p.gamma_b2,
+        (y_b2, y_c): -root2 * p.G_c,
+        (x_m, x_b1): root2 * p.G_m, (x_m, x_m): -p.gamma_m, (x_m, y_m): delta_m,
+        (x_m, y_a): p.D_ma,
+        (y_m, x_m): -delta_m, (y_m, y_m): -p.gamma_m, (y_m, x_a): -p.D_ma,
+        (x_c, x_b2): root2 * p.G_c, (x_c, x_c): -gamma_c_fb, (x_c, y_c): delta_c,
+        (y_c, x_c): -delta_c, (y_c, y_c): -gamma_c_fb,
+        (x_a, y_m): p.D_ma, (x_a, x_a): -p.gamma_a, (x_a, y_a): p.delta_a,
+        (y_a, x_m): -p.D_ma, (y_a, x_a): -p.delta_a, (y_a, y_a): -p.gamma_a,
+    }
+    assert len(expected) == 32 and all(expected.values())
+    drift = build_drift(p)
+    # every entry not in expected must be exactly 0
+    got = {(int(i), int(j)): drift[i, j] for i, j in zip(*np.nonzero(drift))}
+    assert got == expected
+
+
+def test_diffusion_entries_at_a_point_where_no_two_parameters_are_equal(distinct):
+    p = distinct
+    loop = (1.0 - p.reflectivity * math.cos(p.theta)) ** 2 + (p.reflectivity * math.sin(p.theta)) ** 2
+    rates = {
+        "b1": (p.gamma_b1, p.omega_b1), "b2": (p.gamma_b2, p.omega_b2),
+        "m": (p.gamma_m, p.omega_m), "c": (p.gamma_c * (1.0 - p.reflectivity**2) * loop, p.omega_c),
+        "a": (p.gamma_a, p.omega_a),
+    }
+    diffusion = build_diffusion(p)
+    assert np.count_nonzero(diffusion - np.diag(np.diag(diffusion))) == 0
+    for i, mode in enumerate(MODE_ORDER):
+        gamma, omega = rates[mode]
+        nbar = 1.0 / math.expm1(hbar * omega / (k_B * p.temperature))
+        assert nbar > 1e-8, mode  # every occupation moves its entry
+        for row in (2 * i, 2 * i + 1):
+            assert diffusion[row, row] == pytest.approx(gamma * (2.0 * nbar + 1.0), rel=1e-14), mode
+
+
 def test_drift_decoupled_spectrum():
     params = resolve_system_params({"D_ma": 0, "D_b1b2": 0, "G_m": 0, "G_c": 0})
     drift = build_drift(params)

@@ -34,6 +34,7 @@ from magnomech.params import (
     SYSTEM_KEYS,
     TWO_PI,
     echo_config,
+    load_config,
     parse_config,
     resolve_drive_params,
 )
@@ -575,6 +576,20 @@ class TestRunSweep:
         expected = [(t, r) for t in (0.0, 0.1) for r in (0.0, 0.1, 0.2)]
         assert axes == pytest.approx(expected)
 
+    def test_an_axis_overrides_a_fixed_value_of_its_parameter(self, tmp_path):
+        axis = ("axis1 = temperature\naxis1_start = 0\naxis1_stop = 0.1\naxis1_count = 3\n"
+                "measures = entanglement\n")
+        (tmp_path / "plain.cfg").write_text(axis)
+        (tmp_path / "fixed.cfg").write_text("temperature = 0.5\n" + axis)
+        expected = run_sweep(sweep_spec_from_config(load_config(tmp_path / "plain.cfg")))
+        assert [row[0] for row in expected.rows] == [0.0, 0.05, 0.1]
+        from_file = sweep_spec_from_config(load_config(tmp_path / "fixed.cfg"))
+        direct = SweepSpec(SweepAxis("temperature", 0.0, 0.1, 3), fixed={"temperature": 0.5},
+                           measures=("entanglement",))
+        for spec in (from_file, direct):
+            assert spec.fixed == {"temperature": 0.5}
+            assert run_sweep(spec) == expected
+
     def test_axis_columns_carry_units(self):
         table = run_sweep(_tiny_sweep())
         assert table.columns[0] == "temperature_K"
@@ -1026,6 +1041,13 @@ class TestCli:
 
     def test_preset_requires_out(self, capsys):
         assert cli_main(["presets", "--preset", "detuning-grid"]) == 1
+
+    def test_out_without_a_preset_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "listing.txt"
+        assert cli_main(["presets", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--preset" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_unknown_preset(self, tmp_path):
         code = cli_main(

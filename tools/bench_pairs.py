@@ -19,7 +19,8 @@ than the distance between the parent's quartiles.
 The workload's entry is written into ``--out``, beside those of other workloads
 already there for the same REV.  The exit code is 2 if REV cannot be read, if
 its ``perfbench/`` differs from the working tree's (the two sides would not run
-the same benchmark), if ``--out`` holds another revision's pairs, or if a run
+the same benchmark), if ``--out`` is not a readable JSON object (checked before
+any git call) or holds another revision's pairs, or if a run
 fails or does not print ``"correct": true`` (its command and stderr are
 printed), else 0.
 """
@@ -113,6 +114,14 @@ def main(argv: list) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: quartiles need two runs a side")
+    try:
+        record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    except (OSError, ValueError):  # a directory, undecodable text or not JSON
+        record = None
+    if not isinstance(record, dict):
+        print(f"{args.out} is not a readable JSON object, so not a record of this tool",
+              file=sys.stderr)
+        return 2
 
     parent_commit = _git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
     archive = _git("archive", "--format=tar", args.rev, "src", "perfbench")
@@ -125,7 +134,6 @@ def main(argv: list) -> int:
     if _git("diff", "--quiet", parent_commit, "--", "perfbench").returncode or untracked:
         print(f"perfbench/ differs between {args.rev} and the working tree", file=sys.stderr)
         return 2
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
     if record.get("parent_commit", parent_commit) != parent_commit:
         print(f"{args.out} holds pairs against {record['parent_commit']}", file=sys.stderr)
         return 2
