@@ -15,10 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.constants import hbar, mu_0, c as c_light
-
 from .errors import ConvergenceError, DomainError, FloatGuard, SingularPointError
-from .params import DriveParams, SystemParams
+from .params import HBAR, MU_0, SPEED_OF_LIGHT, DriveParams, SystemParams
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -70,12 +68,12 @@ def _drive_amplitudes(params: SystemParams, drives: DriveParams) -> tuple:
         if field <= 0:
             if d.sphere_radius <= 0:
                 raise DomainError("sphere_radius must be > 0 to convert drive_power")
-            field = math.sqrt(2.0 * d.drive_power * mu_0 / (math.pi * c_light)) / d.sphere_radius
+            field = math.sqrt(2.0 * d.drive_power * MU_0 / (math.pi * SPEED_OF_LIGHT)) / d.sphere_radius
         rabi = (math.sqrt(5.0) / 4.0) * d.gyromagnetic_ratio * math.sqrt(d.spin_count) * field
     if laser_coupling == 0 and d.laser_power > 0:
         if d.drive_freq_2 <= 0:
             raise DomainError("drive_freq_2 must be > 0 when laser_power > 0")
-        laser_coupling = math.sqrt(2.0 * params.gamma_c * d.laser_power / (hbar * d.drive_freq_2))
+        laser_coupling = math.sqrt(2.0 * params.gamma_c * d.laser_power / (HBAR * d.drive_freq_2))
     return rabi, laser_coupling
 
 

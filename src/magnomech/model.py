@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .errors import DomainError
-from .params import SystemParams
+from .params import HBAR, K_B, SystemParams
 
 MODE_ORDER = ("b1", "b2", "m", "c", "a")
 MODE_INDEX = {name: i for i, name in enumerate(MODE_ORDER)}
@@ -30,10 +29,10 @@ _SQRT2 = math.sqrt(2.0)
 
 def _bose(omega: float, temperature: float) -> float:
     """The Bose factor of :func:`build_diffusion`, of fields that :class:`SystemParams` checked."""
-    thermal_energy = k_B * temperature
+    thermal_energy = K_B * temperature
     if thermal_energy == 0.0:
         return 0.0
-    x = hbar * omega / thermal_energy
+    x = HBAR * omega / thermal_energy
     if x > 700.0:
         return 0.0
     if not x or (occupancy := 1.0 / math.expm1(x)) == math.inf:

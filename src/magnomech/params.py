@@ -22,11 +22,18 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import ConfigError, DomainError, SolverError
 
 TWO_PI = 2.0 * math.pi
+
+# The CODATA 2022 constants the model uses, written as scipy.constants (1.17.1) gives
+# them, so that importing the package does not import scipy.constants; a test holds
+# each equal to scipy's.
+HBAR = 1.0545718176461565e-34  # reduced Planck constant, J s
+K_B = 1.380649e-23  # Boltzmann constant, J/K
+MU_0 = 1.25663706127e-06  # vacuum permeability, N/A^2
+SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
 def _key(unit: str, baseline: float | None = None, **field_args):

@@ -53,6 +53,23 @@ _MAX_COUNT = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 _FROM_CONFIG = object()  # default coupling_mode of split_config and resolve_point: the config's, else direct
 
+#: Per coupling mode, the parameter keys it never reads and the message naming
+#: them: a value given for one could not take effect.  ``meanfield`` derives the
+#: effective couplings from the drive block.
+_UNREAD_KEYS = {
+    "direct": (frozenset(DRIVE_KEYS), "drive keys {} need coupling_mode = meanfield"),
+    "meanfield": (frozenset(("G_m", "G_c")),
+                  "keys {} are derived by the amplitude solve in coupling_mode = meanfield"),
+}
+
+
+def _require_read(keys, mode: str) -> None:
+    """Raise ConfigError naming every key of ``keys`` that coupling ``mode`` never reads."""
+    unread, message = _UNREAD_KEYS[mode]
+    named = unread.intersection(keys)
+    if named:
+        raise ConfigError(message.format(sorted(named)))
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -98,10 +115,11 @@ class SweepAxis:
 class SweepSpec:
     """A full sweep: axes, fixed overrides and evaluation options.
 
-    ``fixed`` keys must be model parameters, or drive parameters when
-    ``coupling_mode`` is ``meanfield``; its values are checked per point.
-    An axis overrides a fixed value of the same parameter: every point takes
-    the axis value, and the fixed one is never read.
+    ``fixed`` keys must be parameters that ``coupling_mode`` reads (see
+    :func:`split_config`); its values are checked per point.  Every value a
+    spec names takes effect, so an axis may not address a fixed parameter or
+    one that the mode derives (``G_m``, ``G_c`` in ``meanfield``): either is
+    a :class:`ConfigError` that names the key.
     The spec keeps its own copy of ``fixed`` and its own tuple of ``measures``.
     """
 
@@ -121,6 +139,11 @@ class SweepSpec:
             raise ConfigError(f"nonreciprocity must be true or false, got {self.nonreciprocity!r}")
         require_families(self.measures)
         split_config(self.fixed, (), self.coupling_mode)
+        names = [axis.name for axis in (self.axis1, self.axis2) if axis is not None]
+        for name in names:
+            if name in self.fixed:
+                raise ConfigError(f"{name!r} is both swept and fixed; drop the fixed value or the axis")
+        _require_read(names, self.coupling_mode)
         object.__setattr__(self, "fixed", dict(self.fixed))
         object.__setattr__(self, "measures", tuple(self.measures))
 
@@ -138,8 +161,10 @@ def split_config(config: dict, allowed: tuple = _CONTROL_KEYS, coupling_mode=_FR
 
     An unknown key, or a control key outside ``allowed``, is a :class:`ConfigError`.
     ``control["coupling_mode"]`` is the config's key, else the argument, else
-    ``direct``; it must be ``direct`` or ``meanfield``, equal any argument given and
-    be ``meanfield`` with drive keys.  ``control["measures"]`` is the checked tuple
+    ``direct``; it must be ``direct`` or ``meanfield`` and equal any argument given.
+    A parameter key the mode never reads is a :class:`ConfigError` that names it:
+    drive keys in ``direct`` mode, ``G_m`` and ``G_c`` (which the amplitude solve
+    derives) in ``meanfield`` mode.  ``control["measures"]`` is the checked tuple
     of families of the comma list (a string), all of them when it is absent or empty.
     """
     require_mapping(config, "a config")
@@ -162,8 +187,7 @@ def split_config(config: dict, allowed: tuple = _CONTROL_KEYS, coupling_mode=_FR
     if coupling_mode is not _FROM_CONFIG and mode != coupling_mode:
         raise ConfigError(f"config key coupling_mode = {mode!r} differs "
                           f"from the coupling_mode argument {coupling_mode!r}")
-    if drive and mode == "direct":
-        raise ConfigError(f"drive keys {sorted(drive)} need coupling_mode = meanfield")
+    _require_read(config, mode)
     raw = control.get("measures")
     if raw is not None and not isinstance(raw, str):
         raise ConfigError(f"measures must be a comma list of family names, got {raw!r}")
@@ -208,7 +232,8 @@ def resolve_point(config: dict, coupling_mode=_FROM_CONFIG) -> SystemParams:
     :func:`split_config` checks the config: of the control keys only ``measures`` (a checked list)
     and ``coupling_mode`` (else the argument, else ``direct``; both given must agree) may appear.
     In ``meanfield`` mode the self-consistent amplitude solve of the drive block gives the
-    effective couplings and the displacement-shifted detunings.  Only the real parts ``Re G`` of the
+    effective couplings and the displacement-shifted detunings, so a config that sets
+    ``G_m`` or ``G_c`` there is a :class:`ConfigError`.  Only the real parts ``Re G`` of the
     complex effective couplings enter the drift matrix.  The dropped imaginary
     parts are not negligible: on ``configs/meanfield_point.cfg`` ``|Im G_m / Re G_m|``
     is 5.0% and ``|Im G_c / Re G_c|`` is 5.4%.  Using ``|G|`` instead (ROADMAP.md

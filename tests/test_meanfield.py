@@ -253,6 +253,7 @@ def test_extreme_finite_value_is_a_solver_error_and_a_nonphysical_row(key, value
     with pytest.raises(SolverError, match="floating-point"):
         run_point(config)
     axis = {"axis1": "temperature", "axis1_start": 0.01, "axis1_stop": 0.02, "axis1_count": 2}
+    del config["temperature"]  # the axis gives it
     table = run_sweep(sweep_spec_from_config({**config, **axis}))
     reason = table.columns.index("reason")
     assert [row[reason] for row in table.rows] == ["nonphysical", "nonphysical"]

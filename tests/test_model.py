@@ -1,10 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import hbar, k as k_B
 
+import magnomech
 from magnomech import (
     DomainError,
     DriveParams,
@@ -14,7 +20,7 @@ from magnomech import (
     resolve_system_params,
 )
 from magnomech.model import MODE_ORDER
-from magnomech.params import TWO_PI
+from magnomech.params import HBAR, K_B, MU_0, SPEED_OF_LIGHT, TWO_PI
 
 # Bose occupation at 20.15 MHz / 10 mK, frozen from a 40-digit mpmath
 # evaluation of 1/(exp(hbar*omega/kB*T) - 1) with CODATA constants.
@@ -288,3 +294,19 @@ class TestSystemParams:
             "barnett_shift", "reflectivity", "theta", "temperature", "lambda_c",
         )})
         assert p == q
+
+
+@pytest.mark.parametrize("value, name", [(HBAR, "hbar"), (K_B, "k"), (MU_0, "mu_0"),
+                                         (SPEED_OF_LIGHT, "c")], ids=["hbar", "k", "mu_0", "c"])
+def test_physical_constants_are_scipys(value, name):
+    assert value == getattr(scipy.constants, name)
+
+
+def test_import_leaves_scipy_constants_unloaded():
+    # the package writes its four constants as literals (scipy.linalg loads all the same)
+    src = str(Path(magnomech.__file__).resolve().parent.parent)
+    code = "import sys, magnomech; print('scipy.constants' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

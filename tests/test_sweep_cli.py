@@ -40,6 +40,7 @@ from magnomech.params import (
 )
 
 RESOLVERS = ((resolve_system_params, SYSTEM_KEYS), (resolve_drive_params, DRIVE_KEYS))
+MEANFIELD_POINT_TEXT = (Path(__file__).parent.parent / "configs" / "meanfield_point.cfg").read_text()
 
 
 def _emit_file(table, fmt, path):
@@ -191,8 +192,26 @@ class TestConfigParsing:
     @pytest.mark.parametrize("fixed", [{"laser_power": -1.0}, {"rabi": 1e6, "temperature": 0.0}])
     def test_direct_spec_rejects_drive_keys(self, fixed):
         with pytest.raises(ConfigError, match="coupling_mode"):
-            SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed=fixed)
-        SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed=fixed, coupling_mode="meanfield")
+            SweepSpec(SweepAxis("theta", 0, 1, 2), fixed=fixed)
+        SweepSpec(SweepAxis("theta", 0, 1, 2), fixed=fixed, coupling_mode="meanfield")
+
+    @pytest.mark.parametrize("key", ["G_m", "G_c"])
+    def test_meanfield_sweep_rejects_the_couplings_it_derives(self, key):
+        axis, theta = SweepAxis(key, 0.1e6, 5e6, 3), SweepAxis("theta", 0, 1, 2)
+        config = parse_config(MEANFIELD_POINT_TEXT)
+        swept = {"axis1": key, "axis1_start": 0.1e6, "axis1_stop": 5e6, "axis1_count": 3}
+        fixed = {key: 1e6, "axis1": "theta", "axis1_start": 0, "axis1_stop": 1, "axis1_count": 2}
+        for build in (lambda: SweepSpec(axis, coupling_mode="meanfield"),
+                      lambda: SweepSpec(theta, axis, coupling_mode="meanfield"),
+                      lambda: SweepSpec(theta, fixed={key: 1e6}, coupling_mode="meanfield"),
+                      lambda: sweep_spec_from_config({**config, **swept}),
+                      lambda: sweep_spec_from_config({**config, **fixed})):
+            with pytest.raises(ConfigError, match=rf"keys \['{key}'\] are derived by the amplitude "
+                                                  "solve in coupling_mode = meanfield"):
+                build()
+        # direct mode reads both
+        SweepSpec(axis)
+        SweepSpec(theta, fixed={key: 1e6})
 
     def test_direct_sweep_config_rejects_drive_keys(self):
         text = "axis1 = temperature\naxis1_start = 0\naxis1_stop = 1\naxis1_count = 2\nlaser_power = 0.03\n"
@@ -203,7 +222,7 @@ class TestConfigParsing:
 
     def test_spec_is_frozen(self):
         fixed = {"temperature": 0.0}
-        spec = SweepSpec(SweepAxis("temperature", 0, 1, 2), fixed=fixed)
+        spec = SweepSpec(SweepAxis("theta", 0, 1, 2), fixed=fixed)
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.coupling_mode = "bogus"
         fixed["bogus"] = 1.0
@@ -403,6 +422,16 @@ class TestRunPoint:
         assert error.reason == reason
         assert error("message").reason == reason
 
+    @pytest.mark.parametrize("key", ["G_m", "G_c"])
+    def test_meanfield_point_rejects_the_couplings_it_derives(self, key):
+        config = {**parse_config(MEANFIELD_POINT_TEXT), key: 0.7e6}
+        for call in (run_point, resolve_point, lambda c: resolve_point(c, "meanfield")):
+            with pytest.raises(ConfigError, match=rf"keys \['{key}'\] are derived"):
+                call(config)
+        with pytest.raises(ConfigError, match=rf"keys \['{key}'\] are derived"):
+            resolve_point({key: 0.7e6}, "meanfield")
+        assert getattr(resolve_point({key: 0.7e6}), key) == 0.7e6 * TWO_PI  # direct mode reads it
+
     def test_point_control_keys_accepted(self):
         report = run_point({"measures": "entanglement", "coupling_mode": "direct"})
         assert report.stable and report.pairwise_E
@@ -576,19 +605,20 @@ class TestRunSweep:
         expected = [(t, r) for t in (0.0, 0.1) for r in (0.0, 0.1, 0.2)]
         assert axes == pytest.approx(expected)
 
-    def test_an_axis_overrides_a_fixed_value_of_its_parameter(self, tmp_path):
+    @pytest.mark.parametrize("value", [0.5, -7.0], ids=["in-domain", "out-of-domain"])
+    def test_a_swept_parameter_cannot_also_be_fixed(self, tmp_path, value):
         axis = ("axis1 = temperature\naxis1_start = 0\naxis1_stop = 0.1\naxis1_count = 3\n"
                 "measures = entanglement\n")
         (tmp_path / "plain.cfg").write_text(axis)
-        (tmp_path / "fixed.cfg").write_text("temperature = 0.5\n" + axis)
-        expected = run_sweep(sweep_spec_from_config(load_config(tmp_path / "plain.cfg")))
-        assert [row[0] for row in expected.rows] == [0.0, 0.05, 0.1]
-        from_file = sweep_spec_from_config(load_config(tmp_path / "fixed.cfg"))
-        direct = SweepSpec(SweepAxis("temperature", 0.0, 0.1, 3), fixed={"temperature": 0.5},
-                           measures=("entanglement",))
-        for spec in (from_file, direct):
-            assert spec.fixed == {"temperature": 0.5}
-            assert run_sweep(spec) == expected
+        (tmp_path / "fixed.cfg").write_text(f"temperature = {value}\n" + axis)
+        plain = run_sweep(sweep_spec_from_config(load_config(tmp_path / "plain.cfg")))
+        assert [row[0] for row in plain.rows] == [0.0, 0.05, 0.1]
+        swept = SweepAxis("temperature", 0.0, 0.1, 3)
+        for build in (lambda: sweep_spec_from_config(load_config(tmp_path / "fixed.cfg")),
+                      lambda: SweepSpec(swept, fixed={"temperature": value}),
+                      lambda: SweepSpec(SweepAxis("theta", 0, 1, 2), swept, fixed={"temperature": value})):
+            with pytest.raises(ConfigError, match="'temperature' is both swept and fixed"):
+                build()
 
     def test_axis_columns_carry_units(self):
         table = run_sweep(_tiny_sweep())
@@ -915,7 +945,13 @@ class TestCli:
         ("point", "nonreciprocity = true\n", "'nonreciprocity'"),
         ("sweep", "axis1 = temperature\naxis1_strat = 0\naxis1_stop = 1\naxis1_count = 2\n",
          "'axis1_strat'"),
-    ], ids=["unknown-key", "sweep-key-given-to-point", "misspelled-sweep-key"])
+        ("point", MEANFIELD_POINT_TEXT + "G_m = 0.7e6\n", "'G_m'"),
+        ("sweep", MEANFIELD_POINT_TEXT + "axis1 = G_c\naxis1_start = 0\naxis1_stop = 1e6\n"
+                                         "axis1_count = 2\n", "'G_c'"),
+        ("sweep", "temperature = 0.5\naxis1 = temperature\naxis1_start = 0\naxis1_stop = 0.1\n"
+                  "axis1_count = 3\n", "'temperature'"),
+    ], ids=["unknown-key", "sweep-key-given-to-point", "misspelled-sweep-key",
+            "meanfield-point-with-G_m", "meanfield-sweep-over-G_c", "temperature-fixed-and-swept"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, text, named):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
