@@ -32,8 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     table = argparse.ArgumentParser(add_help=False)  # the options of the table-writing commands
-    table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--workers", type=int, default=1)
+    table.add_argument("--format", choices=("csv", "json"), help="default csv")
+    table.add_argument("--workers", type=int, help="default 1")
 
     point = sub.add_parser("point", help="evaluate one parameter point and print the report")
     point.add_argument("--config", required=True, help="flat key/value parameter file")
@@ -72,18 +72,16 @@ def _cmd_point(args) -> int:
 def _run_to_file(spec, args) -> int:
     # opened before the sweep, as a shell redirection is, so a bad --out costs no grid
     with _output(args.out) as fh:
-        emit(run_sweep(spec, workers=args.workers), args.format, fh)
+        emit(run_sweep(spec, workers=1 if args.workers is None else args.workers),
+             args.format or "csv", fh)
     return 0
-
-
-def _cmd_sweep(args) -> int:
-    return _run_to_file(sweep_spec_from_config(load_config(args.config)), args)
 
 
 def _cmd_presets(args) -> int:
     if not args.preset:
-        if args.out:
-            raise ConfigError("--out needs --preset: the listing goes to stdout")
+        given = [f"--{name}" for name in ("out", "format", "workers") if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} only with --preset: the listing goes to stdout")
         width = max(len(name) for name in PRESETS)
         for name, preset in PRESETS.items():
             print(f"{name:<{width}}  {preset.description}")
@@ -104,7 +102,7 @@ def main(argv=None) -> int:
         if args.command == "point":
             return _cmd_point(args)
         if args.command == "sweep":
-            return _cmd_sweep(args)
+            return _run_to_file(sweep_spec_from_config(load_config(args.config)), args)
         if args.command == "presets":
             return _cmd_presets(args)
         return 0 if validation.run_all() else 2  # argparse leaves only "validate"

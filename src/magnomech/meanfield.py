@@ -1,10 +1,10 @@
 """Classical steady-state amplitudes and the effective couplings they set.
 
-The strong magnon and optical drives (amplitudes given, or derived from
-the drive block's laboratory quantities) produce large coherent
-amplitudes; these fix the effective magno- and optomechanical couplings
-that enter the linearized drift matrix, and the mechanical displacements
-shift the drive detunings.  The closed-form amplitude expressions and the
+The strong magnon and optical drives (each amplitude given, or derived
+from its laboratory power) produce large coherent amplitudes; these fix
+the effective magno- and optomechanical couplings that enter the
+linearized drift matrix, and the mechanical displacements shift the
+drive detunings.  The closed-form amplitude expressions and the
 displacement shifts couple to each other, so the full solution is a small
 fixed-point iteration over the two real displacements.
 """
@@ -15,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, FloatGuard, SingularPointError
+from .errors import ConvergenceError, FloatGuard, SingularPointError
 from .params import HBAR, MU_0, SPEED_OF_LIGHT, DriveParams, SystemParams
 
 _SQRT2 = math.sqrt(2.0)
@@ -56,23 +56,16 @@ class SteadyAmplitudes:
 
 
 def _drive_amplitudes(params: SystemParams, drives: DriveParams) -> tuple:
-    """``(rabi, laser_coupling)`` of ``drives``: one given is kept, one that is 0 is derived
-    when its laboratory quantity is positive.  The Rabi rate is (sqrt(5)/4)*gyro*sqrt(N)*H_d,
-    H_d a positive ``drive_field``, else the field (1/R)*sqrt(2*P0*mu0/(pi*c)) of ``drive_power``;
-    the optical one is sqrt(2*gamma_c*P_L/(hbar*omega_laser)).  A ``sphere_radius`` or
-    ``drive_freq_2`` that a conversion needs and that is not > 0 is a :class:`DomainError`."""
+    """``(rabi, laser_coupling)`` of ``drives``, each as given or, when its power is nonzero (and
+    so, by :class:`DriveParams`, every field its conversion reads), derived: the Rabi rate
+    (sqrt(5)/4)*gyro*sqrt(N)*B, B = (1/R)*sqrt(2*P0*mu0/(pi*c)) the field of ``drive_power``,
+    and the optical amplitude sqrt(2*gamma_c*P_L/(hbar*omega_laser))."""
     d = drives
     rabi, laser_coupling = d.rabi, d.laser_coupling
-    if rabi == 0 and (d.drive_field > 0 or d.drive_power > 0):
-        field = d.drive_field
-        if field <= 0:
-            if d.sphere_radius <= 0:
-                raise DomainError("sphere_radius must be > 0 to convert drive_power")
-            field = math.sqrt(2.0 * d.drive_power * MU_0 / (math.pi * SPEED_OF_LIGHT)) / d.sphere_radius
+    if d.drive_power:
+        field = math.sqrt(2.0 * d.drive_power * MU_0 / (math.pi * SPEED_OF_LIGHT)) / d.sphere_radius
         rabi = (math.sqrt(5.0) / 4.0) * d.gyromagnetic_ratio * math.sqrt(d.spin_count) * field
-    if laser_coupling == 0 and d.laser_power > 0:
-        if d.drive_freq_2 <= 0:
-            raise DomainError("drive_freq_2 must be > 0 when laser_power > 0")
+    if d.laser_power:
         laser_coupling = math.sqrt(2.0 * params.gamma_c * d.laser_power / (HBAR * d.drive_freq_2))
     return rabi, laser_coupling
 
@@ -82,9 +75,9 @@ def solve_self_consistent(
 ) -> SteadyAmplitudes:
     """Solve the amplitude equations with displacement back-action.
 
-    ``drives`` may be a raw drive block: :func:`_drive_amplitudes` completes
-    its amplitudes first.  The mechanical displacements Re<b1>, Re<b2> shift the magnon and
-    optical detunings, which feed back into the amplitudes.  One damped
+    Each amplitude of ``drives`` is given or derived from its power first
+    (:func:`_drive_amplitudes`).  The mechanical displacements Re<b1>, Re<b2>
+    shift the magnon and optical detunings, which feed back into the amplitudes.  One damped
     fixed-point loop on the two displacements evaluates the closed-form
     amplitudes at the shifted detunings, step 0 at the unshifted ones, and
     runs until the relative changes of all four amplitudes (``m``, ``c``,

@@ -38,7 +38,7 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 def _key(unit: str, baseline: float | None = None, **field_args):
     """A config key: its unit tag, spelled as its sweep-column suffix (``hz``,
-    ``K``, ``rad``, ``m``, ``T``, ``W`` or empty), and for system keys its
+    ``K``, ``rad``, ``m``, ``W`` or empty), and for system keys its
     baseline value in file units."""
     return field(metadata={"unit": unit, "baseline": baseline}, **field_args)
 
@@ -134,15 +134,20 @@ class SystemParams:
         return TWO_PI * SPEED_OF_LIGHT / self.lambda_c
 
 
+#: Per drive amplitude of :class:`DriveParams`, the fields its conversion reads, the power first.
+DRIVE_SOURCES = {"rabi": ("drive_power", "sphere_radius", "spin_count", "gyromagnetic_ratio"),
+                 "laser_coupling": ("laser_power", "drive_freq_2")}
+
+
 @dataclass(frozen=True)
 class DriveParams:
     """Drive-side quantities used to derive the effective couplings.
 
-    ``rabi`` and ``laser_coupling`` are the magnon and optical drive
-    amplitudes (rad/s); either may be supplied directly or left at 0 for
-    :func:`magnomech.solve_self_consistent` to derive from the quantities below.
-    ``gyromagnetic_ratio`` is in rad/s per tesla.  Fields are checked as in
-    :class:`SystemParams`; the powers and ``spin_count`` must be >= 0.
+    ``rabi`` and ``laser_coupling`` are the magnon and optical drive amplitudes (rad/s).
+    Each has one source (:data:`DRIVE_SOURCES`): itself nonzero, or all the fields its
+    conversion reads nonzero, or none; any other block, or a negative power, ``spin_count``,
+    ``sphere_radius`` or ``drive_freq_2``, is a :class:`DomainError` that names the fields.
+    ``gyromagnetic_ratio`` is in rad/s per tesla; fields are checked as in :class:`SystemParams`.
     """
 
     rabi: float = _key("hz", default=0.0)
@@ -151,7 +156,6 @@ class DriveParams:
     bare_D_cb2: float = _key("hz", default=0.0)
     spin_count: float = _key("", default=0.0)
     gyromagnetic_ratio: float = _key("hz", default=0.0)
-    drive_field: float = _key("T", default=0.0)
     drive_power: float = _key("W", default=0.0)
     laser_power: float = _key("W", default=0.0)
     sphere_radius: float = _key("m", default=0.0)
@@ -159,9 +163,14 @@ class DriveParams:
 
     def __post_init__(self):
         _require_real_fields(self)
-        for name in ("drive_power", "laser_power", "spin_count"):
+        for name in ("drive_power", "laser_power", "spin_count", "sphere_radius", "drive_freq_2"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for amplitude, conversion in DRIVE_SOURCES.items():
+            given = [name for name in (amplitude, *conversion) if getattr(self, name)]
+            if given and given != [amplitude] and given != list(conversion):
+                raise DomainError(f"{amplitude} needs one source: itself, or {', '.join(conversion)} "
+                                  f"all nonzero; got {', '.join(given)} nonzero")
 
 
 def _require_real_fields(params) -> None:

@@ -11,6 +11,7 @@ from magnomech import (
     ConvergenceError,
     DomainError,
     DriveParams,
+    MagnomechError,
     SingularPointError,
     SolverError,
     resolve_point,
@@ -24,7 +25,8 @@ from magnomech import meanfield
 from magnomech.meanfield import (
     CONVERGENCE_TOL, DAMPING, MAX_ITERATIONS, SAVE_GAP, SteadyAmplitudes,
 )
-from magnomech.params import TWO_PI, load_config, resolve_drive_params
+from magnomech.cli import main as cli_main
+from magnomech.params import DRIVE_SOURCES, TWO_PI, load_config, resolve_drive_params
 from magnomech.sweep import split_config
 
 MEANFIELD_POINT = Path(__file__).parent.parent / "configs" / "meanfield_point.cfg"
@@ -68,9 +70,11 @@ def drives(params):
 
 
 def _completed(params, raw):
-    """``raw`` with the drive amplitudes that the solve derives from it."""
+    """The amplitude-only block that drives as ``raw`` does: the amplitudes the solve
+    derives from ``raw``, with its bare couplings."""
     rabi, laser_coupling = meanfield._drive_amplitudes(params, raw)
-    return dataclasses.replace(raw, rabi=rabi, laser_coupling=laser_coupling)
+    return DriveParams(rabi=rabi, laser_coupling=laser_coupling,
+                       bare_D_mb1=raw.bare_D_mb1, bare_D_cb2=raw.bare_D_cb2)
 
 
 #: Parameters whose gamma_c, 2 pi * 1 MHz, is all that the drive amplitudes read.
@@ -90,20 +94,17 @@ class TestDriveAmplitudes:
         assert field == pytest.approx(3.3e-5, rel=0.02)
 
     def test_zero_laser_power(self):
-        drives = DriveParams(sphere_radius=1e-4, laser_power=0.0)
+        drives = DriveParams(drive_power=4e-3, sphere_radius=1e-4, spin_count=1e16,
+                             gyromagnetic_ratio=TWO_PI * 28e9, laser_power=0.0)
         assert meanfield._drive_amplitudes(OPTICS, drives)[1] == 0.0
 
-    def test_zero_drive_field(self):
-        drives = DriveParams(
-            sphere_radius=1e-4, spin_count=1e16, gyromagnetic_ratio=TWO_PI * 28e9
-        )
+    def test_zero_drive_power(self):
+        drives = DriveParams(drive_power=0.0, laser_power=30e-3, drive_freq_2=1e15)
         assert meanfield._drive_amplitudes(OPTICS, drives)[0] == 0.0
 
     def test_laser_coupling_magnitude(self):
         omega_laser = TWO_PI * 299792458.0 / 1550e-9
-        drives = DriveParams(
-            sphere_radius=1e-4, laser_power=30e-3, drive_freq_2=omega_laser
-        )
+        drives = DriveParams(laser_power=30e-3, drive_freq_2=omega_laser)
         _, coupling = meanfield._drive_amplitudes(OPTICS, drives)
         expected = math.sqrt(2 * TWO_PI * 1e6 * 30e-3 / (1.0545718176461565e-34 * omega_laser))
         assert coupling == pytest.approx(expected, rel=1e-12)
@@ -196,13 +197,13 @@ def test_linearity_in_drive(params):
     assert abs(sa2.c_avg) == pytest.approx(2 * abs(sa1.c_avg), rel=1e-12)
 
 
-def test_drive_field_sets_the_rabi_rate_however_the_laser_is_given(params):
-    # the magnon drive is given as a field; the optical drive once as a
+def test_drive_power_sets_the_rabi_rate_however_the_laser_is_given(params):
+    # the magnon drive is given as a power; the optical drive once as a
     # power (which needs converting) and once as the equivalent coupling
-    # (which does not): the Rabi rate must come from the field both times
+    # (which does not): the Rabi rate must come from the power both times
     config = {
         "coupling_mode": "meanfield", "spin_count": 1.77e16, "gyromagnetic_ratio": 28e9,
-        "bare_D_mb1": 0.1, "bare_D_cb2": 100, "sphere_radius": 100e-6, "drive_field": 1e-6,
+        "bare_D_mb1": 0.1, "bare_D_cb2": 100, "sphere_radius": 100e-6, "drive_power": 4e-3,
     }
     laser = {"laser_power": 30e-3, "drive_freq_2": 1.934e14}
     _, laser_coupling = meanfield._drive_amplitudes(params, resolve_drive_params(laser))
@@ -215,33 +216,137 @@ def test_drive_field_sets_the_rabi_rate_however_the_laser_is_given(params):
 @pytest.mark.parametrize(
     "config",
     [
-        {"drive_field": 1e-6, "laser_coupling": 1.5e10},
+        {"rabi": 5e12, "laser_coupling": 1.5e10},
         {"rabi": 5e12, "laser_power": 30e-3, "drive_freq_2": 1.934e14},
         {"laser_power": 30e-3, "drive_freq_2": 1.934e14},
     ],
-    ids=["drive_field+laser_coupling", "rabi+laser_power", "laser_power"],
+    ids=["rabi+laser_coupling", "rabi+laser_power", "laser_power"],
 )
 def test_sphere_radius_needed_only_to_derive_the_field_from_power(config):
-    magnon_driven = "rabi" in config or "drive_field" in config
-    config = {
-        **config, "coupling_mode": "meanfield", "spin_count": 1.77e16,
-        "gyromagnetic_ratio": 28e9, "bare_D_mb1": 0.1, "bare_D_cb2": 100,
-    }
+    magnon_driven = "rabi" in config
+    config = {**config, "coupling_mode": "meanfield", "bare_D_mb1": 0.1, "bare_D_cb2": 100}
     without = run_point(config).params
-    with_radius = run_point({**config, "sphere_radius": 100e-6}).params
     assert (without.G_m > 0) == magnon_driven and without.G_c > 0
-    assert (without.G_m, without.G_c) == (with_radius.G_m, with_radius.G_c)
-    # the Rabi rate from drive_power alone still needs the radius
-    power_only = {k: v for k, v in config.items() if k not in ("rabi", "drive_field")}
+    # a radius that no conversion reads is an error, not a value that changes nothing
+    with pytest.raises(DomainError, match="got .*sphere_radius nonzero"):
+        run_point({**config, "sphere_radius": 100e-6})
+    # the Rabi rate from drive_power still needs the radius
+    power_only = {k: v for k, v in config.items() if k != "rabi"}
     with pytest.raises(DomainError, match="sphere_radius"):
-        run_point({**power_only, "drive_power": 4e-3})
+        run_point({**power_only, "drive_power": 4e-3, "spin_count": 1.77e16,
+                   "gyromagnetic_ratio": 28e9})
+
+
+def _meanfield_config(**changes):
+    """configs/meanfield_point.cfg with ``changes``; a drive amplitude among them
+    replaces the fields its conversion reads."""
+    config = load_config(MEANFIELD_POINT)
+    for amplitude in DRIVE_SOURCES.keys() & changes.keys():
+        config = {k: v for k, v in config.items() if k not in DRIVE_SOURCES[amplitude]}
+    return {**config, **changes}
+
+
+def _derived_amplitudes():
+    """``{"rabi": ..., "laser_coupling": ...}`` in Hz as the conversion derives them
+    from the drive block of configs/meanfield_point.cfg."""
+    system, drive, _ = split_config(load_config(MEANFIELD_POINT))
+    amplitudes = meanfield._drive_amplitudes(resolve_system_params(system),
+                                             resolve_drive_params(drive))
+    return {name: value / TWO_PI for name, value in zip(DRIVE_SOURCES, amplitudes)}
+
+
+def _rejected_blocks(amplitude):
+    """``{id: block}`` of the blocks of ``amplitude``, in config units, that its source rule
+    rejects: the amplitude beside each conversion field, the power without each other
+    field (absent or 0) and each conversion field alone, at the values of
+    configs/meanfield_point.cfg."""
+    power, *others = conversion = DRIVE_SOURCES[amplitude]
+    full = {name: load_config(MEANFIELD_POINT)[name] for name in conversion}
+    given = {amplitude: _derived_amplitudes()[amplitude]}
+    cases = {f"{amplitude}+{name}": {**given, name: full[name]} for name in conversion}
+    for name in others:
+        cases[f"{power}-without-{name}"] = {k: v for k, v in full.items() if k != name}
+        cases[f"{power}-with-{name}=0"] = {**full, name: 0.0}
+    for name in conversion:
+        if {name: full[name]} not in cases.values():  # laser_power alone is one case already
+            cases[f"{name}-alone"] = {name: full[name]}
+    return cases
+
+
+REJECTED = [(amplitude, case, block) for amplitude in DRIVE_SOURCES
+            for case, block in _rejected_blocks(amplitude).items()]
+
+
+@pytest.mark.parametrize("amplitude, block", [(a, b) for a, _, b in REJECTED],
+                         ids=[case for _, case, _ in REJECTED])
+def test_a_drive_amplitude_without_exactly_one_source_is_a_domain_error(tmp_path, capsys,
+                                                                        amplitude, block):
+    named = ", ".join(name for name, value in block.items() if value)
+    message = rf"^{amplitude} needs one source: itself, or .* all nonzero; got {named} nonzero$"
+    with pytest.raises(DomainError, match=message):
+        DriveParams(**block)
+    _, drive, _ = split_config(load_config(MEANFIELD_POINT))
+    cleared = dict.fromkeys((amplitude, *DRIVE_SOURCES[amplitude]), 0.0)
+    with pytest.raises(DomainError, match=message):
+        dataclasses.replace(resolve_drive_params(drive), **{**cleared, **block})
+    # block in place of the amplitude's source (an amplitude of 0 gives none); the
+    # other amplitude keeps the power block of the shipped config
+    config = {**_meanfield_config(**{amplitude: 0.0}), **block}
+    with pytest.raises(DomainError, match=message):
+        run_point(config)
+    axis = {"axis1": "temperature", "axis1_start": 0.01, "axis1_stop": 0.02, "axis1_count": 2}
+    fixed = {key: value for key, value in config.items() if key != "temperature"}
+    table = run_sweep(sweep_spec_from_config({**fixed, **axis}))
+    reason = table.columns.index("reason")
+    assert [row[reason] for row in table.rows] == ["nonphysical", "nonphysical"]
+    cfg = tmp_path / "drive.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+    assert cli_main(["point", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {amplitude} needs one source: ") and f"got {named} nonzero" in err
+
+
+def test_every_drive_key_a_block_names_takes_effect_or_is_a_domain_error():
+    assert DRIVE_SOURCES == {"rabi": ("drive_power", "sphere_radius", "spin_count", "gyromagnetic_ratio"),
+                             "laser_coupling": ("laser_power", "drive_freq_2")}
+    # every nonempty subset of the two amplitudes and their conversion fields, beside both
+    # bare couplings: rabi and laser_coupling at the values the conversion derives,
+    # the other keys at the values of configs/meanfield_point.cfg
+    system, drive, _ = split_config(load_config(MEANFIELD_POINT))
+    values = {**drive, **_derived_amplitudes()}
+    names = [name for amplitude, conversion in DRIVE_SOURCES.items()
+             for name in (amplitude, *conversion)]
+
+    def outcome(block):
+        try:
+            return resolve_point({**system, **block}, "meanfield")
+        except MagnomechError as exc:
+            return type(exc), str(exc)
+
+    accepted = 0
+    for mask in range(1, 2**len(names)):
+        named = {name for bit, name in enumerate(names) if mask >> bit & 1}
+        block = {name: values[name] for name in ("bare_D_mb1", "bare_D_cb2", *sorted(named))}
+        sources = [named & {amplitude, *conversion} for amplitude, conversion in DRIVE_SOURCES.items()]
+        base = outcome(block)
+        if not all(source in (set(), {amplitude}, set(conversion))
+                   for source, (amplitude, conversion) in zip(sources, DRIVE_SOURCES.items())):
+            assert base[0] is DomainError, named
+            continue
+        # the block resolves, with the effective coupling of each drive it gives
+        accepted += 1
+        assert [base.G_m != 0, base.G_c != 0] == [bool(source) for source in sources], named
+        for name in block:
+            assert outcome({**block, name: 1.5 * block[name]}) != base, (named, name)
+    assert accepted == 8  # three shapes per amplitude, less the undriven block
 
 
 #: Finite values, one key at a time, at which the mean-field chain on
-#: configs/meanfield_point.cfg overflows or divides by zero.
+#: configs/meanfield_point.cfg overflows or divides by zero; an amplitude
+#: replaces the fields its conversion reads.
 EXTREME_VALUES = [
     ("rabi", 1e200), ("laser_coupling", 1e200), ("D_ma", 1e200), ("D_b1b2", 1e200),
-    ("drive_field", 1e200), ("gyromagnetic_ratio", 1e200), ("drive_power", 1e300),
+    ("gyromagnetic_ratio", 1e200), ("drive_power", 1e300),
     ("sphere_radius", 1e-200), ("drive_freq_2", 1e-300),
     ("omega_b1", 1e300), ("gamma_b1", 1e300), ("omega_b2", 1e300), ("gamma_b2", 1e300),
 ]
@@ -249,7 +354,7 @@ EXTREME_VALUES = [
 
 @pytest.mark.parametrize("key, value", EXTREME_VALUES, ids=[key for key, _ in EXTREME_VALUES])
 def test_extreme_finite_value_is_a_solver_error_and_a_nonphysical_row(key, value):
-    config = {**load_config(MEANFIELD_POINT), key: value}
+    config = _meanfield_config(**{key: value})
     with pytest.raises(SolverError, match="floating-point"):
         run_point(config)
     axis = {"axis1": "temperature", "axis1_start": 0.01, "axis1_stop": 0.02, "axis1_count": 2}
@@ -286,7 +391,7 @@ def test_singular_and_unconverged_points_are_singular_rows():
                                                    ("drive_freq_2", 1e-300, "ZeroDivisionError")],
                          ids=["rabi", "drive_freq_2"])
 def test_overflow_message_names_the_computation_and_the_exception(key, value, exception):
-    config = {**load_config(MEANFIELD_POINT), key: value}
+    config = _meanfield_config(**{key: value})
     with pytest.raises(SolverError, match="floating-point failure in the mean-field solve: "
                                           + exception):
         run_point(config)
@@ -300,7 +405,9 @@ def test_solve_drives_a_raw_drive_block():
     field = math.sqrt(2.0 * raw.drive_power * mu_0 / (math.pi * c_light)) / raw.sphere_radius
     rabi = (math.sqrt(5.0) / 4.0) * raw.gyromagnetic_ratio * math.sqrt(raw.spin_count) * field
     laser_coupling = math.sqrt(2.0 * params.gamma_c * raw.laser_power / (hbar * raw.drive_freq_2))
-    expected = _reference_solve(params, dataclasses.replace(raw, rabi=rabi, laser_coupling=laser_coupling))
+    amplitudes = DriveParams(rabi=rabi, laser_coupling=laser_coupling,
+                             bare_D_mb1=raw.bare_D_mb1, bare_D_cb2=raw.bare_D_cb2)
+    expected = _reference_solve(params, amplitudes)
     got = solve_self_consistent(params, raw)
     assert repr(got) == repr(expected)
     assert got.g_m_eff != 0 and got.g_c_eff != 0

@@ -264,11 +264,18 @@ class TestSystemParams:
 
     def test_int_and_numpy_fields_are_stored_as_floats(self, baseline):
         params = dataclasses.replace(baseline, temperature=1, theta=np.float32(0.5))
-        drives = DriveParams(spin_count=10**16, drive_power=np.float32(4e-3))
+        drives = DriveParams(spin_count=10**16, drive_power=np.float32(4e-3), sphere_radius=1e-4,
+                             gyromagnetic_ratio=1.0)
         for value, expected in ((params.temperature, 1.0), (params.theta, 0.5),
                                 (drives.spin_count, 1e16),
                                 (drives.drive_power, float(np.float32(4e-3)))):
             assert type(value) is float and value == expected
+
+    @pytest.mark.parametrize("name", ["drive_power", "laser_power", "spin_count", "sphere_radius",
+                                      "drive_freq_2"])
+    def test_negative_drive_field_is_a_domain_error(self, name):
+        with pytest.raises(DomainError, match=rf"^{name} must be >= 0, got -1.0$"):
+            DriveParams(**{name: -1.0})
 
     @pytest.mark.parametrize("value", [0.0, -1.0])
     @pytest.mark.parametrize("name", POSITIVE_FIELDS)

@@ -31,6 +31,7 @@ from magnomech.sweep import _contrast, resolve_point
 from magnomech.params import (
     BASELINE_CONFIG,
     DRIVE_KEYS,
+    DRIVE_SOURCES,
     SYSTEM_KEYS,
     TWO_PI,
     echo_config,
@@ -304,10 +305,15 @@ class TestUnits:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_echo_gives_the_file_values_back(self, data):
-        for resolve, keys in RESOLVERS:
-            config = data.draw(st.fixed_dictionaries({}, optional={
-                key: st.floats(0.0, 0.999) if key == "reflectivity" else st.floats(1e-9, 1e12)
-                for key in keys}))
+        values = st.floats(1e-9, 1e12)
+        # a drive block names each amplitude, every field of its conversion, or neither
+        sources = [data.draw(st.sampled_from([(), (amplitude,), conversion]))
+                   for amplitude, conversion in DRIVE_SOURCES.items()]
+        drive = dict.fromkeys(sum(sources, ()), values)
+        for resolve, keys, required in ((resolve_system_params, SYSTEM_KEYS, {}),
+                                        (resolve_drive_params, ("bare_D_mb1", "bare_D_cb2"), drive)):
+            config = data.draw(st.fixed_dictionaries(required, optional={
+                key: st.floats(0.0, 0.999) if key == "reflectivity" else values for key in keys}))
             echo = echo_config(resolve(config))
             assert {key: echo[key] for key in config} == pytest.approx(config, rel=1e-15, abs=0)
 
@@ -962,10 +968,11 @@ class TestCli:
         assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # a finite drive that overflows the mean-field solve
+        # a finite drive that overflows the mean-field solve, given in place of the drive power
         cfg = tmp_path / "rabi.cfg"
-        cfg.write_text((TestShippedConfigs.CONFIG_DIR / "meanfield_point.cfg").read_text()
-                       + "rabi = 1e200\n")
+        config = load_config(TestShippedConfigs.CONFIG_DIR / "meanfield_point.cfg")
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in config.items()
+                               if key not in DRIVE_SOURCES["rabi"]) + "rabi = 1e200\n")
         assert cli_main(["point", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("numerical failure [SolverError]")
 
@@ -1078,12 +1085,15 @@ class TestCli:
     def test_preset_requires_out(self, capsys):
         assert cli_main(["presets", "--preset", "detuning-grid"]) == 1
 
-    def test_out_without_a_preset_is_a_config_error(self, tmp_path, capsys):
-        out = tmp_path / "listing.txt"
-        assert cli_main(["presets", "--out", str(out)]) == 1
+    @pytest.mark.parametrize("option, value", [("--out", "{tmp}/listing.txt"), ("--format", "json"),
+                                               ("--workers", "8"), ("--workers", "1")],
+                             ids=["out", "format", "workers", "default-workers"])
+    def test_out_without_a_preset_is_a_config_error(self, tmp_path, capsys, option, value):
+        # a table option without a table to write could not take effect
+        assert cli_main(["presets", option, value.format(tmp=tmp_path)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "--preset" in captured.err
-        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: {option} only with --preset: the listing goes to stdout\n"
+        assert captured.out == "" and not (tmp_path / "listing.txt").exists()
 
     def test_unknown_preset(self, tmp_path):
         code = cli_main(
