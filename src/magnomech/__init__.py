@@ -24,13 +24,7 @@ from .lyapunov import (
     solve_lyapunov_oracle,
     stability_check,
 )
-from .measures import (
-    MeasureReport,
-    evaluate_measures,
-    gaussian_steering,
-    log_negativity,
-    tmsv_covariance,
-)
+from .measures import MeasureReport, evaluate_measures, tmsv_covariance
 from .meanfield import solve_self_consistent
 from .model import build_diffusion, build_drift
 from .params import (
@@ -78,11 +72,9 @@ __all__ = [
     "emit",
     "evaluate_measures",
     "evaluate_point",
-    "gaussian_steering",
     "get_preset",
     "integrate_lyapunov",
     "load_config",
-    "log_negativity",
     "resolve_point",
     "resolve_system_params",
     "run_point",

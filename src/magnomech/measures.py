@@ -5,9 +5,8 @@ with vacuum variance 1/2.  Bipartite entanglement is the logarithmic
 negativity from the partially transposed two-mode covariance, steering
 is the Renyi-2 measure, and tripartite entanglement the minimum residual
 contangle (a squared one-versus-rest log-negativity less the squared pair
-log-negativities).  One batched kernel serves :func:`evaluate_measures`
-and the two-mode functions :func:`log_negativity` and
-:func:`gaussian_steering` alike: a covariance is factored once,
+log-negativities).  One batched kernel, whose one public entry is
+:func:`evaluate_measures`, serves every family: a covariance is factored once,
 ``V = L L^T`` (Cholesky), and the singular values of ``L^T J L`` are its
 symplectic eigenvalues (Williamson's theorem), ``J`` the symplectic form,
 or that form with one mode's block negated for the partial transpose over
@@ -259,38 +258,6 @@ def _triple_contangles(cov: np.ndarray, negativities: np.ndarray) -> np.ndarray:
     return (rest * rest - (pairs[..., 0] + pairs[..., 1])).min(axis=1)
 
 
-def log_negativity(cov4: np.ndarray) -> float:
-    """Logarithmic negativity of a two-mode covariance matrix.
-
-    ``max(0, -ln(2 nu))``, ``nu`` the smaller symplectic eigenvalue of the
-    partial transpose: a closed-form singular value of ``L^T J L``.  A matrix
-    not positive definite, or whose ``nu`` rounds to 0, raises :class:`PhysicalityError`.
-    Only the diagonal and the lower triangle of ``cov4`` are read.
-    """
-    cov4 = real_matrix(cov4, "log_negativity needs a finite real 4x4 covariance", (4,))
-    with FloatGuard("logarithmic negativity"):
-        factor = _factor(cov4[None])
-        return float(_pair_negativities(factor, _det_factor(factor))[0])
-
-
-def gaussian_steering(cov4: np.ndarray, steering_mode: int = 0) -> float:
-    """Renyi-2 Gaussian steering of a two-mode state, in one direction.
-
-    ``steering_mode`` selects which of the two modes (0 = first block,
-    1 = second) acts as the steering party; the measure is
-    ``max(0, ln det(2 V_s)/2 - ln det(2 V)/2)`` and is directional by
-    construction; any mode but the integer 0 or 1 is a :class:`DomainError`.
-    Only the diagonal and the lower triangle of ``cov4`` are read.
-    """
-    cov4 = real_matrix(cov4, "gaussian_steering needs a finite real 4x4 covariance", (4,))
-    if (isinstance(steering_mode, bool) or not isinstance(steering_mode, (int, np.integer))
-            or steering_mode not in (0, 1)):
-        raise DomainError(f"steering_mode must be the integer 0 or 1, got {steering_mode!r}")
-    with FloatGuard("Gaussian steering"):
-        det_l = _det_factor(_factor(cov4[None]))
-        return float(_steerings(_mode_dets(cov4)[None], det_l)[0, steering_mode])
-
-
 def _occupation(cov: np.ndarray, idx: int) -> float | None:
     """Effective occupation ``(V_xx + V_yy - 1)/2`` of one mode, rounding noise
     below zero clipped; None below vacuum, where it has no thermal reading."""
@@ -303,7 +270,8 @@ def tmsv_covariance(r: float) -> np.ndarray:
 
     The canonical analytic family used as a measure oracle: its
     logarithmic negativity is ``2 r`` and its steering is
-    ``ln cosh(2 r)`` in both directions.  ``r`` must be a finite real number.
+    ``ln cosh(2 r)`` in both directions, read as ``validate`` does: from the :func:`evaluate_measures`
+    report of a vacuum state holding it on two indirectly coupled modes.  ``r`` must be finite and real.
     """
     if finite_number(r, "") is None:
         raise DomainError(f"tmsv_covariance needs a finite real squeezing r, got {r!r}")
@@ -311,6 +279,15 @@ def tmsv_covariance(r: float) -> np.ndarray:
         ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
     eye, z = np.eye(2), np.diag([1.0, -1.0])
     return 0.5 * np.block([[ch * eye, sh * z], [sh * z, ch * eye]])
+
+
+def _lookup(accessor: str, values: dict, key, order=tuple):
+    """``values[order(key)]``, else a :class:`DomainError` that names ``accessor`` and ``key``."""
+    try:
+        return values[order(key)]
+    except (KeyError, TypeError):  # TypeError: an unhashable key, or one that is no sequence
+        why = "" if values else " (the point is unstable or the family was not evaluated)"
+        raise DomainError(f"{accessor} has no value for {key!r}{why}") from None
 
 
 @dataclass
@@ -324,7 +301,9 @@ class MeasureReport:
     effective occupation (None where the reduced state is below vacuum
     and the occupation is undefined).  ``stable`` is False when the
     point failed the stability gate, in which case every map is empty
-    and ``reason`` carries a machine-readable code.
+    and ``reason`` carries a machine-readable code.  An accessor given a key with no value (a directly
+    coupled pair's steering, an unknown mode, a triple not in :data:`DEFAULT_TRIPLES`, a family not
+    evaluated) raises a :class:`DomainError` that names the accessor and the key.
     """
 
     stable: bool
@@ -339,13 +318,13 @@ class MeasureReport:
     min_symplectic: float | None = None
 
     def entanglement(self, mode_a: str, mode_b: str) -> float:
-        return self.pairwise_E[_canonical((mode_a, mode_b))]
+        return _lookup("entanglement", self.pairwise_E, (mode_a, mode_b), _canonical)
 
     def steering_value(self, steering_party: str, steered: str) -> float:
-        return self.steering[(steering_party, steered)]
+        return _lookup("steering_value", self.steering, (steering_party, steered))
 
     def contangle(self, modes) -> float:
-        return self.tripartite_R[_canonical(modes)]
+        return _lookup("contangle", self.tripartite_R, modes, _canonical)
 
     def to_record(self) -> dict:
         """Flatten to one record with stable, order-independent field names."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MagnomechError, StabilityError
+from .errors import ConfigError, DomainError, MagnomechError, StabilityError
 from .lyapunov import solve_lyapunov, stability_check
 from .measures import (
     MEASURE_FAMILIES,
@@ -32,7 +32,9 @@ from .meanfield import solve_self_consistent
 from .model import build_diffusion, build_drift
 from .params import (
     DRIVE_KEYS,
+    DRIVE_SOURCES,
     SYSTEM_KEYS,
+    DriveParams,
     SystemParams,
     finite_number,
     require_mapping,
@@ -61,6 +63,20 @@ _UNREAD_KEYS = {
     "meanfield": (frozenset(("G_m", "G_c")),
                   "keys {} are derived by the amplitude solve in coupling_mode = meanfield"),
 }
+
+
+def _require_coupled(drives: DriveParams) -> None:
+    """Raise DomainError naming the drive-block fields that cannot take effect: a drive
+    that is on while its bare coupling is 0, or a nonzero bare coupling while no drive is on."""
+    couplings = {"rabi": "bare_D_mb1", "laser_coupling": "bare_D_cb2"}  # per DRIVE_SOURCES amplitude
+    on = {amplitude: [name for name in (amplitude, *conversion) if getattr(drives, name)]
+          for amplitude, conversion in DRIVE_SOURCES.items()}
+    bare = [coupling for coupling in couplings.values() if getattr(drives, coupling)]
+    for amplitude, coupling in couplings.items():
+        if on[amplitude] and coupling not in bare:
+            raise DomainError(f"{', '.join(on[amplitude])} cannot take effect with {coupling} = 0")
+    if bare and not any(on.values()):
+        raise DomainError(f"{', '.join(bare)} cannot take effect with no drive on")
 
 
 def _require_read(keys, mode: str) -> None:
@@ -233,8 +249,9 @@ def resolve_point(config: dict, coupling_mode=_FROM_CONFIG) -> SystemParams:
     and ``coupling_mode`` (else the argument, else ``direct``; both given must agree) may appear.
     In ``meanfield`` mode the self-consistent amplitude solve of the drive block gives the
     effective couplings and the displacement-shifted detunings, so a config that sets
-    ``G_m`` or ``G_c`` there is a :class:`ConfigError`.  Only the real parts ``Re G`` of the
-    complex effective couplings enter the drift matrix.  The dropped imaginary
+    ``G_m`` or ``G_c`` there is a :class:`ConfigError`; a drive on while its bare coupling is 0,
+    or a nonzero bare coupling with no drive on, is a :class:`DomainError`.  Only the real parts
+    ``Re G`` of the complex effective couplings enter the drift matrix.  The dropped imaginary
     parts are not negligible: on ``configs/meanfield_point.cfg`` ``|Im G_m / Re G_m|``
     is 5.0% and ``|Im G_c / Re G_c|`` is 5.4%.  Using ``|G|`` instead (ROADMAP.md
     item 4) would change existing sweep outputs.
@@ -243,7 +260,9 @@ def resolve_point(config: dict, coupling_mode=_FROM_CONFIG) -> SystemParams:
     params = resolve_system_params(system)
     if control["coupling_mode"] == "direct":
         return params
-    amplitudes = solve_self_consistent(params, resolve_drive_params(drive))
+    drives = resolve_drive_params(drive)
+    _require_coupled(drives)
+    amplitudes = solve_self_consistent(params, drives)
     return dataclasses.replace(
         params,
         G_m=amplitudes.g_m_eff.real,

@@ -19,8 +19,6 @@ from magnomech import (
     SweepAxis,
     SweepSpec,
     emit,
-    gaussian_steering,
-    log_negativity,
     run_point,
     run_sweep,
     tmsv_covariance,
@@ -31,6 +29,7 @@ from magnomech.validate import (
     check_solver_vs_oracle,
     random_stable_system,
 )
+from test_measures import _pair_measures
 
 W_B1_HZ = 20.15e6  # mechanical frequency in config units
 FB = {"reflectivity": 0.9, "theta": math.pi}
@@ -190,11 +189,12 @@ def test_criterion_08_solver_verification_suite():
 
 def test_criterion_09_analytic_oracles_and_hierarchy():
     for r in (0.1, 0.5, 1.0):
-        cov = tmsv_covariance(r)
-        assert log_negativity(cov) == pytest.approx(2 * r, abs=1e-10)
+        # the squeezed vacuum on an indirect pair of a vacuum state, read from its report
+        entanglement, forward, backward = _pair_measures(tmsv_covariance(r))
+        assert entanglement == pytest.approx(2 * r, abs=1e-10)
         expected = math.log(math.cosh(2 * r))
-        assert gaussian_steering(cov, 0) == pytest.approx(expected, abs=1e-10)
-        assert gaussian_steering(cov, 1) == pytest.approx(expected, abs=1e-10)
+        assert forward == pytest.approx(expected, abs=1e-10)
+        assert backward == pytest.approx(expected, abs=1e-10)
 
     # steering implies entanglement on every preset report describing a
     # quantum state; the feedback noise model is below vacuum for

@@ -341,6 +341,39 @@ def test_every_drive_key_a_block_names_takes_effect_or_is_a_domain_error():
     assert accepted == 8  # three shapes per amplitude, less the undriven block
 
 
+#: Drive blocks holding a value that cannot take effect in meanfield mode, each with its
+#: error: a drive on while its bare coupling is 0, or a bare coupling with no drive on.
+UNCOUPLED = {
+    "both-drives-without-couplings": ({"rabi": 1e6, "laser_coupling": 1e6},
+                                      "rabi cannot take effect with bare_D_mb1 = 0"),
+    "couplings-without-drives": ({"bare_D_mb1": 0.1, "bare_D_cb2": 100},
+                                 "bare_D_mb1, bare_D_cb2 cannot take effect with no drive on"),
+    "laser-power-without-its-coupling": (
+        {"rabi": 1e6, "bare_D_mb1": 0.1, "laser_power": 0.03, "drive_freq_2": 1.934e14},
+        "laser_power, drive_freq_2 cannot take effect with bare_D_cb2 = 0"),
+}
+
+
+@pytest.mark.parametrize("block, message", UNCOUPLED.values(), ids=UNCOUPLED)
+def test_a_drive_value_that_cannot_take_effect_is_a_domain_error(block, message):
+    config = {"coupling_mode": "meanfield", **block}
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        run_point(config)
+    axis = {"axis1": "temperature", "axis1_start": 0.01, "axis1_stop": 0.02, "axis1_count": 2}
+    table = run_sweep(sweep_spec_from_config({**config, **axis}))
+    reason = table.columns.index("reason")
+    assert [row[reason] for row in table.rows] == ["nonphysical", "nonphysical"]
+
+
+def test_a_bare_coupling_of_an_undriven_mode_acts_through_the_other_drive():
+    # only the magnon drive is on, yet bare_D_cb2 shifts the optical detuning through
+    # the displacements that drive sets: a value that takes effect, not an error
+    config = {"coupling_mode": "meanfield", "rabi": 5e12, "bare_D_mb1": 0.1}
+    near, far = (resolve_point({**config, "bare_D_cb2": value}) for value in (100, 50))
+    assert near.G_c == far.G_c == 0.0
+    assert abs(near.delta_c_tilde - far.delta_c_tilde) > 1e4
+
+
 #: Finite values, one key at a time, at which the mean-field chain on
 #: configs/meanfield_point.cfg overflows or divides by zero; an amplitude
 #: replaces the fields its conversion reads.
@@ -615,7 +648,7 @@ def test_iteration_stops_on_a_cycle_entered_late():
 #: A drive whose displacements leave double range: with bare_D_mb1 = 1e300
 #: the first displacement pair is finite and shifts the magnon detuning to
 #: infinity, so every later step is NaN.
-OVERFLOWING_DRIVE = {"rabi": 1e6, "laser_coupling": 1e6, "bare_D_mb1": 1e300}
+OVERFLOWING_DRIVE = {"rabi": 1e6, "bare_D_mb1": 1e300}
 
 
 @pytest.mark.parametrize("save_gap, message", [

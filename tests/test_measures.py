@@ -11,8 +11,7 @@ from magnomech import (
     build_diffusion,
     build_drift,
     evaluate_measures,
-    gaussian_steering,
-    log_negativity,
+    evaluate_point,
     resolve_system_params,
     solve_lyapunov,
     stability_check,
@@ -36,6 +35,26 @@ def _gather(cov, modes):
     """The covariance of the named modes, in the given order."""
     q = _quadratures(modes)
     return cov[np.ix_(q, q)]
+
+
+def _embed(cov4):
+    """A vacuum five-mode state with the two-mode ``cov4`` on the indirect pair (b1, c)."""
+    cov = 0.5 * np.eye(10)
+    q = _quadratures(INDIRECT_PAIRS[0])
+    cov[np.ix_(q, q)] = cov4
+    return cov
+
+
+def _pair_measures(cov4):
+    """E and the steering by the first and by the second mode of a two-mode covariance,
+    read from the report of its embedding by :func:`_embed`."""
+    a, b = INDIRECT_PAIRS[0]
+    report = evaluate_measures(_embed(cov4), None, -1.0, ("entanglement", "steering"))
+    return report.entanglement(a, b), report.steering_value(a, b), report.steering_value(b, a)
+
+
+def _negativity(cov4):
+    return _pair_measures(cov4)[0]
 
 
 def _spectrum(cov, transposed=False):
@@ -63,14 +82,14 @@ def _contangle_by_eigenvalues(cov, triple):
 
 class TestLogNegativity:
     def test_vacuum_product_state(self):
-        assert log_negativity(0.5 * np.eye(4)) == 0.0
+        assert _negativity(0.5 * np.eye(4)) == 0.0
 
     def test_rounding_noise_on_vacuum_is_not_entanglement(self, rng):
         # an uncorrelated pair has a degenerate partially transposed spectrum;
         # rounding-level entry noise must not read as negativity
         for _ in range(2000):
             noise = rng.normal(scale=1e-17, size=(4, 4))
-            assert log_negativity(0.5 * np.eye(4) + (noise + noise.T) / 2) == 0.0
+            assert _negativity(0.5 * np.eye(4) + (noise + noise.T) / 2) == 0.0
         noise = rng.normal(scale=1e-17, size=(10, 10))
         report = evaluate_measures(0.5 * np.eye(10) + (noise + noise.T) / 2, None, -1.0,
                                    ("entanglement",))
@@ -81,19 +100,19 @@ class TestLogNegativity:
         # which the test configuration turns into an error
         cov = 0.5 * np.eye(4)
         cov[0, 3] = cov[3, 0] = cov[1, 2] = cov[2, 1] = 5e-324
-        assert log_negativity(cov) == 0.0
-        assert gaussian_steering(cov) == 0.0
+        assert _pair_measures(cov) == (0.0, 0.0, 0.0)
 
     def test_squeezing_half_gives_unity(self):
-        assert log_negativity(tmsv_covariance(0.5)) == pytest.approx(1.0, abs=1e-12)
+        assert _negativity(tmsv_covariance(0.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_eigenvalue_route_on_model_states(self, baseline_cov):
         # closed form on the Cholesky factor against the eigenvalues of the
         # flipped form times V: two independent routes to the same number
+        report = evaluate_measures(baseline_cov, None, -1.0, ("entanglement",))
         for pair in (("b1", "m"), ("c", "a"), ("b2", "a"), ("b1", "b2")):
             v4 = _gather(baseline_cov, pair)
             expected = max(0.0, -math.log(2 * _spectrum(v4, transposed=True)[0]))
-            assert log_negativity(v4) == pytest.approx(expected, abs=1e-10)
+            assert report.entanglement(*pair) == pytest.approx(expected, abs=1e-10)
 
     def test_mode_order_resolves_a_near_degenerate_spectrum(self):
         # a stable point whose pair (b1, m) has a nearly degenerate partially
@@ -104,22 +123,22 @@ class TestLogNegativity:
             "delta_m_tilde": 0.0, "delta_c_tilde": 40.0, "barnett_shift": 12.0,
             "temperature": 0.0})
         cov = solve_lyapunov(build_drift(params), build_diffusion(params))
-        forward = log_negativity(_gather(cov, ("b1", "m")))
-        backward = log_negativity(_gather(cov, ("m", "b1")))
+        forward = _negativity(_gather(cov, ("b1", "m")))
+        backward = _negativity(_gather(cov, ("m", "b1")))
         assert abs(forward - backward) <= 1e-15
         assert abs(forward - 2.1054535531e-7) <= 1e-15
 
     def test_spectrum_spread_keeps_the_smaller_eigenvalue(self):
         # the partially transposed spectrum is (1e-20, 1); a difference of
         # the two closed-form norms would round the smaller one to zero
-        assert log_negativity(np.diag([1e-40, 1.0, 1.0, 1.0])) == pytest.approx(
+        assert _negativity(np.diag([1e-40, 1.0, 1.0, 1.0])) == pytest.approx(
             -math.log(2e-20), rel=1e-15)
 
     def test_spectrum_lost_to_underflow_raises(self):
         # the smaller eigenvalue, 1e-300, is det L = 1e-600 over the larger:
         # an underflow to zero is a typed error, not log(0)
-        with pytest.raises(PhysicalityError):
-            log_negativity(np.diag([1e-300] * 4))
+        with pytest.raises(PhysicalityError, match="eigenvalue is 0.000e"):
+            evaluate_measures(_embed(np.diag([1e-300] * 4)), None, -1.0, ("entanglement",))
 
     def test_nonphysical_input_raises(self):
         v = np.zeros((4, 4))
@@ -127,50 +146,27 @@ class TestLogNegativity:
         v[2:, 2:] = 0.3 * np.eye(2)
         v[:2, 2:] = v[2:, :2] = 0.45 * np.eye(2)
         with pytest.raises(PhysicalityError):
-            log_negativity(v)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(DomainError):
-            log_negativity(np.eye(6))
+            evaluate_measures(_embed(v), None, -1.0, ("entanglement",))
 
 
 class TestSteering:
     def test_vacuum_is_unsteerable(self):
-        v = 0.5 * np.eye(4)
-        assert gaussian_steering(v, 0) == 0.0
-        assert gaussian_steering(v, 1) == 0.0
+        assert _pair_measures(0.5 * np.eye(4))[1:] == (0.0, 0.0)
 
     def test_thermal_product_is_unsteerable(self):
-        v = np.diag([1.5, 1.5, 0.5, 0.5])
-        assert gaussian_steering(v, 0) == 0.0
-        assert gaussian_steering(v, 1) == 0.0
-
-    def test_direction_argument(self, baseline_cov):
-        v4 = _gather(baseline_cov, ("c", "a"))
-        with pytest.raises(DomainError):
-            gaussian_steering(v4, 2)
-
-    @pytest.mark.parametrize("mode", [1.0, True, np.bool_(False), "1", None, -1],
-                             ids=["float", "bool", "numpy-bool", "text", "none", "negative"])
-    def test_direction_is_the_integer_0_or_1(self, mode):
-        v = tmsv_covariance(0.5)
-        with pytest.raises(DomainError, match="steering_mode"):
-            gaussian_steering(v, mode)
-        assert gaussian_steering(v, np.int64(1)) == gaussian_steering(v, 1)
+        assert _pair_measures(np.diag([1.5, 1.5, 0.5, 0.5]))[1:] == (0.0, 0.0)
 
     def test_nonpositive_determinant_raises(self):
-        v = np.diag([0.5, -0.5, 0.5, 0.5])
         with pytest.raises(PhysicalityError):
-            gaussian_steering(v, 0)
+            evaluate_measures(_embed(np.diag([0.5, -0.5, 0.5, 0.5])), None, -1.0, ("steering",))
         # positive definite, but det V = 1e-680 underflows to 0
         with pytest.raises(PhysicalityError, match="nonpositive"):
-            gaussian_steering(1e-170 * np.eye(4), 0)
+            evaluate_measures(_embed(1e-170 * np.eye(4)), None, -1.0, ("steering",))
 
 
 def test_local_rotation_invariance(baseline_cov, rng):
     v4 = _gather(baseline_cov, ("b1", "m"))
-    e0 = log_negativity(v4)
-    s0 = (gaussian_steering(v4, 0), gaussian_steering(v4, 1))
+    e0, *s0 = _pair_measures(v4)
     for _ in range(5):
         phi = float(rng.uniform(-math.pi, math.pi))
         which = int(rng.integers(2))
@@ -180,10 +176,10 @@ def test_local_rotation_invariance(baseline_cov, rng):
             [blocks[0], np.zeros((2, 2))],
             [np.zeros((2, 2)), blocks[1]],
         ])
-        v_rot = symp @ v4 @ symp.T
-        assert log_negativity(v_rot) == pytest.approx(e0, abs=1e-10)
-        assert gaussian_steering(v_rot, 0) == pytest.approx(s0[0], abs=1e-10)
-        assert gaussian_steering(v_rot, 1) == pytest.approx(s0[1], abs=1e-10)
+        e_rot, *s_rot = _pair_measures(symp @ v4 @ symp.T)
+        assert e_rot == pytest.approx(e0, abs=1e-10)
+        assert s_rot[0] == pytest.approx(s0[0], abs=1e-10)
+        assert s_rot[1] == pytest.approx(s0[1], abs=1e-10)
 
 
 #: Each default triple with each of its mode pairs, the third mode the spectator.
@@ -261,8 +257,8 @@ class TestOccupation:
 class TestReport:
     def test_pair_symmetry(self, baseline_cov):
         for pair in (("c", "a"), ("b1", "m"), ("b2", "a")):
-            e_fwd = log_negativity(_gather(baseline_cov, pair))
-            e_rev = log_negativity(_gather(baseline_cov, pair[::-1]))
+            e_fwd = _negativity(_gather(baseline_cov, pair))
+            e_rev = _negativity(_gather(baseline_cov, pair[::-1]))
             assert e_fwd == pytest.approx(e_rev, abs=1e-12)
 
     def test_record_fields(self, baseline, baseline_cov):
@@ -311,6 +307,55 @@ class TestReport:
         assert report.phonon_occ["b1"] is None
         # entanglement values are still reported at the flagged point
         assert report.entanglement("c", "a") > 1.0
+
+
+#: Each accessor of a report with a key it holds on the baseline's full report.
+ACCESSORS = {"entanglement": ("c", "a"), "steering_value": ("c", "a"),
+             "contangle": (("b1", "m", "c"),)}
+
+
+class TestAccessors:
+    @staticmethod
+    def _raises(report, accessor, args, message):
+        with pytest.raises(DomainError, match=f"^{accessor} has no value for ") as info:
+            getattr(report, accessor)(*args)
+        assert message in str(info.value)
+
+    def test_steering_of_a_directly_coupled_pair(self, baseline, baseline_cov):
+        report = evaluate_measures(baseline_cov, baseline, -1.0)
+        self._raises(report, "steering_value", ("b1", "m"), "('b1', 'm')")
+
+    @pytest.mark.parametrize("accessor, args", [
+        ("entanglement", ("b1", "x")), ("steering_value", ("x", "c")), ("contangle", (("b1", "x", "c"),)),
+    ], ids=list(ACCESSORS))
+    def test_unknown_mode(self, baseline, baseline_cov, accessor, args):
+        report = evaluate_measures(baseline_cov, baseline, -1.0)
+        self._raises(report, accessor, args, "'x'")
+
+    def test_triple_outside_the_defaults(self, baseline, baseline_cov):
+        report = evaluate_measures(baseline_cov, baseline, -1.0)
+        self._raises(report, "contangle", (("b1", "b2", "m"),), "('b1', 'b2', 'm')")
+
+    @pytest.mark.parametrize("accessor, args", [
+        ("entanglement", (["b1"], "c")), ("steering_value", (["b1"], "c")),
+        ("contangle", ((["b1"], "m", "c"),)),
+    ], ids=list(ACCESSORS))
+    def test_unhashable_key(self, baseline, baseline_cov, accessor, args):
+        report = evaluate_measures(baseline_cov, baseline, -1.0)
+        self._raises(report, accessor, args, repr(args[0]))
+
+    @pytest.mark.parametrize("accessor", ACCESSORS)
+    def test_family_not_evaluated(self, baseline, baseline_cov, accessor):
+        report = evaluate_measures(baseline_cov, baseline, -1.0, ("occupation",))
+        self._raises(report, accessor, ACCESSORS[accessor],
+                     "(the point is unstable or the family was not evaluated)")
+
+    @pytest.mark.parametrize("accessor", ACCESSORS)
+    def test_unstable_report(self, accessor):
+        report = evaluate_point(resolve_system_params({"reflectivity": 0.9, "theta": 0.0}))
+        assert not report.stable
+        self._raises(report, accessor, ACCESSORS[accessor],
+                     "(the point is unstable or the family was not evaluated)")
 
 
 def _model_cov(config):
@@ -392,18 +437,22 @@ class TestMeasureKernel:
                 assert repr(got) == repr(expected), temperature
         assert routes["certified"] > 0 and routes["svd"] > 0
 
-    def test_batched_report_matches_scalar_functions(self):
+    def test_report_matches_eigenvalue_and_determinant_routes(self):
+        # routes that share no code with the Cholesky kernel: E from the eigenvalues
+        # of the flipped form times V, S from np.linalg.det of the gathered blocks
         points = list(_kernel_points())
         assert any(not evaluate_measures(cov, p, -1.0, ()).physical for p, cov in points)
         for params, cov in points:
             report = evaluate_measures(cov, params, margin=-1.0)
             for pair in ALL_PAIRS:
-                expected = log_negativity(_gather(cov, pair))
-                assert abs(report.pairwise_E[pair] - expected) <= 1e-12
+                nu = _spectrum(_gather(cov, pair), transposed=True)[0]
+                assert abs(report.pairwise_E[pair] - max(0.0, -math.log(2.0 * nu))) <= 1e-12
             for a, b in INDIRECT_PAIRS:
-                cov4 = _gather(cov, (a, b))
-                assert abs(report.steering[(a, b)] - gaussian_steering(cov4, 0)) <= 1e-12
-                assert abs(report.steering[(b, a)] - gaussian_steering(cov4, 1)) <= 1e-12
+                det_v = np.linalg.det(_gather(cov, (a, b)))
+                for party, steered in ((a, b), (b, a)):
+                    det_s = np.linalg.det(_gather(cov, (party,)))
+                    expected = max(0.0, 0.5 * math.log(det_s / (4.0 * det_v)))
+                    assert abs(report.steering[(party, steered)] - expected) <= 1e-12
             for triple in DEFAULT_TRIPLES:
                 expected = _contangle_by_eigenvalues(cov, triple)
                 assert abs(report.contangle(triple) - expected) <= 1e-12
@@ -461,11 +510,6 @@ class TestMeasureKernel:
             skewed = cov + np.triu(rng.uniform(-0.3, 0.3, cov.shape), 1)
             assert (evaluate_measures(skewed, params, -1.0).to_record()
                     == evaluate_measures(cov, params, -1.0).to_record())
-            for pair in ALL_PAIRS:
-                cov4, skewed4 = _gather(cov, pair), _gather(skewed, pair)
-                assert log_negativity(skewed4) == log_negativity(cov4)
-                for mode in (0, 1):
-                    assert gaussian_steering(skewed4, mode) == gaussian_steering(cov4, mode)
         # a point with no entangled pair is certified without a triple SVD,
         # skewed or not: the bona fide proof reads the lower triangle only too
         params, cov = _model_cov(_HOT_CONTRAST_POINT)
@@ -506,24 +550,23 @@ class TestMeasureKernel:
 
 class TestTypedInputs:
     @pytest.mark.parametrize("dtype", [complex, object, str])
-    @pytest.mark.parametrize("call, dim", [
-        (log_negativity, 4), (lambda c: gaussian_steering(c, 1), 4),
-        (lambda c: evaluate_measures(c, None, -1.0), 10),
-        (lambda c: evaluate_measures(c, None, -1.0, ("contangle",)), 10),
-        (lambda c: evaluate_measures(c, None, -1.0, ("occupation",)), 10),
-        (lambda c: evaluate_measures(c, None, -1.0, ()), 10),
-    ], ids=["log-negativity", "steering", "report", "contangle", "occupation", "spectrum"])
-    def test_covariance_that_is_not_real_is_a_domain_error(self, call, dim, dtype):
+    @pytest.mark.parametrize("call", [
+        lambda c: evaluate_measures(c, None, -1.0),
+        lambda c: evaluate_measures(c, None, -1.0, ("contangle",)),
+        lambda c: evaluate_measures(c, None, -1.0, ("occupation",)),
+        lambda c: evaluate_measures(c, None, -1.0, ()),
+    ], ids=["report", "contangle", "occupation", "spectrum"])
+    def test_covariance_that_is_not_real_is_a_domain_error(self, call, dtype):
         with pytest.raises(DomainError, match="real|float|int|bool|shape"):
-            call((0.5 * np.eye(dim)).astype(dtype))
+            call((0.5 * np.eye(10)).astype(dtype))
 
-    @pytest.mark.parametrize("call, dim", [
-        (log_negativity, 4), (lambda c: evaluate_measures(c, None, -1.0).to_record(), 10),
-        (lambda c: evaluate_measures(c, None, -1.0, ("contangle",)).to_record(), 10),
-        (lambda c: evaluate_measures(c, None, -1.0, ("occupation",)).to_record(), 10),
-    ], ids=["log-negativity", "report", "contangle", "occupation"])
-    def test_real_dtypes_give_the_float_values(self, call, dim):
-        cov = np.eye(dim, dtype=np.int64)
+    @pytest.mark.parametrize("call", [
+        lambda c: evaluate_measures(c, None, -1.0).to_record(),
+        lambda c: evaluate_measures(c, None, -1.0, ("contangle",)).to_record(),
+        lambda c: evaluate_measures(c, None, -1.0, ("occupation",)).to_record(),
+    ], ids=["report", "contangle", "occupation"])
+    def test_real_dtypes_give_the_float_values(self, call):
+        cov = np.eye(10, dtype=np.int64)
         assert call(cov) == call(cov.astype(float))
 
     @pytest.mark.parametrize("measures", ["entanglement", ("bogus",), ("entanglement", 3)],

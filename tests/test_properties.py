@@ -17,7 +17,6 @@ from magnomech import (
     build_diffusion,
     build_drift,
     evaluate_measures,
-    log_negativity,
     resolve_system_params,
     solve_lyapunov,
     stability_check,
@@ -33,7 +32,7 @@ from magnomech.measures import (
     _pair_moduli,
 )
 from magnomech.model import OMEGA
-from test_measures import _contangle_by_eigenvalues, _gather
+from test_measures import _contangle_by_eigenvalues, _gather, _negativity
 
 W_B1, W_B2 = 20.15e6, 20.11e6
 
@@ -95,9 +94,9 @@ def test_log_negativity_ignores_mode_order_and_local_rotations(config, pair, phi
     cov = _steady_state(config)[3]
     cov4 = _gather(cov, pair)
     rotation = _local_rotation(phi_1, phi_2)
-    expected = pytest.approx(log_negativity(cov4), rel=1e-12, abs=1e-13)
-    assert log_negativity(_gather(cov, pair[::-1])) == expected
-    assert log_negativity(rotation @ cov4 @ rotation.T) == expected
+    expected = pytest.approx(_negativity(cov4), rel=1e-12, abs=1e-13)
+    assert _negativity(_gather(cov, pair[::-1])) == expected
+    assert _negativity(rotation @ cov4 @ rotation.T) == expected
 
 
 @settings(max_examples=150, deadline=None)

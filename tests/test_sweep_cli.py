@@ -981,8 +981,11 @@ class TestCli:
         ("gamma_a = -1\n", "gamma_a"),
         ("coupling_mode = meanfield\nlaser_power = 0.03\n", "drive_freq_2"),
         ("lambda_c = 1e-300\n", "lambda_c"),
+        ("coupling_mode = meanfield\nrabi = 1e6\nlaser_coupling = 1e6\n", "bare_D_mb1 = 0"),
+        ("coupling_mode = meanfield\nbare_D_mb1 = 0.1\nbare_D_cb2 = 100\n", "no drive on"),
     ], ids=["reflectivity", "negative-damping", "meanfield-without-drive-freq-2",
-            "lambda-c-whose-omega-c-overflows"])
+            "lambda-c-whose-omega-c-overflows", "meanfield-drives-without-couplings",
+            "meanfield-couplings-without-drives"])
     def test_value_outside_its_domain_exit_code(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "domain.cfg"
         cfg.write_text(text)
