@@ -156,6 +156,18 @@ class TestSteering:
     def test_thermal_product_is_unsteerable(self):
         assert _pair_measures(np.diag([1.5, 1.5, 0.5, 0.5]))[1:] == (0.0, 0.0)
 
+    def test_noise_on_one_mode_gives_one_way_steering(self):
+        # thermal noise n on the second mode of a squeezed pair: with V = [[a, k], [k, b]]
+        # blockwise, S by the second mode is ln(b / (2 (ab - k^2))) > 0, by the first
+        # ln(a / (2 (ab - k^2))) < 0, so read as 0; each direction is its own report key
+        r, n = 0.5, 0.3
+        cov4 = tmsv_covariance(r) + np.diag([0.0, 0.0, n, n])
+        a, b, k = math.cosh(2 * r) / 2, math.cosh(2 * r) / 2 + n, math.sinh(2 * r) / 2
+        _, by_first, by_second = _pair_measures(cov4)
+        assert by_first == 0.0
+        assert by_second == pytest.approx(math.log(b / (2 * (a * b - k * k))), abs=1e-12)
+        assert by_second > 0.1
+
     def test_nonpositive_determinant_raises(self):
         with pytest.raises(PhysicalityError):
             evaluate_measures(_embed(np.diag([0.5, -0.5, 0.5, 0.5])), None, -1.0, ("steering",))
@@ -553,9 +565,11 @@ class TestTypedInputs:
     @pytest.mark.parametrize("call", [
         lambda c: evaluate_measures(c, None, -1.0),
         lambda c: evaluate_measures(c, None, -1.0, ("contangle",)),
+        lambda c: evaluate_measures(c, None, -1.0, ("entanglement",)),
+        lambda c: evaluate_measures(c, None, -1.0, ("steering",)),
         lambda c: evaluate_measures(c, None, -1.0, ("occupation",)),
         lambda c: evaluate_measures(c, None, -1.0, ()),
-    ], ids=["report", "contangle", "occupation", "spectrum"])
+    ], ids=["report", "contangle", "entanglement", "steering", "occupation", "spectrum"])
     def test_covariance_that_is_not_real_is_a_domain_error(self, call, dtype):
         with pytest.raises(DomainError, match="real|float|int|bool|shape"):
             call((0.5 * np.eye(10)).astype(dtype))
@@ -563,8 +577,10 @@ class TestTypedInputs:
     @pytest.mark.parametrize("call", [
         lambda c: evaluate_measures(c, None, -1.0).to_record(),
         lambda c: evaluate_measures(c, None, -1.0, ("contangle",)).to_record(),
+        lambda c: evaluate_measures(c, None, -1.0, ("entanglement",)).to_record(),
+        lambda c: evaluate_measures(c, None, -1.0, ("steering",)).to_record(),
         lambda c: evaluate_measures(c, None, -1.0, ("occupation",)).to_record(),
-    ], ids=["report", "contangle", "occupation"])
+    ], ids=["report", "contangle", "entanglement", "steering", "occupation"])
     def test_real_dtypes_give_the_float_values(self, call):
         cov = np.eye(10, dtype=np.int64)
         assert call(cov) == call(cov.astype(float))
