@@ -13,6 +13,10 @@ serve as cross-check oracles.  Every algebraic solve is refined once (for
 the last digits of a near-degenerate measure; the first solve already meets
 the bound), symmetrized and verified against a residual bound before being
 returned.
+
+Both LAPACK routines come from scipy's compiled wrappers, which
+:data:`params.FLAPACK` loads without importing ``scipy.linalg``; only the two
+oracles import ``scipy.linalg`` and ``scipy.integrate``, inside themselves.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import DomainError, FloatGuard, SolverError, StabilityError
-from .params import real_matrix
+from .params import FLAPACK, real_matrix
 
 #: Relative Frobenius-norm bound accepted for ``A V + V A^T + D``.
 RESIDUAL_TOL = 1e-9
@@ -51,7 +54,7 @@ class StabilityResult:
     basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-_DGEES = sla.get_lapack_funcs("gees", (np.empty((1, 1)),))
+_DGEES, _DTRSYL = FLAPACK.dgees, FLAPACK.dtrsyl
 
 
 @functools.lru_cache(maxsize=2)
@@ -132,7 +135,7 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
 
     def solve(rhs):
         # T Y + Y T^T = U^T rhs U, then X = U Y U^T
-        y, scale, _ = sla.lapack.dtrsyl(schur, schur, basis.T.dot(rhs.dot(basis)), tranb="T")
+        y, scale, _ = _DTRSYL(schur, schur, basis.T.dot(rhs.dot(basis)), tranb="T")
         y *= scale
         return basis.dot(y).dot(basis.T)
 
@@ -146,6 +149,8 @@ def solve_lyapunov_oracle(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarra
     factorization.  Kept deliberately separate from the Schur path so the
     two can verify each other; intended for small systems (<= 12 modes).
     """
+    from scipy.linalg import lu_factor, lu_solve  # slow to import; only this oracle needs it
+
     _, drift, diffusion = _stable_operands(drift, diffusion, "oracle")
     n = drift.shape[0]
     if n > 24:
@@ -153,9 +158,9 @@ def solve_lyapunov_oracle(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarra
     eye = np.eye(n)
     # never singular: the gate's eigenvalues lam_i of A all have Re < 0, and the
     # Kronecker sum's are lam_i + lam_j
-    lu_piv = sla.lu_factor(np.kron(eye, drift) + np.kron(drift, eye))
+    lu_piv = lu_factor(np.kron(eye, drift) + np.kron(drift, eye))
     return _refined(drift, diffusion,
-                    lambda rhs: sla.lu_solve(lu_piv, rhs.reshape(-1)).reshape(n, n))
+                    lambda rhs: lu_solve(lu_piv, rhs.reshape(-1)).reshape(n, n))
 
 
 def integrate_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:

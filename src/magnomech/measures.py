@@ -21,6 +21,10 @@ of the triples' twelve bona fide matrices ``V + (i/2) F_i Omega F_i``
 one-versus-rest term is proved 0 and the triples' factor and SVD are
 skipped.  The SVD serves every stack the proof fails, and is the only
 route to a nonzero one-versus-rest term.
+
+Both LAPACK routines come from scipy's compiled wrappers, which
+:data:`params.FLAPACK` loads without importing ``scipy.linalg``; only the
+oracles of ``lyapunov`` import ``scipy.linalg`` and ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -30,11 +34,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import ConfigError, DomainError, FloatGuard, PhysicalityError, SolverError
 from .model import MODE_INDEX, MODE_ORDER, OMEGA
-from .params import SystemParams, finite_number, real_matrix
+from .params import FLAPACK, SystemParams, finite_number, real_matrix
 
 #: The measure families :func:`evaluate_measures` can evaluate.
 MEASURE_FAMILIES = ("entanglement", "steering", "contangle", "occupation")
@@ -107,7 +110,7 @@ _TRIPLE_FORMS = _flipped_forms(3)
 #: ``V + _HALF_I_FORMS[i]``: the bona fide matrix of a three-mode ``V`` transposed over mode ``i``.
 _HALF_I_FORMS = 0.5j * _TRIPLE_FORMS
 
-_DPOTRF, _DGESDD = sla.get_lapack_funcs(("potrf", "gesdd"), (np.empty((1, 1)),))
+_DPOTRF, _DGESDD = FLAPACK.dpotrf, FLAPACK.dgesdd
 
 
 def _spectrum(cov: np.ndarray) -> np.ndarray:

@@ -11,17 +11,26 @@ A configuration file is a flat list of ``key = value`` lines; ``#``
 starts a comment.  Unknown keys are rejected at parse time.  Every
 parameter key is optional and defaults to the ``baseline`` operating
 point (see :data:`BASELINE_CONFIG`).
+
+What the engine takes from scipy is declared here too, so that importing the
+package imports neither ``scipy.constants`` nor ``scipy.linalg``: the physical
+constants as literals, and scipy's compiled LAPACK wrappers (:data:`FLAPACK`).
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
 import numbers
+import os
+import sys
+import sysconfig
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy
 
 from .errors import ConfigError, DomainError, SolverError
 
@@ -34,6 +43,35 @@ HBAR = 1.0545718176461565e-34  # reduced Planck constant, J s
 K_B = 1.380649e-23  # Boltzmann constant, J/K
 MU_0 = 1.25663706127e-06  # vacuum permeability, N/A^2
 SPEED_OF_LIGHT = 299792458.0  # m/s
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, the module ``scipy.linalg._flapack``, loaded
+    without the rest of ``scipy.linalg``.
+
+    Importing ``scipy.linalg`` costs about 0.2 s (its array-API layer imports
+    ``numpy.f2py`` and ``numpy.testing``); the extension and the top-level ``scipy``
+    package, whose ``_distributor_init`` sets up the bundled OpenBLAS, cost about
+    10 ms.  The steps are importlib's own, under the module's qualified name: an
+    entry already in ``sys.modules`` is reused, else the module is created, registered
+    and executed.  Either way the routines are the objects that
+    ``scipy.linalg.get_lapack_funcs`` returns, in whichever order the two are imported.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
+                            "_flapack" + sysconfig.get_config_var("EXT_SUFFIX"))
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)  # a missing file: an ImportError naming it
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+#: The LAPACK routines of the engine: ``dgees`` and ``dtrsyl`` (``lyapunov``),
+#: ``dpotrf`` and ``dgesdd`` (``measures``).
+FLAPACK = _load_flapack()
 
 
 def _key(unit: str, baseline: float | None = None, **field_args):

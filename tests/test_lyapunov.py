@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import os
 import re
 import subprocess
@@ -29,7 +30,7 @@ from magnomech import (
     solve_lyapunov_oracle,
     stability_check,
 )
-from magnomech import lyapunov
+from magnomech import lyapunov, params as params_module
 from magnomech.lyapunov import RESIDUAL_TOL
 from magnomech.validate import random_stable_system
 
@@ -323,11 +324,70 @@ class TestOneFactorization:
         solve_lyapunov(stable, np.eye(2))
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # the time-integration oracle imports scipy.integrate on first use only
-    src = str(Path(magnomech.__file__).resolve().parent.parent)
-    code = "import sys, magnomech; print('scipy.integrate' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
+def _fresh_interpreter(code: str):
+    """What ``code``, run in a new interpreter on this source tree, prints on its last
+    line, read as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(magnomech.__file__).resolve().parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+_BASELINE_CFG = Path(__file__).resolve().parent.parent / "configs" / "baseline.cfg"
+
+
+@pytest.fixture(scope="module")
+def modules_after_a_run():
+    """``sys.modules`` of a new interpreter after the package's every engine path: a point
+    with all four families, a 2-point sweep at 2 workers and ``magnomech point``."""
+    return _fresh_interpreter(f"""
+import json, sys
+from magnomech import SweepAxis, SweepSpec, cli, run_point, run_sweep
+run_point({{"measures": "entanglement, steering, contangle, occupation"}})
+run_sweep(SweepSpec(SweepAxis("temperature", 0.01, 0.02, 2)), workers=2)
+cli.main(["point", "--config", {str(_BASELINE_CFG)!r}])
+print(json.dumps(sorted(sys.modules)))
+""")
+
+
+@pytest.mark.parametrize("module", ["scipy.linalg", "scipy.integrate", "scipy.constants",
+                                    "scipy._lib._array_api"])
+def test_engine_runs_leave_slow_scipy_modules_unloaded(modules_after_a_run, module):
+    # the engine's LAPACK routines come from params.FLAPACK and its constants are
+    # literals; only the oracles import scipy.linalg and scipy.integrate
+    assert "magnomech.sweep" in modules_after_a_run
+    assert module not in modules_after_a_run
+
+
+@pytest.mark.parametrize("first", ["magnomech", "scipy.linalg"])
+def test_engine_calls_the_routines_that_scipy_linalg_returns(first):
+    # in the magnomech-first order the oracle's own import is the first of scipy.linalg
+    result = _fresh_interpreter(f"""
+import json, sys
+import numpy as np
+import {first}
+from magnomech import (build_diffusion, build_drift, lyapunov, measures,
+                       resolve_system_params, solve_lyapunov, solve_lyapunov_oracle)
+loaded_before = "scipy.linalg" in sys.modules
+params = resolve_system_params({{}})
+drift, diffusion = build_drift(params), build_diffusion(params)
+cov, oracle = solve_lyapunov(drift, diffusion), solve_lyapunov_oracle(drift, diffusion)
+import scipy.linalg
+engine = (lyapunov._DGEES, lyapunov._DTRSYL, measures._DPOTRF, measures._DGESDD)
+scipys = scipy.linalg.get_lapack_funcs(("gees", "trsyl", "potrf", "gesdd"))
+print(json.dumps({{"loaded_before": loaded_before, "same": [a is b for a, b in zip(engine, scipys)],
+                  "gap": float(np.linalg.norm(cov - oracle) / np.linalg.norm(oracle))}}))
+""")
+    assert result["loaded_before"] is (first == "scipy.linalg")
+    assert result["same"] == [True] * 4
+    assert result["gap"] < 1e-8
+
+
+def test_missing_lapack_extension_is_an_import_error_naming_the_path(monkeypatch, tmp_path):
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+        params_module._load_flapack()
+    assert "scipy.linalg._flapack" not in sys.modules

@@ -549,6 +549,14 @@ class TestMeasureKernel:
         with pytest.raises(SolverError, match=rf"^symplectic spectrum failed \(LAPACK info {info}\)$"):
             evaluate_measures(0.5 * np.eye(10), None, -1.0, ())
 
+    def test_stack_holding_a_block_that_is_not_positive_definite_is_a_physicality_error(self):
+        # evaluate_measures factors the whole state first, and every principal block of a
+        # positive definite state is positive definite, so the stack factor is called directly
+        stack = np.stack([0.5 * np.eye(4)] * 3)
+        stack[1, 2:, :2] = stack[1, :2, 2:] = 0.6 * np.eye(2)
+        with pytest.raises(PhysicalityError, match="covariance block is not positive definite"):
+            measures_module._factor(stack)
+
     @pytest.mark.parametrize("shape", [(4, 4), (9, 9), (12, 12), (10, 9), (2, 10, 10), (10,)],
                              ids=["two-modes", "odd", "six-modes", "not-square", "stack", "vector"])
     def test_state_of_the_wrong_shape_is_a_domain_error(self, baseline, shape):

@@ -1,16 +1,11 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.constants
 from scipy.constants import hbar, k as k_B
 
-import magnomech
 from magnomech import (
     DomainError,
     DriveParams,
@@ -307,13 +302,3 @@ class TestSystemParams:
                                          (SPEED_OF_LIGHT, "c")], ids=["hbar", "k", "mu_0", "c"])
 def test_physical_constants_are_scipys(value, name):
     assert value == getattr(scipy.constants, name)
-
-
-def test_import_leaves_scipy_constants_unloaded():
-    # the package writes its four constants as literals (scipy.linalg loads all the same)
-    src = str(Path(magnomech.__file__).resolve().parent.parent)
-    code = "import sys, magnomech; print('scipy.constants' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
