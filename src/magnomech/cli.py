@@ -17,7 +17,6 @@ import sys
 from .errors import ConfigError, DomainError, MagnomechError
 from .presets import PRESETS, get_preset
 from .sweep import emit, run_point, run_sweep, sweep_spec_from_config
-from . import validate as validation
 from .params import echo_config, load_config
 
 
@@ -105,7 +104,9 @@ def main(argv=None) -> int:
             return _run_to_file(sweep_spec_from_config(load_config(args.config)), args)
         if args.command == "presets":
             return _cmd_presets(args)
-        return 0 if validation.run_all() else 2  # argparse leaves only "validate"
+        from . import validate  # argparse leaves only "validate"; no other command needs it
+
+        return 0 if validate.run_all() else 2
     except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

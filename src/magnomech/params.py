@@ -13,7 +13,7 @@ parameter key is optional and defaults to the ``baseline`` operating
 point (see :data:`BASELINE_CONFIG`).
 
 What the engine takes from scipy is declared here too, so that importing the
-package imports neither ``scipy.constants`` nor ``scipy.linalg``: the physical
+package imports no scipy module but one compiled extension: the physical
 constants as literals, and scipy's compiled LAPACK wrappers (:data:`FLAPACK`).
 """
 
@@ -30,7 +30,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy
 
 from .errors import ConfigError, DomainError, SolverError
 
@@ -47,26 +46,38 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 def _load_flapack():
     """scipy's compiled LAPACK wrappers, the module ``scipy.linalg._flapack``, loaded
-    without the rest of ``scipy.linalg``.
+    without executing any other scipy module.
 
     Importing ``scipy.linalg`` costs about 0.2 s (its array-API layer imports
-    ``numpy.f2py`` and ``numpy.testing``); the extension and the top-level ``scipy``
-    package, whose ``_distributor_init`` sets up the bundled OpenBLAS, cost about
-    10 ms.  The steps are importlib's own, under the module's qualified name: an
-    entry already in ``sys.modules`` is reused, else the module is created, registered
-    and executed.  Either way the routines are the objects that
+    ``numpy.f2py`` and ``numpy.testing``), and the top-level ``scipy`` package about
+    10 ms (``scipy._lib._testutils`` imports ``subprocess``).  The extension needs
+    neither: it links scipy's bundled OpenBLAS through its own RPATH.  So scipy's
+    directory comes from ``importlib.util.find_spec``, which does not execute
+    ``scipy/__init__.py``, and the module is loaded by importlib's own steps under its
+    qualified name: an entry already in ``sys.modules`` is reused, else the module is
+    created, registered and executed.  Either way the routines are the objects that
     ``scipy.linalg.get_lapack_funcs`` returns, in whichever order the two are imported.
+    A scipy that cannot be found, or an extension file that is missing, is an
+    :class:`ImportError`, the latter naming the path.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
-        path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
+        path = os.path.join(_scipy_directory(), "linalg",
                             "_flapack" + sysconfig.get_config_var("EXT_SUFFIX"))
         spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)  # a missing file: an ImportError naming it
         sys.modules[name] = module
         spec.loader.exec_module(module)
     return module
+
+
+def _scipy_directory() -> str:
+    """The directory of the installed ``scipy`` package, found without executing it."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed; the engine needs its LAPACK extension", name="scipy")
+    return os.path.dirname(spec.origin)
 
 
 #: The LAPACK routines of the engine: ``dgees`` and ``dtrsyl`` (``lyapunov``),

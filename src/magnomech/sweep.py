@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,6 +384,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     if workers <= 1:
         outcomes = [_evaluate_task(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import; only a parallel sweep needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (workers * 4))
             outcomes = list(pool.map(_evaluate_task, tasks, chunksize=chunk))
@@ -434,6 +434,8 @@ def emit(table: ResultTable, fmt: str, stream) -> None:
             lines.append(template % tuple(row))
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
+        import json  # only this format needs it
+
         objects = [dict(zip(table.columns, row)) for row in table.rows]
         payload = json.dumps(objects, indent=1) + "\n"
     else:

@@ -359,6 +359,47 @@ def test_engine_runs_leave_slow_scipy_modules_unloaded(modules_after_a_run, modu
     assert module not in modules_after_a_run
 
 
+def test_a_parallel_sweep_loads_the_process_pool(modules_after_a_run):
+    assert "concurrent.futures.process" in modules_after_a_run
+
+
+@pytest.fixture(scope="module")
+def modules_after_serial_runs():
+    """``sys.modules`` of a new interpreter, twice: under ``"api"`` after ``import magnomech``,
+    the setup probe's baseline point, a point with all four families and a serial 2-point
+    sweep written as CSV; under ``"cli"`` after ``magnomech point`` then."""
+    return _fresh_interpreter(f"""
+import io, sys
+import magnomech
+from magnomech import SweepAxis, SweepSpec, emit, evaluate_point, resolve_system_params, run_point, run_sweep
+evaluate_point(resolve_system_params({{}}))
+run_point({{"measures": "entanglement, steering, contangle, occupation"}})
+emit(run_sweep(SweepSpec(SweepAxis("temperature", 0.01, 0.02, 2))), "csv", io.StringIO())
+api = sorted(sys.modules)
+from magnomech import cli
+cli.main(["point", "--config", {str(_BASELINE_CFG)!r}])
+import json
+print(json.dumps({{"api": api, "cli": sorted(sys.modules)}}))
+""")
+
+
+_POOL_AND_SCIPY = ["scipy", "concurrent.futures.process", "multiprocessing"]
+
+
+@pytest.mark.parametrize("module", [*_POOL_AND_SCIPY, "json"])
+def test_serial_engine_runs_leave_the_pool_scipy_and_json_unloaded(modules_after_serial_runs, module):
+    # the pool loads with the first parallel sweep, json with the first JSON output,
+    # and of scipy only its LAPACK extension loads
+    assert "scipy.linalg._flapack" in modules_after_serial_runs["api"]
+    assert module not in modules_after_serial_runs["api"]
+
+
+@pytest.mark.parametrize("module", [*_POOL_AND_SCIPY, "magnomech.validate"])
+def test_magnomech_point_leaves_the_pool_scipy_and_validate_unloaded(modules_after_serial_runs, module):
+    assert "magnomech.cli" in modules_after_serial_runs["cli"]
+    assert module not in modules_after_serial_runs["cli"]
+
+
 @pytest.mark.parametrize("first", ["magnomech", "scipy.linalg"])
 def test_engine_calls_the_routines_that_scipy_linalg_returns(first):
     # in the magnomech-first order the oracle's own import is the first of scipy.linalg
@@ -384,10 +425,16 @@ print(json.dumps({{"loaded_before": loaded_before, "same": [a is b for a, b in z
 
 
 def test_missing_lapack_extension_is_an_import_error_naming_the_path(monkeypatch, tmp_path):
-    import scipy
-
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(params_module, "_scipy_directory", lambda: str(tmp_path))
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+        params_module._load_flapack()
+    assert "scipy.linalg._flapack" not in sys.modules
+
+
+def test_scipy_that_cannot_be_found_is_an_import_error(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setitem(sys.modules, "scipy", None)  # the import system's mark of a module it cannot import
+    with pytest.raises(ImportError, match="scipy is not installed"):
         params_module._load_flapack()
     assert "scipy.linalg._flapack" not in sys.modules

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -753,7 +754,8 @@ class TestRunSweep:
             def map(self, function, tasks, chunksize=1):
                 return map(function, tasks)
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
+        # run_sweep imports the pool class from its module only when it builds a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         spec = SweepSpec(SweepAxis("temperature", 0, 0.1, 2), measures=())
         # whole numbers of any type are counts; one or fewer builds no pool
         for workers in (2, 3, 100_000, 3.0, np.int64(2), 1, 0, -3):
